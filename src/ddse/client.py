@@ -43,8 +43,8 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import bloom, sre
-from .crypto import (KEY_LEN, TAG_LEN, TOKEN_LEN, encode_parts, fresh_key,
-                     fresh_nonce, keyed_hash, prf)
+from .crypto import (GCM_TAG_LEN, KEY_LEN, NONCE_LEN, TAG_LEN, TOKEN_LEN,
+                     encode_parts, fresh_key, fresh_nonce, keyed_hash, prf)
 from .edb import EncryptedDatabase, SearchRequest, encode_entry
 from .fpdse import SigmaState
 
@@ -268,10 +268,11 @@ def search_finalize(state: ClientState, retrievals: Iterable[bytes]
     """Decrypt retrievals to the distinct value set."""
     values = set()
     for blob in retrievals:
-        if len(blob) < 12 + 16 + _COUNTER_LEN:
+        if len(blob) < NONCE_LEN + GCM_TAG_LEN + _COUNTER_LEN:
             raise ProtocolError("retrieval too short")
         try:
-            plain = state.value_aead.decrypt(blob[:12], blob[12:], None)
+            plain = state.value_aead.decrypt(
+                blob[:NONCE_LEN], blob[NONCE_LEN:], None)
         except InvalidTag as exc:
             raise ProtocolError("retrieval failed authentication") from exc
         values.add(plain[:-_COUNTER_LEN])

@@ -15,6 +15,7 @@ KEY_LEN = 16  # lambda/8 for the default security parameter (128 bit)
 TAG_LEN = 16
 TOKEN_LEN = 32
 NONCE_LEN = 12
+GCM_TAG_LEN = 16  # AES-GCM authentication tag
 
 
 def fresh_key(n: int = KEY_LEN) -> bytes:

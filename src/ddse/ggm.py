@@ -109,7 +109,7 @@ class GgmRoot:
             out = sha256(seed).digest()
             stack.append((out[16:], (prefix << 1) | 1, plen + 1, split, hi))
             stack.append((out[:16], prefix << 1, plen + 1, lo, split))
-        return _assemble(PUNCTURED, depth, tuple(nodes))
+        return DelegatedKey(PUNCTURED, depth, tuple(nodes))
 
     def constrain_range(self, count: int) -> "DelegatedKey":
         """Delegated key covering exactly leaves [0, count).
@@ -127,23 +127,11 @@ class GgmRoot:
                 prefix = start >> j
                 nodes.append(KeyNode(prefix, plen, _walk(self.seed, prefix, plen)))
                 start += 1 << j
-        return _assemble(RANGE, self.depth, tuple(nodes))
+        return DelegatedKey(RANGE, self.depth, tuple(nodes))
 
 
 def gen_root(seed: bytes, depth: int) -> GgmRoot:
     return GgmRoot(seed, depth)
-
-
-def _assemble(kind: str, depth: int, nodes: tuple) -> "DelegatedKey":
-    # construction bypass for covers we built ourselves: already sorted,
-    # prefix-free by construction, and large enough that re-validating
-    # every node (as __post_init__ does for decoded keys) shows up in
-    # search-token latency
-    key = object.__new__(DelegatedKey)
-    object.__setattr__(key, "kind", kind)
-    object.__setattr__(key, "depth", depth)
-    object.__setattr__(key, "nodes", nodes)
-    return key
 
 
 @dataclass(frozen=True)
@@ -159,22 +147,22 @@ class DelegatedKey:
             raise ValueError(f"unknown key kind {self.kind!r}")
         if not 1 <= self.depth <= MAX_DEPTH:
             raise ValueError("bad depth")
-        spans = sorted(self._span(n) for n in self.nodes)
-        for (a, a_end), (b, _) in zip(spans, spans[1:]):
-            if b < a_end:
-                raise ValueError("node prefixes overlap; key is not prefix-free")
-        # nodes stored in canonical order: ascending first-covered leaf
-        object.__setattr__(self, "nodes", tuple(
-            n for _, n in sorted((self._span(n)[0], n) for n in self.nodes)))
-
-    def _span(self, node: KeyNode) -> tuple[int, int]:
-        if not 0 <= node.plen <= self.depth:
-            raise ValueError("node prefix longer than depth")
-        if not 0 <= node.prefix < (1 << node.plen):
-            raise ValueError("prefix value does not fit its bit length")
-        height = self.depth - node.plen
-        start = node.prefix << height
-        return start, start + (1 << height)
+        # nodes must come in canonical order, ascending first-covered leaf:
+        # the order encode() writes and puncture/constrain_range build
+        starts = []
+        end = 0
+        for prefix, plen, _ in self.nodes:
+            if not 0 <= plen <= self.depth:
+                raise ValueError("node prefix longer than depth")
+            if not 0 <= prefix < (1 << plen):
+                raise ValueError("prefix value does not fit its bit length")
+            height = self.depth - plen
+            start = prefix << height
+            if start < end:
+                raise ValueError("nodes overlap or are out of ascending order")
+            starts.append(start)
+            end = start + (1 << height)
+        object.__setattr__(self, "_starts", starts)
 
     @property
     def covered_count(self) -> int:
@@ -200,14 +188,6 @@ class DelegatedKey:
         if offset >= (1 << height):
             return None
         return node, offset
-
-    @property
-    def _starts(self) -> list[int]:
-        cached = self.__dict__.get("_starts_cache")
-        if cached is None:
-            cached = [n.prefix << (self.depth - n.plen) for n in self.nodes]
-            object.__setattr__(self, "_starts_cache", cached)
-        return cached
 
     def covers(self, index: int) -> bool:
         return self._locate(index) is not None

@@ -414,9 +414,14 @@ def execute(registry: Registry, query: QueryPlan, edb):
         t1, t2, (kw_col, w, join_col), (join_col2, _, val_col) = query.m
         stage1 = _expanded(registry.instance_for(t1, kw_col, join_col), w, edb)
         stage2_instance = registry.instance_for(t2, join_col2, val_col)
+        # one search per distinct link: searching a link once per copy
+        # would show the server its multiplicity through a repeated token
+        rows: dict[bytes, list[bytes]] = {}
         out: list[bytes] = []
         for link in stage1:
-            out.extend(_expanded(stage2_instance, link, edb))
+            if link not in rows:
+                rows[link] = _expanded(stage2_instance, link, edb)
+            out.extend(rows[link])
         return out
     raise ValueError(f"unknown plan kind {query.syn!r}")
 

@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import bloom, ggm
-from .crypto import KEY_LEN, fresh_key, fresh_nonce, prg, stream_xor
+from .crypto import (KEY_LEN, NONCE_LEN, fresh_key, fresh_nonce, prg,
+                     stream_xor)
 
 logger = logging.getLogger(__name__)
 
 MAGIC = b"SREVALID"
 _FRAME_OVERHEAD = len(MAGIC) + 4
-NONCE_LEN = 12
 
 
 @dataclass(frozen=True)

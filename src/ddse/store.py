@@ -1,14 +1,22 @@
 """Crash-safe persistence for the encrypted database.
 
-An append-only log under the store directory records every mutation
-(PUT on update, DEL for purges, CACHE for cache-slot rewrites), each
-wrapped as [4-byte length][body][4-byte CRC-32 of body].  Recovery
-replays the snapshot, then the log, stopping at the first record whose
-checksum or length does not hold -- a torn tail from a crash -- and
-truncates the junk so the file appends cleanly again.  ``snapshot()``
-rewrites the full state and resets the log; replay is last-write-wins,
-so a crash between those two steps only replays records the snapshot
-already contains.
+An append-only log under the store directory records every mutation,
+each wrapped as [4-byte length][type byte + body][4-byte CRC-32 of type
+byte + body].  The bodies reuse the wire codecs of ``ddse.wire``:
+
+* PUT (on update):   the UPDATE body, [address:32][4-byte len][payload]
+* DEL (on purge):    [address:32]
+* CACHE (on search): [tkn:32] + the RESULT body of the cache slot
+
+Recovery replays the snapshot, then the log.  It stops at the first
+record whose length or checksum does not hold -- a torn tail from a
+crash -- and truncates the junk so the file appends cleanly again.  A
+record whose length and checksum hold but which does not decode was
+written whole, so it is not a torn tail: recovery refuses it, naming
+its file and byte offset, and leaves the file untouched.
+``snapshot()`` rewrites the full state and resets the log; replay is
+last-write-wins, so a crash between those two steps only replays
+records the snapshot already contains.
 """
 
 from __future__ import annotations
@@ -19,8 +27,13 @@ import struct
 import zlib
 from pathlib import Path
 
+from .crypto import TOKEN_LEN
 from .edb import (AddressCollision, EncryptedDatabase, SearchOutcome,
                   SearchRequest)
+# bound by name: ddsebench counts frame bytes by swapping the ``wire``
+# module attributes, and log records must stay out of that count
+from .wire import (ADDRESS_LEN, FrameError, decode_result_body,
+                   decode_update_body, encode_result_body, encode_update_body)
 
 logger = logging.getLogger(__name__)
 
@@ -28,65 +41,34 @@ REC_PUT = 1
 REC_DEL = 2
 REC_CACHE = 3
 
-_SNAP_MAGIC = b"DDSESNAP"
-_SNAP_VERSION = 1
-
-_ADDRESS_LEN = 32
-_TOKEN_LEN = 32
+_SNAP_HEADER = b"DDSESNAP\x01"  # magic + version 1
 
 
-def _encode_record(body: bytes) -> bytes:
-    return struct.pack(">I", len(body)) + body + struct.pack(">I", zlib.crc32(body))
+def _record(rectype: int, body: bytes) -> bytes:
+    data = bytes([rectype]) + body
+    return struct.pack(">I", len(data)) + data + struct.pack(">I", zlib.crc32(data))
 
 
-def _put_body(address: bytes, payload: bytes) -> bytes:
-    return bytes([REC_PUT]) + address + struct.pack(">I", len(payload)) + payload
+def _put_record(address: bytes, payload: bytes) -> bytes:
+    return _record(REC_PUT, encode_update_body(address, payload))
 
 
-def _del_body(address: bytes) -> bytes:
-    return bytes([REC_DEL]) + address
+def _cache_record(tkn: bytes, retrievals: list[bytes]) -> bytes:
+    return _record(REC_CACHE, tkn + encode_result_body(retrievals))
 
 
-def _cache_body(tkn: bytes, retrievals: list[bytes]) -> bytes:
-    out = bytearray([REC_CACHE])
-    out += tkn
-    out += struct.pack(">I", len(retrievals))
-    for r in retrievals:
-        out += struct.pack(">I", len(r))
-        out += r
-    return bytes(out)
-
-
-def _apply_record(edb: EncryptedDatabase, body: bytes) -> None:
-    rectype = body[0]
+def _apply_record(edb: EncryptedDatabase, data: bytes) -> None:
+    if not data:
+        raise ValueError("empty record")
+    rectype, body = data[0], data[1:]
     if rectype == REC_PUT:
-        if len(body) < 1 + _ADDRESS_LEN + 4:
-            raise ValueError("short PUT record")
-        address = body[1:1 + _ADDRESS_LEN]
-        (plen,) = struct.unpack_from(">I", body, 1 + _ADDRESS_LEN)
-        payload = body[1 + _ADDRESS_LEN + 4:]
-        if len(payload) != plen:
-            raise ValueError("PUT payload length mismatch")
-        edb.put_address(bytes(address), bytes(payload))
+        edb.put_address(*decode_update_body(body))
     elif rectype == REC_DEL:
-        if len(body) != 1 + _ADDRESS_LEN:
-            raise ValueError("short DEL record")
-        edb.delete_address(bytes(body[1:]))
+        if len(body) != ADDRESS_LEN:
+            raise ValueError("DEL record is not one address")
+        edb.delete_address(body)
     elif rectype == REC_CACHE:
-        if len(body) < 1 + _TOKEN_LEN + 4:
-            raise ValueError("short CACHE record")
-        tkn = bytes(body[1:1 + _TOKEN_LEN])
-        (count,) = struct.unpack_from(">I", body, 1 + _TOKEN_LEN)
-        pos = 1 + _TOKEN_LEN + 4
-        retrievals = []
-        for _ in range(count):
-            (rlen,) = struct.unpack_from(">I", body, pos)
-            pos += 4
-            retrievals.append(bytes(body[pos:pos + rlen]))
-            if len(retrievals[-1]) != rlen:
-                raise ValueError("short CACHE retrieval")
-            pos += rlen
-        edb.cache_put(tkn, retrievals)
+        edb.cache_put(body[:TOKEN_LEN], decode_result_body(body[TOKEN_LEN:]))
     else:
         raise ValueError(f"unknown record type {rectype}")
 
@@ -112,20 +94,24 @@ class PersistentStore:
     def _recover(self) -> None:
         if self.snapshot_path.exists():
             raw = self.snapshot_path.read_bytes()
-            if raw[:8] != _SNAP_MAGIC or len(raw) < 9 or raw[8] != _SNAP_VERSION:
+            if not raw.startswith(_SNAP_HEADER):
                 raise ValueError(f"bad snapshot header in {self.snapshot_path}")
-            self._replay(raw[9:], strict=True, source="snapshot")
+            valid = self._replay(raw, len(_SNAP_HEADER), self.snapshot_path)
+            if valid != len(raw):
+                raise ValueError(
+                    f"corrupt {self.snapshot_path}: valid up to byte {valid}")
         if self.log_path.exists():
             raw = self.log_path.read_bytes()
-            valid = self._replay(raw, strict=False, source="log")
+            valid = self._replay(raw, 0, self.log_path)
             if valid < len(raw):
                 logger.warning("truncating %d torn bytes from %s",
                                len(raw) - valid, self.log_path)
                 with open(self.log_path, "r+b") as fh:
                     fh.truncate(valid)
 
-    def _replay(self, raw: bytes, strict: bool, source: str) -> int:
-        pos = 0
+    def _replay(self, raw: bytes, pos: int, path: Path) -> int:
+        """Apply the records from byte ``pos`` on; returns the offset
+        where the first torn record starts, or ``len(raw)``."""
         while pos < len(raw):
             if len(raw) - pos < 4:
                 break
@@ -138,18 +124,18 @@ class PersistentStore:
                 break
             try:
                 _apply_record(self.edb, body)
-            except ValueError:
-                break
+            except (ValueError, FrameError) as exc:
+                raise ValueError(
+                    f"{path}: record at byte {pos} has a valid checksum "
+                    f"but does not decode: {exc}") from exc
             pos += 4 + blen + 4
-        if strict and pos != len(raw):
-            raise ValueError(f"corrupt {source}: valid up to byte {pos}")
         return pos
 
     # -- durability -------------------------------------------------------
 
-    def _append(self, *bodies: bytes) -> None:
-        for body in bodies:
-            self._log.write(_encode_record(body))
+    def _append(self, *records: bytes) -> None:
+        for record in records:
+            self._log.write(record)
         self._log.flush()
         os.fsync(self._log.fileno())
 
@@ -157,11 +143,11 @@ class PersistentStore:
         """Fold the log into a fresh snapshot and reset it."""
         tmp = self.snapshot_path.with_suffix(".tmp")
         with open(tmp, "wb") as fh:
-            fh.write(_SNAP_MAGIC + bytes([_SNAP_VERSION]))
+            fh.write(_SNAP_HEADER)
             for address, payload in self.edb.main.items():
-                fh.write(_encode_record(_put_body(address, payload)))
+                fh.write(_put_record(address, payload))
             for tkn, retrievals in self.edb.cache.items():
-                fh.write(_encode_record(_cache_body(tkn, retrievals)))
+                fh.write(_cache_record(tkn, retrievals))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.snapshot_path)
@@ -183,12 +169,12 @@ class PersistentStore:
     def apply_update(self, address: bytes, payload: bytes) -> None:
         if address in self.edb.main:
             raise AddressCollision(f"address reused: {address.hex()}")
-        self._append(_put_body(address, payload))
+        self._append(_put_record(address, payload))
         self.edb.apply_update(address, payload)
 
     def execute_search(self, request: SearchRequest) -> SearchOutcome:
         outcome = self.edb.execute_search(request)
-        bodies = [_del_body(a) for a in outcome.purged]
-        bodies.append(_cache_body(request.tkn, outcome.results))
-        self._append(*bodies)
+        records = [_record(REC_DEL, a) for a in outcome.purged]
+        records.append(_cache_record(request.tkn, outcome.results))
+        self._append(*records)
         return outcome

@@ -183,6 +183,13 @@ def test_overlapping_nodes_rejected():
             KeyNode(0, 1, SEED), KeyNode(1, 2, SEED)))
 
 
+def test_unordered_nodes_rejected():
+    # the one canonical order is the order encode() writes
+    with pytest.raises(ValueError):
+        DelegatedKey(ggm.PUNCTURED, 4, (
+            KeyNode(1, 1, SEED), KeyNode(0, 1, SEED)))
+
+
 def test_nodes_stored_in_ascending_leaf_order():
     key = gen_root(SEED, 8).puncture([128])
     starts = [n.prefix << (8 - n.plen) for n in key.nodes]

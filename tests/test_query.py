@@ -301,3 +301,28 @@ def test_join_expansion_is_deterministic_two_stage():
     got = run(reg, edb, "SELECT T2.y FROM T1 JOIN T2 ON T1.z = T2.z "
                         "WHERE T1.x = 'w'")
     assert got == [b"p", b"p", b"q", b"r"]
+
+
+def test_join_searches_each_distinct_link_once():
+    # three copies of one link must not reach the server as three
+    # searches under the same cache token: that would leak multiplicity
+    reg, edb = join_tables()
+    for z in ("za", "za", "za", "zb"):
+        run(reg, edb, f"INSERT INTO T1 (T1.x, T1.z) VALUE ('w', '{z}')")
+    run(reg, edb, "INSERT INTO T2 (T2.z, T2.y) VALUE ('za', 'p')")
+    run(reg, edb, "INSERT INTO T2 (T2.z, T2.y) VALUE ('zb', 'q')")
+
+    class Counting:
+        def __init__(self):
+            self.tokens = []
+
+        def execute_search(self, request):
+            self.tokens.append(request.tkn)
+            return edb.execute_search(request)
+
+    counting = Counting()
+    got = run(reg, counting, "SELECT T2.y FROM T1 JOIN T2 ON T1.z = T2.z "
+                             "WHERE T1.x = 'w'")
+    assert got == [b"p", b"p", b"p", b"q"]
+    assert len(counting.tokens) == 3  # stage one, za, zb
+    assert len(set(counting.tokens)) == 3

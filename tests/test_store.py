@@ -2,6 +2,7 @@
 
 import logging
 import struct
+import zlib
 
 import pytest
 
@@ -92,6 +93,24 @@ def test_corrupt_record_stops_replay(tmp_path):
     with PersistentStore(tmp_path / "db") as back:
         assert len(back.edb.main) == 1  # only the first record survives
         assert (tmp_path / "db" / "log").stat().st_size == size_after_first
+
+
+def test_undecodable_record_refuses_replay(tmp_path):
+    # length and CRC hold, so this is no torn tail: replay must not drop
+    # it together with the valid record after it
+    root = tmp_path / "db"
+    with PersistentStore(root) as store:
+        store.apply_update(bytes(32), b"first")
+        size_after_first = (root / "log").stat().st_size
+        store.apply_update(b"\x01" * 32, b"second")
+    log = root / "log"
+    raw = log.read_bytes()
+    unknown = struct.pack(">I", 1) + b"\x09" + struct.pack(">I", zlib.crc32(b"\x09"))
+    raw = raw[:size_after_first] + unknown + raw[size_after_first:]
+    log.write_bytes(raw)
+    with pytest.raises(ValueError, match=f"byte {size_after_first}"):
+        PersistentStore(root)
+    assert log.read_bytes() == raw
 
 
 def test_snapshot_folds_log(tmp_path):

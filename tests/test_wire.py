@@ -90,3 +90,19 @@ def test_search_body_roundtrip():
         wire.decode_search_body(body[:-2])
     with pytest.raises(FrameError):
         wire.decode_search_body(body + b"\x00")
+
+
+def test_search_body_with_swapped_key_nodes_rejected():
+    config = ClientConfig(bf_n=100, bf_p=1e-3, d_max=8, revoke_p=1e-2,
+                          sigma_depth=10)
+    state, edb = cl.setup(config)
+    cl.update(state, cl.ADD, b"kw", b"v1", edb)
+    cl.update(state, cl.DELETE, b"kw", b"v1", edb)
+    body = bytearray(wire.encode_search_body(cl.search_client_token(state, b"kw")))
+    node = 5 + 16  # plen + prefix + seed
+    first = 32 + 6  # past the cache token and the key header
+    assert int.from_bytes(body[first - 4:first], "big") >= 2
+    a, b = body[first:first + node], body[first + node:first + 2 * node]
+    body[first:first + 2 * node] = b + a
+    with pytest.raises(FrameError):
+        wire.decode_search_body(bytes(body))
