@@ -25,7 +25,6 @@ import os
 import sys
 
 from . import audit as audit_mod
-from . import bench as bench_mod
 from . import query as q
 from . import statefile
 from . import workload as wl
@@ -169,20 +168,6 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    spec = wl.WorkloadSpec(keywords=args.keywords, updates=args.updates,
-                           duplicate_ratio=args.duplicate_ratio,
-                           delete_fraction=args.delete_fraction,
-                           distribution=args.distribution,
-                           zipf_s=args.zipf_s, seed=args.seed)
-    report = bench_mod.run(spec)
-    print(report.summary())
-    if args.out:
-        bench_mod.write_jsonl(report, args.out)
-        print(f"wrote {args.out}")
-    return 0
-
-
 def cmd_audit(args) -> int:
     spec = wl.WorkloadSpec(keywords=args.keywords, updates=args.updates,
                            seed=args.seed)
@@ -267,18 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value-column", required=True)
     p.add_argument("--server", help="HOST:PORT of a remote store")
     p.set_defaults(run=cmd_ingest)
-
-    p = sub.add_parser("bench", help="run a synthetic benchmark")
-    p.add_argument("--keywords", type=int, default=50)
-    p.add_argument("--updates", type=int, default=5000)
-    p.add_argument("--duplicate-ratio", type=float, default=0.3)
-    p.add_argument("--delete-fraction", type=float, default=0.1)
-    p.add_argument("--distribution", default=wl.DIST_UNIFORM,
-                   choices=[wl.DIST_UNIFORM, wl.DIST_ZIPF])
-    p.add_argument("--zipf-s", type=float, default=1.2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="write a JSONL report here")
-    p.set_defaults(run=cmd_bench)
 
     p = sub.add_parser("audit", help="run the leakage audits")
     p.add_argument("--keywords", type=int, default=8)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
 
 from . import client as cl
 from .client import ClientConfig, ClientState, UnknownKeywordError
@@ -303,15 +302,6 @@ class TableConfig:
                 f"{self.value_order} {self.bf_n} {self.bf_p:g} {self.d_max}")
 
 
-def parse_manifest_line(line: str) -> TableConfig:
-    parts = line.split()
-    if len(parts) != 7:
-        raise ValueError(f"manifest line needs 7 fields, got {len(parts)}: "
-                         f"{line!r}")
-    return TableConfig(parts[0], parts[1], parts[2], parts[3],
-                       int(parts[4]), float(parts[5]), int(parts[6]))
-
-
 @dataclass
 class TableInstance:
     config: TableConfig
@@ -348,9 +338,6 @@ class Registry:
         self.instances[config.key] = instance
         return instance
 
-    def add_instance(self, instance: TableInstance) -> None:
-        self.instances[instance.config.key] = instance
-
     def instance_for(self, table: str, keyword_column: str,
                      value_column: str) -> TableInstance:
         key = (table, keyword_column, value_column)
@@ -360,11 +347,6 @@ class Registry:
             raise QueryError(
                 f"no index registered for {'/'.join(key)} (registered: {known})")
         return instance
-
-    def manifest(self) -> str:
-        lines = [inst.config.manifest_line()
-                 for inst in self.instances.values()]
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _distinct(instance: TableInstance, keyword: bytes, edb) -> set[bytes]:

@@ -17,10 +17,11 @@ import pickle
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
+from .crypto import GCM_TAG_LEN, NONCE_LEN
+
 _MAGIC = b"DDSE"
 _VERSION = 1
 _SALT_LEN = 16
-_NONCE_LEN = 12
 
 # scrypt cost: 16 MiB, interactive-grade
 _SCRYPT_N = 2 ** 14
@@ -43,7 +44,7 @@ def _derive(passphrase: str, salt: bytes) -> bytes:
 def save(path: str, passphrase: str, bundle) -> None:
     """Seal a picklable bundle to disk, replacing any previous file."""
     salt = os.urandom(_SALT_LEN)
-    nonce = os.urandom(_NONCE_LEN)
+    nonce = os.urandom(NONCE_LEN)
     key = _derive(passphrase, salt)
     box = AESGCM(key).encrypt(nonce, pickle.dumps(bundle), _MAGIC)
     blob = _MAGIC + bytes([_VERSION]) + salt + nonce + box
@@ -58,8 +59,8 @@ def save(path: str, passphrase: str, bundle) -> None:
 def load(path: str, passphrase: str):
     with open(path, "rb") as fh:
         blob = fh.read()
-    head = len(_MAGIC) + 1 + _SALT_LEN + _NONCE_LEN
-    if len(blob) < head + 16 or not blob.startswith(_MAGIC):
+    head = len(_MAGIC) + 1 + _SALT_LEN + NONCE_LEN
+    if len(blob) < head + GCM_TAG_LEN or not blob.startswith(_MAGIC):
         raise StateFileError(f"not a state file: {path}")
     version = blob[len(_MAGIC)]
     if version != _VERSION:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ddse import audit
+from ddse import audit, workload as wl
 from ddse.audit import (compute_patterns, dwvh_game, fp_check, record,
                         transcript_signature)
 
@@ -39,6 +39,17 @@ def test_search_on_unknown_keyword_emits_no_traffic():
     assert len(patterns) == 1
     assert patterns[0].ulen == 0
     assert patterns[0].time_dts == frozenset()
+
+
+def test_response_size_depends_only_on_distinct_volume():
+    spec = wl.WorkloadSpec(keywords=6, updates=150, seed=2,
+                           delete_fraction=0.1, duplicate_ratio=0.5)
+    searches = [("search", wl.keyword_name(i)) for i in range(spec.keywords)]
+    sizes: dict[int, set[int]] = {}
+    for e in record(wl.generate(spec) + searches).searches():
+        sizes.setdefault(e.note["results"], set()).add(len(e.response))
+    assert len(sizes) > 1, sizes
+    assert all(len(group) == 1 for group in sizes.values()), sizes
 
 
 def test_record_rejects_unknown_op():

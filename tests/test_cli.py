@@ -175,15 +175,6 @@ def test_ingest_csv_skips_bad_rows(db, tmp_path, capsys, caplog):
     assert "a@x.org" in capsys.readouterr().out
 
 
-def test_bench_command_writes_report(db, tmp_path, capsys):
-    out = tmp_path / "bench.jsonl"
-    assert run_cli(db, "bench", "--keywords", "4", "--updates", "60",
-                   "--out", str(out)) == 0
-    text = capsys.readouterr().out
-    assert "updates in" in text
-    assert out.exists() and out.read_text().count("\n") >= 2
-
-
 def test_audit_command_passes_on_real_transport(db, capsys):
     assert run_cli(db, "audit", "--keywords", "4", "--updates", "40",
                    "--dump") == 0
@@ -197,6 +188,13 @@ def test_audit_command_fails_on_mutant(db, capsys):
     assert run_cli(db, "audit", "--keywords", "4", "--updates", "40",
                    "--mutant") == 1
     assert "forward-privacy: FAIL" in capsys.readouterr().out
+
+
+def test_bench_subcommand_is_gone(db, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(db, "bench")
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_serve_and_remote_exec(db, tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""Golden byte vectors for every wire and write-ahead-log layout.
+"""Golden byte vectors for every wire, write-ahead-log and state-file layout.
 
 Every vector is built from fixed seeds, tags and nonces and compared
 with literal bytes, so a change to a frame header, a body codec, the
@@ -10,7 +10,7 @@ one whose tag is then revoked, "gone"), then one search that purges
 
 import pytest
 
-from ddse import bloom, edb, fpdse, ggm, sre, wire
+from ddse import bloom, edb, fpdse, ggm, sre, statefile, wire
 from ddse.store import PersistentStore
 
 
@@ -66,6 +66,18 @@ DEL_GONE = h("00000021 02") + ADDRESS_GONE + h("37d9c405")
 CACHE_KEPT = h("0000002d 03") + TKN + RESULT_KEPT + h("de1e95c3")
 
 SNAPSHOT_HEADER = b"DDSESNAP" + h("01")
+
+# state file = [magic "DDSE"][version:1][salt:16][nonce:12][AES-GCM box]
+STATE_SALT = bytes(range(16))
+STATE_NONCE = bytes(range(16, 28))
+STATE_HEADER = b"DDSE" + h("01") + STATE_SALT + STATE_NONCE
+STATE_PASSPHRASE = "pass"
+STATE_BUNDLE = {"key": bytes(range(4)), "tag": b"ddse"}
+# sealed pickle of STATE_BUNDLE; only load is pinned, as pickle bytes may
+# differ across Python versions
+STATE_FILE = STATE_HEADER + h(
+    "d45b8be1b29dce96ba9e978db4e6b2fe52ab1aa7e18629db61bc8e8d8c8ded2f"
+    "f5bcbeef4c7651d80ccd3e847978446b065e035a2b39fd7dfd0f")
 
 
 @pytest.fixture
@@ -153,3 +165,19 @@ def test_golden_files_replay(tmp_path, name, content):
         assert store.edb.main == {ADDRESS_KEPT: ENTRY_KEPT}
         assert store.edb.cache == {TKN: [b"kept"]}
     assert (tmp_path / name).read_bytes() == content
+
+
+def test_state_file_header(monkeypatch, tmp_path):
+    chunks = iter([STATE_SALT, STATE_NONCE])
+    monkeypatch.setattr(statefile.os, "urandom", lambda n: next(chunks))
+    path = str(tmp_path / "state.ddse")
+    statefile.save(path, STATE_PASSPHRASE, STATE_BUNDLE)
+    with open(path, "rb") as fh:
+        assert fh.read(len(STATE_HEADER)) == STATE_HEADER
+    assert statefile.load(path, STATE_PASSPHRASE) == STATE_BUNDLE
+
+
+def test_golden_state_file_loads(tmp_path):
+    path = tmp_path / "state.ddse"
+    path.write_bytes(STATE_FILE)
+    assert statefile.load(str(path), STATE_PASSPHRASE) == STATE_BUNDLE

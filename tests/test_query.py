@@ -7,8 +7,8 @@ import pytest
 from ddse import query as q
 from ddse.edb import EncryptedDatabase
 from ddse.query import (IntegrityError, QueryError, QueryPlan, Registry,
-                        StatementError, TableConfig, exec_statement,
-                        parse_manifest_line, plan, unparse)
+                        StatementError, TableConfig, exec_statement, plan,
+                        unparse)
 
 
 # -- parsing ----------------------------------------------------------------
@@ -122,18 +122,6 @@ def test_registry_unknown_triple():
         reg.instance_for("T", "T.x", "T.z")
 
 
-def test_manifest_round_trip():
-    cfg = TableConfig("Users", "Users.name", "Users.mail",
-                      q.ORDER_NUMERIC, bf_n=4096, bf_p=0.001, d_max=32)
-    line = cfg.manifest_line()
-    assert parse_manifest_line(line) == cfg
-
-
-def test_manifest_rejects_short_line():
-    with pytest.raises(ValueError, match="7 fields"):
-        parse_manifest_line("T T.x T.y lexicographic 2000")
-
-
 def test_bad_value_order_rejected():
     with pytest.raises(ValueError, match="value_order"):
         TableConfig("T", "T.x", "T.y", "alphabetical")
@@ -224,13 +212,22 @@ def test_randomized_single_table_oracle():
             run(reg, edb, f"INSERT INTO T (T.x, T.y) "
                           f"VALUE ('{w.decode()}', '{v.decode()}')")
             counts[v] = counts.get(v, 0) + 1
+    state = reg.instance_for("T", "T.x", "T.y").state
     for w in keywords:
         counts = oracle.get(w, {})
         want = []
         for v in sorted(counts):
             want.extend([v] * counts[v])
-        got = run(reg, edb, f"SELECT T.y FROM T WHERE T.x = '{w.decode()}'")
-        assert got == want
+        statement = f"SELECT T.y FROM T WHERE T.x = '{w.decode()}'"
+        # a live value is lost exactly when every Bloom position of its
+        # real tag is set in this epoch's revocation filter, and the
+        # quantity vector then disagrees with the index
+        if any(state.revocation[w].check(state.real_tag(w, v))
+               for v in counts):
+            with pytest.raises(IntegrityError, match="disagrees"):
+                run(reg, edb, statement)
+        else:
+            assert run(reg, edb, statement) == want
 
 
 # -- joins -------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Workload generator invariants and the benchmark runner."""
+"""Workload generator invariants."""
 
 import pytest
 
-from ddse import bench, client as cl, workload as wl
+from ddse import client as cl, workload as wl
 from ddse.client import ClientConfig
 from ddse.workload import WorkloadSpec, distinct_sets, generate, live_counts
 
@@ -86,44 +86,3 @@ def test_replay_through_client_matches_reference():
             continue
         assert cl.search(state, w, edb) == want
 
-
-# -- bench --------------------------------------------------------------------
-
-def small_report():
-    return bench.run(WorkloadSpec(keywords=6, updates=150, seed=2,
-                                  delete_fraction=0.1, duplicate_ratio=0.5))
-
-
-def test_bench_report_shape():
-    report = small_report()
-    assert report.update_count == 150
-    assert report.update_seconds > 0
-    assert report.updates_per_second > 0
-    assert report.searches
-    for s in report.searches:
-        assert s.distinct >= 1
-        assert s.response_bytes > 0
-        assert s.seconds >= 0
-
-
-def test_bench_response_size_depends_only_on_volume():
-    report = small_report()
-    for bucket in report.volume_buckets():
-        assert len(bucket["response_sizes"]) == 1, bucket
-
-
-def test_bench_jsonl_round_trip(tmp_path):
-    report = small_report()
-    path = tmp_path / "report.jsonl"
-    bench.write_jsonl(report, str(path))
-    rows = bench.read_jsonl(str(path))
-    kinds = [r["kind"] for r in rows]
-    assert kinds[0] == "summary"
-    assert kinds.count("search") == len(report.searches)
-    assert "bucket" in kinds
-    assert rows[0]["updates"] == 150
-
-
-def test_bench_summary_text():
-    text = small_report().summary()
-    assert "updates" in text and "volume" in text
