@@ -160,9 +160,11 @@ def record(ops: Iterable[tuple], mutant: bool = False,
             transcript.ops.append((OP_SEARCH, None, w))
             edb.context = {"op": OP_SEARCH, "keyword": w}
             try:
-                cl.search(state, w, edb)
+                found = cl.search(state, w, edb)
             except UnknownKeywordError:
                 pass
+            else:
+                transcript.events[-1].note["distinct"] = len(found)
         else:
             raise ValueError(f"unknown workload op {kind!r}")
     return transcript

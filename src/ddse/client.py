@@ -247,13 +247,12 @@ def search_client_token(state: ClientState, keyword: bytes) -> SearchRequest:
         raise UnknownKeywordError(keyword)
     msk = state.msk[keyword]
     revocation = state.revocation[keyword]
-    label = state.label_for(keyword, state.epoch[keyword])
     request = SearchRequest(
         tkn=state.cache_token(keyword),
         revoked_key=sre.ck_rev(msk.sk, revocation),
-        sigma_token=state.sigma.search_token(label),
+        sigma_token=state.sigma.retire(
+            state.label_for(keyword, state.epoch[keyword])),
     )
-    state.sigma.chains.pop(label, None)   # the retired label is never reused
     fresh = sre.kgen(msk.b, msk.h)
     state.msk[keyword] = fresh
     state.revocation[keyword] = fresh.D.copy()

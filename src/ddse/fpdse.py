@@ -125,6 +125,16 @@ class SigmaState:
         return SearchTokenSigma(
             label_id, chain.root.constrain_range(chain.counter))
 
+    def retire(self, label: bytes) -> SearchTokenSigma:
+        """Final search token for ``label``; its chain is dropped.
+
+        The label must take no further updates: a new chain would start
+        again at the retired addresses.
+        """
+        token = self.search_token(label)
+        self.chains.pop(label, None)
+        return token
+
 
 def sigma_setup(depth: int = DEFAULT_DEPTH) -> tuple[EncryptedDatabase, SigmaState]:
     return EncryptedDatabase(), SigmaState(fresh_key(KEY_LEN), depth)

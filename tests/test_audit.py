@@ -47,7 +47,7 @@ def test_response_size_depends_only_on_distinct_volume():
     searches = [("search", wl.keyword_name(i)) for i in range(spec.keywords)]
     sizes: dict[int, set[int]] = {}
     for e in record(wl.generate(spec) + searches).searches():
-        sizes.setdefault(e.note["results"], set()).add(len(e.response))
+        sizes.setdefault(e.note["distinct"], set()).add(len(e.response))
     assert len(sizes) > 1, sizes
     assert all(len(group) == 1 for group in sizes.values()), sizes
 

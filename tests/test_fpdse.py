@@ -71,6 +71,17 @@ def test_search_token_covers_exactly_the_chain():
     assert [edb.main[a] for a in addrs] == [b"p%d" % i for i in range(6)]
 
 
+def test_retire_gives_search_token_and_drops_chain():
+    edb, state = sigma_setup(depth=8)
+    for i in range(3):
+        state.update(b"L", b"p%d" % i, edb)
+        state.update(b"M", b"m%d" % i, edb)
+    want = list(state.search_token(b"L").addresses())
+    assert list(state.retire(b"L").addresses()) == want
+    assert set(state.chains) == {b"M"}
+    assert state.retire(b"L").count == 0
+
+
 def test_counter_cap_enforced():
     edb, state = sigma_setup(depth=2)
     for i in range(4):
