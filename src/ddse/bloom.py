@@ -18,11 +18,15 @@ from __future__ import annotations
 
 import hmac
 import math
+import re
 
-from .crypto import KEY_LEN
+from .crypto import KEY_LEN, decode_varint, encode_varint
 
 _SEED_LEN = KEY_LEN
 HEADER_LEN = 8 + 1 + _SEED_LEN
+# decode refuses larger filters: a few header bytes must not make the
+# receiver allocate more than the 64 MiB a wire frame may carry
+MAX_DECODED_BITS = 8 << 26
 
 
 def size_for(n: int, p: float) -> tuple[int, int]:
@@ -99,14 +103,10 @@ class BloomFilter:
 
     def set_bits(self) -> list[int]:
         """Indices of set bits, ascending."""
-        out = []
-        for byte_ix, byte in enumerate(self.bits):
-            if byte:
-                base = byte_ix << 3
-                for j in range(8):
-                    if byte & (0x80 >> j):
-                        out.append(base + j)
-        return out
+        # bit i is character i of the big-endian binary string; the scan
+        # runs in C, so a sparse filter costs about its set bits
+        text = format(int.from_bytes(self.bits, "big"), f"0{len(self.bits) * 8}b")
+        return [m.start() for m in re.finditer("1", text)]
 
     def popcount(self) -> int:
         return int.from_bytes(self.bits, "big").bit_count()
@@ -121,12 +121,27 @@ class BloomFilter:
                 and self.bits == other.bits)
 
     def encode(self) -> bytes:
-        return (self.b.to_bytes(8, "big") + bytes([self.h]) + self.seed
-                + bytes(self.bits))
+        """[b:8][h:1][seed:16], the number of set bits, then before each
+        set bit the number of clear bits since the previous one; counts
+        are encode_varint values."""
+        out = bytearray(self.b.to_bytes(8, "big"))
+        out.append(self.h)
+        out += self.seed
+        ones = self.set_bits()
+        out += encode_varint(len(ones))
+        prev = -1
+        for pos in ones:
+            gap = pos - prev - 1
+            if gap < 0x80:  # a one-byte varint, the common case
+                out.append(gap)
+            else:
+                out += encode_varint(gap)
+            prev = pos
+        return bytes(out)
 
     @property
     def encoded_size(self) -> int:
-        return HEADER_LEN + len(self.bits)
+        return len(self.encode())
 
 
 def decode_filter(data: bytes, offset: int = 0) -> tuple[BloomFilter, int]:
@@ -134,11 +149,21 @@ def decode_filter(data: bytes, offset: int = 0) -> tuple[BloomFilter, int]:
     if len(data) - offset < HEADER_LEN:
         raise ValueError("truncated bloom filter header")
     b = int.from_bytes(data[offset:offset + 8], "big")
-    h = data[offset + 8]
-    seed = bytes(data[offset + 9:offset + 9 + _SEED_LEN])
-    pos = offset + HEADER_LEN
-    nbytes = (b + 7) // 8
-    if len(data) - pos < nbytes:
-        raise ValueError("truncated bloom filter bits")
-    bits = bytearray(data[pos:pos + nbytes])
-    return BloomFilter(b, h, seed, bits), pos + nbytes
+    if b > MAX_DECODED_BITS:
+        raise ValueError(f"bloom filter of {b} bits is too large to decode")
+    filt = BloomFilter(b, data[offset + 8],
+                       bytes(data[offset + 9:offset + HEADER_LEN]))
+    bits = filt.bits
+    count, pos = decode_varint(data, offset + HEADER_LEN)
+    ix = -1
+    for _ in range(count):
+        if pos < len(data) and data[pos] < 0x80:  # a one-byte varint
+            gap = data[pos]
+            pos += 1
+        else:
+            gap, pos = decode_varint(data, pos)
+        ix += gap + 1
+        if ix >= b:
+            raise ValueError("set bit beyond the end of the bloom filter")
+        bits[ix >> 3] |= 0x80 >> (ix & 7)
+    return filt, pos

@@ -126,6 +126,9 @@ class ClientState:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._value_aead = None
+        # states saved before searches retired their labels still hold a
+        # chain per searched epoch; only each keyword's current label lives
+        self.sigma.compact({self.label_for(w, e) for w, e in self.epoch.items()})
 
     def label_for(self, keyword: bytes, epoch: int) -> bytes:
         key = keyed_hash(self.k_search, b"epoch-label-key")

@@ -56,6 +56,38 @@ def encode_parts(*parts: bytes) -> bytes:
     return bytes(out)
 
 
+def encode_varint(n: int) -> bytes:
+    """Unsigned LEB128: seven bits per byte, least significant first."""
+    out = bytearray()
+    while n > 0x7F:
+        out.append(n & 0x7F | 0x80)
+        n >>= 7
+    out.append(n)
+    return bytes(out)
+
+
+def decode_varint(data: bytes, pos: int) -> tuple[int, int]:
+    """Read one encode_varint value at ``pos``; returns (value, next pos).
+
+    Only the shortest encoding of a value below 2^63 is accepted, so
+    every value has exactly one byte string.
+    """
+    value = shift = 0
+    while True:
+        if pos >= len(data):
+            raise ValueError("truncated varint")
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            if byte == 0 and shift:
+                raise ValueError("overlong varint")
+            return value, pos
+        shift += 7
+        if shift > 56:
+            raise ValueError("varint too long")
+
+
 def stream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
     """XOR ``data`` with a SHA-256-derived keystream.
 

@@ -70,7 +70,7 @@ def decode_sigma_token(data: bytes, offset: int = 0) -> tuple[SearchTokenSigma, 
     if len(data) - offset < TOKEN_LEN:
         raise ValueError("truncated placement token")
     label_id = bytes(data[offset:offset + TOKEN_LEN])
-    key, pos = ggm.decode_key(data, offset + TOKEN_LEN)
+    key, pos = ggm.decode_range_key(data, offset + TOKEN_LEN)
     return SearchTokenSigma(label_id, key), pos
 
 
@@ -134,6 +134,11 @@ class SigmaState:
         token = self.search_token(label)
         self.chains.pop(label, None)
         return token
+
+    def compact(self, live: set[bytes]) -> None:
+        """Drop the chain of every label not in ``live``."""
+        self.chains = {label: chain for label, chain in self.chains.items()
+                       if label in live}
 
 
 def sigma_setup(depth: int = DEFAULT_DEPTH) -> tuple[EncryptedDatabase, SigmaState]:

@@ -12,6 +12,10 @@ protocols need:
 * *range-constrained* keys -- the canonical cover of ``[0, count)``,
   used to let a server derive the first ``count`` addresses of a chain.
 
+Both shapes are canonical covers of leaf runs (``cover``), so a key
+travels as its seeds alone: the receiver rebuilds the shapes from the
+holes (sent anyway, inside the revocation filter) or from ``count``.
+
 Keys and roots are immutable; every operation is deterministic, so the
 same revocation set always serializes to the same bytes.
 """
@@ -21,15 +25,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .crypto import KEY_LEN
+from .crypto import KEY_LEN, decode_varint, encode_varint
 
 PUNCTURED = "punctured"
 RANGE = "range"
 
 _KIND_CODES = {PUNCTURED: 0, RANGE: 1}
-_KIND_NAMES = {0: PUNCTURED, 1: RANGE}
 
 MAX_DEPTH = 32
 
@@ -43,6 +46,37 @@ def _walk(seed: bytes, path: int, nbits: int) -> bytes:
         out = sha256(seed).digest()
         seed = out[16:] if (path >> i) & 1 else out[:16]
     return seed
+
+
+def cover(runs: Iterable[tuple[int, int]], depth: int) -> list[tuple[int, int]]:
+    """Canonical cover of leaf runs ``[start, end)``: (prefix, plen) per node.
+
+    Each run is split greedily into the largest aligned blocks, in
+    ascending order; those are exactly the maximal subtrees inside the
+    run.  The gaps between holes give ``puncture``'s shapes, the single
+    run ``[0, count)`` gives ``constrain_range``'s.
+    """
+    out = []
+    append = out.append
+    for start, end in runs:
+        while start < end:
+            height = (end - start).bit_length() - 1
+            if start:
+                align = (start & -start).bit_length() - 1
+                if align < height:
+                    height = align
+            append((start >> height, depth - height))
+            start += 1 << height
+    return out
+
+
+def gaps(holes: Sequence[int], depth: int) -> Iterator[tuple[int, int]]:
+    """Runs of leaves between ``holes`` (ascending, distinct)."""
+    start = 0
+    for hole in holes:
+        yield start, hole
+        start = hole + 1
+    yield start, 1 << depth
 
 
 class KeyNode(NamedTuple):
@@ -114,20 +148,14 @@ class GgmRoot:
     def constrain_range(self, count: int) -> "DelegatedKey":
         """Delegated key covering exactly leaves [0, count).
 
-        1 <= count <= 2^depth; count == 2^depth yields the single root
-        node.  At most ``depth`` nodes (one per set bit of ``count``).
+        0 <= count <= 2^depth; count == 2^depth yields the single root
+        node, count == 0 the empty key.  One node per set bit of ``count``.
         """
-        if not 1 <= count <= self.leaves:
-            raise ValueError(f"count {count} outside [1, 2^{self.depth}]")
-        nodes = []
-        start = 0
-        for j in range(self.depth, -1, -1):
-            if (count >> j) & 1:
-                plen = self.depth - j
-                prefix = start >> j
-                nodes.append(KeyNode(prefix, plen, _walk(self.seed, prefix, plen)))
-                start += 1 << j
-        return DelegatedKey(RANGE, self.depth, tuple(nodes))
+        if not 0 <= count <= self.leaves:
+            raise ValueError(f"count {count} outside [0, 2^{self.depth}]")
+        return DelegatedKey(RANGE, self.depth, tuple(
+            KeyNode(prefix, plen, _walk(self.seed, prefix, plen))
+            for prefix, plen in cover([(0, count)], self.depth)))
 
 
 def gen_root(seed: bytes, depth: int) -> GgmRoot:
@@ -218,41 +246,89 @@ class DelegatedKey:
                 stack.append((out[:16], base, h - 1))
 
     def encode(self) -> bytes:
-        out = bytearray()
-        out.append(_KIND_CODES[self.kind])
-        out.append(self.depth)
-        out += len(self.nodes).to_bytes(4, "big")
-        for n in self.nodes:
-            out.append(n.plen)
-            out += n.prefix.to_bytes(4, "big")
-            out += n.seed
-        return bytes(out)
+        """[kind:1][depth:1], then [count:4] for a punctured key or the
+        bound c as a varint for a range key, then the node seeds.
+
+        Shapes are not sent: ``decode_punctured_seeds`` plus
+        ``punctured_key`` or ``decode_range_key`` rebuild them, so only
+        the canonical covers ``puncture``/``constrain_range`` build can
+        be encoded.
+        """
+        if self.kind == RANGE:
+            head = encode_varint(self.range_bound)
+            if ([(n.prefix, n.plen) for n in self.nodes]
+                    != cover([(0, self.range_bound)], self.depth)):
+                raise ValueError("range key is not the cover of [0, count)")
+        else:
+            head = len(self.nodes).to_bytes(4, "big")
+        return (bytes([_KIND_CODES[self.kind], self.depth]) + head
+                + b"".join(n.seed for n in self.nodes))
 
     @property
     def encoded_size(self) -> int:
-        return 6 + len(self.nodes) * (5 + KEY_LEN)
+        head = (len(encode_varint(self.range_bound)) if self.kind == RANGE
+                else 4)
+        return 2 + head + len(self.nodes) * KEY_LEN
 
 
-def decode_key(data: bytes, offset: int = 0) -> tuple[DelegatedKey, int]:
-    """Decode a DelegatedKey at ``offset``; returns (key, next offset)."""
-    if len(data) - offset < 6:
+def _decode_head(data: bytes, offset: int, kind: str) -> tuple[int, int]:
+    if len(data) - offset < 2:
         raise ValueError("truncated delegated key header")
-    kind_code, depth = data[offset], data[offset + 1]
-    if kind_code not in _KIND_NAMES:
-        raise ValueError(f"unknown key kind byte {kind_code}")
-    count = int.from_bytes(data[offset + 2:offset + 6], "big")
-    pos = offset + 6
-    need = count * (5 + KEY_LEN)
-    if len(data) - pos < need:
-        raise ValueError("truncated delegated key nodes")
-    nodes = []
-    for _ in range(count):
-        plen = data[pos]
-        prefix = int.from_bytes(data[pos + 1:pos + 5], "big")
-        seed = bytes(data[pos + 5:pos + 5 + KEY_LEN])
-        nodes.append(KeyNode(prefix, plen, seed))
-        pos += 5 + KEY_LEN
-    return DelegatedKey(_KIND_NAMES[kind_code], depth, tuple(nodes)), pos
+    if data[offset] != _KIND_CODES[kind]:
+        raise ValueError(f"expected a {kind} key, got kind byte {data[offset]}")
+    depth = data[offset + 1]
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError("bad depth")
+    return depth, offset + 2
+
+
+def _decode_seeds(data: bytes, pos: int, count: int) -> tuple[list[bytes], int]:
+    end = pos + count * KEY_LEN
+    if end > len(data):
+        raise ValueError("truncated delegated key seeds")
+    blob = bytes(data[pos:end])
+    return [blob[i:i + KEY_LEN] for i in range(0, len(blob), KEY_LEN)], end
+
+
+def _from_shapes(kind: str, depth: int, shapes: list[tuple[int, int]],
+                 seeds: list[bytes]) -> DelegatedKey:
+    if len(shapes) != len(seeds):
+        raise ValueError(f"{len(seeds)} seeds for a cover of {len(shapes)} nodes")
+    return DelegatedKey(kind, depth, tuple(
+        KeyNode(prefix, plen, seed) for (prefix, plen), seed in zip(shapes, seeds)))
+
+
+def decode_punctured_seeds(data: bytes, offset: int = 0
+                           ) -> tuple[int, list[bytes], int]:
+    """Depth and seeds of a punctured key at ``offset``; returns
+    (depth, seeds, next offset).  ``punctured_key`` adds the shapes."""
+    depth, pos = _decode_head(data, offset, PUNCTURED)
+    if len(data) - pos < 4:
+        raise ValueError("truncated delegated key header")
+    count = int.from_bytes(data[pos:pos + 4], "big")
+    seeds, pos = _decode_seeds(data, pos + 4, count)
+    return depth, seeds, pos
+
+
+def punctured_key(depth: int, holes: Sequence[int],
+                  seeds: list[bytes]) -> DelegatedKey:
+    """The key ``puncture(holes)`` builds, rebuilt from its seeds alone.
+
+    ``holes`` must be ascending and distinct; a seed count other than
+    the cover's node count is rejected.
+    """
+    return _from_shapes(PUNCTURED, depth, cover(gaps(holes, depth), depth), seeds)
+
+
+def decode_range_key(data: bytes, offset: int = 0) -> tuple[DelegatedKey, int]:
+    """Decode a range key at ``offset``; returns (key, next offset)."""
+    depth, pos = _decode_head(data, offset, RANGE)
+    count, pos = decode_varint(data, pos)
+    if count > 1 << depth:
+        raise ValueError(f"range bound {count} outside [0, 2^{depth}]")
+    shapes = cover([(0, count)], depth)
+    seeds, pos = _decode_seeds(data, pos, len(shapes))
+    return _from_shapes(RANGE, depth, shapes, seeds), pos
 
 
 class PathCache:

@@ -94,7 +94,11 @@ class Server:
     def _dispatch(self, stream, ftype: int, body: bytes) -> bool:
         """Handle one frame; False ends the connection."""
         if ftype == wire.HELLO:
-            self._send(stream, wire.HELLO, bytes([wire.PROTOCOL_VERSION]))
+            if body != bytes([wire.PROTOCOL_VERSION]):
+                raise wire.FrameError(
+                    f"unsupported protocol version {body.hex()}; "
+                    f"this server speaks {wire.PROTOCOL_VERSION}")
+            self._send(stream, wire.HELLO, body)
         elif ftype == wire.UPDATE:
             address, payload = wire.decode_update_body(body)
             with self._lock:

@@ -83,7 +83,8 @@ def decode_ciphertext(data: bytes, offset: int = 0) -> tuple[SreCiphertext, int]
 @dataclass(frozen=True)
 class RevokedKey:
     """What the server gets: punctured tree + the filter snapshot that
-    defines the tag->position mapping."""
+    defines the tag->position mapping.  The key is punctured at exactly
+    the filter's set bits, so only its seeds are encoded."""
 
     key: ggm.DelegatedKey
     filter: bloom.BloomFilter
@@ -93,9 +94,13 @@ class RevokedKey:
 
 
 def decode_revoked_key(data: bytes, offset: int = 0) -> tuple[RevokedKey, int]:
-    key, pos = ggm.decode_key(data, offset)
+    """Seeds, then the filter; the key's shapes are the cover of the
+    gaps between the filter's set bits, as ``ck_rev`` punctured them."""
+    depth, seeds, pos = ggm.decode_punctured_seeds(data, offset)
     filt, pos = bloom.decode_filter(data, pos)
-    return RevokedKey(key, filt), pos
+    if filt.b != 1 << depth:
+        raise ValueError("filter size does not match key domain")
+    return RevokedKey(ggm.punctured_key(depth, filt.set_bits(), seeds), filt), pos
 
 
 def kgen(b: int, h: int, *, lam: int = 128) -> SreMasterKey:

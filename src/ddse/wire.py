@@ -5,10 +5,18 @@ length covers type + body.  Frames above 64 MiB are refused on both
 sides.  Body layouts:
 
 * UPDATE:  [address:32][4-byte len][payload]
-* SEARCH:  [tkn:32][revoked key][placement token]
+* SEARCH:  [tkn:32][revoked key][revocation filter][placement token]
+    revoked key       = [0][depth:1][count:4] count x [seed:16]
+    revocation filter = [b:8][h:1][seed:16][n] n x [gap], where gap
+                        counts the clear bits before each set bit
+    placement token   = [label id:32][1][depth:1][c] popcount(c) x [seed:16]
+  n, gap and c are LEB128 varints.  No node shapes travel: the revoked
+  key's nodes are the canonical cover of the runs between the filter's
+  set bits, the placement key's that of [0, c) (``ggm.cover``).
 * RESULT:  [4-byte count][{4-byte len, retrieval}...]  (search reply)
            or empty (update ack)
-* HELLO:   [1-byte protocol version], echoed by the server
+* HELLO:   [1-byte protocol version]; the server echoes it and refuses
+           any other version
 * ERROR:   utf-8 message
 * BYE:     empty
 """
@@ -33,7 +41,7 @@ _TYPE_NAMES = {HELLO: "HELLO", UPDATE: "UPDATE", SEARCH: "SEARCH",
                RESULT: "RESULT", ERROR: "ERROR", BYE: "BYE"}
 
 MAX_FRAME = 64 * 1024 * 1024
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 ADDRESS_LEN = 32
 

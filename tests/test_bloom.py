@@ -135,7 +135,12 @@ def test_encode_decode_roundtrip():
     for i in range(40):
         bf.upd(str(i).encode())
     blob = bf.encode()
-    assert len(blob) == bf.encoded_size == 8 + 1 + 16 + (1000 + 7) // 8
+    # header, set-bit count, then one clear-bit gap per set bit: every
+    # gap here fits one varint byte
+    ones = bf.set_bits()
+    assert 128 <= len(ones) < 1 << 14  # a two-byte count
+    assert max(b - a for a, b in zip([-1] + ones, ones)) <= 128
+    assert len(blob) == bf.encoded_size == 8 + 1 + 16 + 2 + len(ones)
     back, consumed = decode_filter(blob)
     assert consumed == len(blob)
     assert back == bf
@@ -148,6 +153,17 @@ def test_decode_rejects_truncation():
         decode_filter(blob[:-1])
     with pytest.raises(ValueError):
         decode_filter(blob[:10])
+
+
+def test_decode_rejects_bits_outside_the_filter():
+    header = BloomFilter.gen(64, 2, SEED).encode()[:-1]
+    assert decode_filter(header + b"\x01\x3f")[0].set_bits() == [63]
+    for tail in (b"\x01\x40", b"\x02\x3f\x00", b"\x01\xc0\x00"):
+        with pytest.raises(ValueError):
+            decode_filter(header + tail)  # bit 64, bit 64, overlong varint
+    huge = (1 << 40).to_bytes(8, "big") + header[8:]
+    with pytest.raises(ValueError):
+        decode_filter(huge + b"\x00")  # refused before any allocation
 
 
 def test_constructor_validation():

@@ -1,6 +1,7 @@
 """End-to-end scheme behavior against a plaintext oracle."""
 
 import logging
+import pickle
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from ddse import client as cl
 from ddse.client import (ADD, DELETE, ClientConfig, DeletedPairRejected,
                          ProtocolError, UnknownKeywordError)
+from ddse.edb import EncryptedDatabase
 
 
 def small_config(**kw) -> ClientConfig:
@@ -164,6 +166,23 @@ def test_placement_chains_do_not_grow_with_search_history():
         chains.append(len(state.sigma.chains))
     assert chains == [0] * 30
     assert got == {b"v%02d" % i for i in range(30)}
+
+
+def test_loading_state_drops_stale_placement_chains():
+    state, edb = fresh()
+    cl.update(state, ADD, b"w", b"v1", edb)
+    assert cl.search(state, b"w", edb) == {b"v1"}
+    cl.update(state, ADD, b"w", b"v2", edb)
+    cl.update(state, ADD, b"w", b"v3", edb)
+    current = state.label_for(b"w", 1)
+    stale = state.label_for(b"w", 0)
+    # a chain left behind for a searched epoch, as older state files hold
+    state.sigma.update(stale, b"payload", EncryptedDatabase())
+    assert set(state.sigma.chains) == {current, stale}
+    back = pickle.loads(pickle.dumps(state))
+    assert set(back.sigma.chains) == {current}
+    assert back.sigma.chains[current].counter == 2
+    assert cl.search(back, b"w", edb) == {b"v1", b"v2", b"v3"}
 
 
 def test_budget_warning_fires_once_per_epoch(caplog):

@@ -43,9 +43,35 @@ ADDRESS_GONE = h(
 UPDATE_BODY = ADDRESS_KEPT + h("00000051") + ENTRY_KEPT
 
 # SEARCH = [tkn:32][punctured key][revocation filter][placement token]
-# key = [kind:1][depth:1][count:4] count x {[plen:1][prefix:4][seed:16]}
-# filter = [b:8][h:1][seed:16][bits]; token = [label id:32][range key]
-SEARCH_BODY = TKN + h(
+# key = [kind:1][depth:1][count:4] count x [seed:16]
+# filter = [b:8][h:1][seed:16][n] n x [clear bits before the next set bit]
+# token = [label id:32][kind:1][depth:1][c] popcount(c) x [seed:16]
+# (n, gaps and c are LEB128 varints).  Holes 8 and 9 of 16 leave the runs
+# [0, 8) and [10, 16), whose cover is the nodes 0/1, 5/3 and 3/2
+# (prefix/bit length); the range key covers [0, 2) with the node 0/3.
+SEARCH_KEY_SEEDS = h(
+    "be45cb2605bf36bebde684841a28f0fd"
+    "2954a29785ee8ea0d190ad688a33bb76"
+    "e3023f6100e16e463e082b17b1ac5a65")
+SEARCH_FILTER_HEAD = h("0000000000000010 02 101112131415161718191a1b1c1d1e1f")
+SEARCH_HOLES = h("02 08 00")
+SEARCH_TOKEN = h(
+    "fdcbe265fe24cad2023bff7702a40e164acd5982b1829e7a983eb574d82fc92a"
+    "01 04 02"
+    "a032b0e007642d9970c008f93412e690")
+
+
+def search_body(count: int = 3, seeds: bytes = SEARCH_KEY_SEEDS,
+                holes: bytes = SEARCH_HOLES) -> bytes:
+    return (TKN + h("00 04") + count.to_bytes(4, "big") + seeds
+            + SEARCH_FILTER_HEAD + holes + SEARCH_TOKEN)
+
+
+SEARCH_BODY = search_body()
+
+# protocol version 1 sent a (plen, prefix) shape with every key node, the
+# filter as a bitmap and the range key's node count; no decoder remains
+SEARCH_BODY_V1 = TKN + h(
     "00 04 00000003"
     "01 00000000 be45cb2605bf36bebde684841a28f0fd"
     "03 00000005 2954a29785ee8ea0d190ad688a33bb76"
@@ -100,9 +126,11 @@ def search_request(msk, sigma) -> edb.SearchRequest:
 
 
 def test_frame_headers():
-    assert wire.pack_frame(wire.HELLO, b"\x01") == h("00000002 01 01")
+    assert wire.PROTOCOL_VERSION == 2
+    hello = wire.pack_frame(wire.HELLO, bytes([wire.PROTOCOL_VERSION]))
+    assert hello == h("00000002 01 02")
     assert wire.pack_frame(wire.UPDATE, UPDATE_BODY)[:5] == h("00000076 02")
-    assert wire.pack_frame(wire.SEARCH, SEARCH_BODY)[:5] == h("000000bc 03")
+    assert wire.pack_frame(wire.SEARCH, SEARCH_BODY)[:5] == h("000000a6 03")
     assert wire.pack_frame(wire.RESULT) == h("00000001 04")
     assert wire.pack_frame(wire.ERROR, b"x") == h("00000002 05 78")
     assert wire.pack_frame(wire.BYE) == h("00000001 06")
@@ -130,6 +158,32 @@ def test_search_body(scenario):
     back = wire.decode_search_body(SEARCH_BODY)
     assert wire.encode_search_body(back) == SEARCH_BODY
     assert list(back.sigma_token.addresses()) == [ADDRESS_KEPT, ADDRESS_GONE]
+    assert back.revoked_key.filter.set_bits() == [8, 9]
+
+
+def test_search_body_v1_rejected():
+    with pytest.raises(wire.FrameError):
+        wire.decode_search_body(SEARCH_BODY_V1)
+
+
+def test_every_truncated_search_body_rejected():
+    for end in range(len(SEARCH_BODY)):
+        with pytest.raises(wire.FrameError):
+            wire.decode_search_body(SEARCH_BODY[:end])
+
+
+@pytest.mark.parametrize("body", [
+    SEARCH_BODY + b"\x00",                              # one appended byte
+    search_body(2, SEARCH_KEY_SEEDS[:32]),              # one seed short
+    search_body(4, SEARCH_KEY_SEEDS + bytes(16)),       # one seed extra
+    search_body(holes=h("02 08 07")),                   # hole 16 == b
+    search_body(holes=h("02 08 08")),                   # hole 17 > b
+    search_body(holes=h("01 10")),                      # hole 16 == b
+], ids=["appended-byte", "count-minus-one", "count-plus-one",
+        "hole-at-b", "hole-beyond-b", "first-hole-at-b"])
+def test_malformed_search_body_rejected(body):
+    with pytest.raises(wire.FrameError):
+        wire.decode_search_body(body)
 
 
 def test_result_body():

@@ -1,6 +1,7 @@
 """Placement layer: ordered retrieval, token purity, counter cap."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddse import fpdse, ggm
 from ddse.edb import AddressCollision, EncryptedDatabase
@@ -114,6 +115,19 @@ def test_empty_token_roundtrip():
     token = state.search_token(b"none")
     back, _ = decode_sigma_token(token.encode())
     assert back.count == 0 and list(back.addresses()) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(depth=st.integers(1, 12), data=st.data())
+def test_sigma_token_roundtrip_is_byte_identical(depth, data):
+    count = data.draw(st.integers(0, 1 << depth))
+    token = fpdse.SearchTokenSigma(
+        bytes(range(32)), ggm.gen_root(KEY[:16], depth).constrain_range(count))
+    blob = token.encode()
+    back, consumed = decode_sigma_token(blob)
+    assert consumed == len(blob) == token.key.encoded_size + 32
+    assert back == token and back.count == count
+    assert back.encode() == blob
 
 
 def test_decode_rejects_truncation():

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddse import ggm
-from ddse.ggm import DelegatedKey, GgmRoot, KeyNode, PathCache, decode_key, gen_root
+from ddse.ggm import (DelegatedKey, GgmRoot, KeyNode, PathCache, cover,
+                      decode_punctured_seeds, decode_range_key, gaps, gen_root,
+                      punctured_key)
 
 SEED = bytes(range(16))
 
@@ -141,8 +143,9 @@ def test_constrain_range_full_domain_is_root_node():
 
 def test_constrain_range_bounds():
     root = gen_root(SEED, 4)
+    assert root.constrain_range(0).nodes == ()
     with pytest.raises(ValueError):
-        root.constrain_range(0)
+        root.constrain_range(-1)
     with pytest.raises(ValueError):
         root.constrain_range(17)
 
@@ -157,24 +160,46 @@ def test_iter_leaves_matches_eval():
 
 
 def test_serialization_roundtrip_both_kinds():
+    # a punctured key carries seeds only; its shapes come back from the holes
     root = gen_root(SEED, 12)
-    for key in (root.puncture([17, 3000]), root.constrain_range(1234)):
-        blob = key.encode()
-        assert len(blob) == key.encoded_size
-        back, consumed = decode_key(blob)
-        assert consumed == len(blob)
-        assert back == key
-        assert back.encode() == blob
+    holes = [17, 3000]
+    key = root.puncture(holes)
+    blob = key.encode()
+    assert len(blob) == key.encoded_size == 6 + 16 * len(key.nodes)
+    depth, seeds, consumed = decode_punctured_seeds(blob)
+    assert consumed == len(blob)
+    back = punctured_key(depth, holes, seeds)
+    assert back == key
+    assert back.encode() == blob
+
+    key = root.constrain_range(1234)
+    blob = key.encode()
+    assert len(blob) == key.encoded_size == 2 + 2 + 16 * bin(1234).count("1")
+    back, consumed = decode_range_key(blob)
+    assert consumed == len(blob)
+    assert back == key
+    assert back.encode() == blob
 
 
 def test_decode_rejects_garbage():
     with pytest.raises(ValueError):
-        decode_key(b"\x00\x04")
+        decode_punctured_seeds(b"\x00\x04")
     with pytest.raises(ValueError):
-        decode_key(b"\x07\x04" + b"\x00" * 10)  # unknown kind
+        decode_range_key(b"\x07\x04" + b"\x00" * 10)  # unknown kind
+    with pytest.raises(ValueError):
+        decode_range_key(gen_root(SEED, 6).puncture([5]).encode())  # wrong kind
+    with pytest.raises(ValueError):
+        decode_range_key(b"\x01\x00\x00")  # depth 0
+    with pytest.raises(ValueError):
+        decode_range_key(b"\x01\x04\x11")  # bound 17 > 2^4
     key = gen_root(SEED, 6).puncture([5])
     with pytest.raises(ValueError):
-        decode_key(key.encode()[:-3])  # truncated node list
+        decode_punctured_seeds(key.encode()[:-3])  # truncated seed list
+    with pytest.raises(ValueError):
+        decode_range_key(gen_root(SEED, 6).constrain_range(5).encode()[:-1])
+    depth, seeds, _ = decode_punctured_seeds(key.encode())
+    with pytest.raises(ValueError):
+        punctured_key(depth, [4, 5], seeds)  # 5 nodes, not 6
 
 
 def test_overlapping_nodes_rejected():
@@ -217,10 +242,49 @@ def test_delegation_correctness_random(depth, data):
 @settings(max_examples=40, deadline=None)
 @given(depth=st.integers(1, 12), data=st.data())
 def test_range_roundtrip_random(depth, data):
-    count = data.draw(st.integers(1, 1 << depth))
+    count = data.draw(st.integers(0, 1 << depth))
     key = gen_root(SEED, depth).constrain_range(count)
-    back, _ = decode_key(key.encode())
+    back, _ = decode_range_key(key.encode())
     assert back == key and back.range_bound == count
+
+
+def shapes(key: DelegatedKey) -> list[tuple[int, int]]:
+    return [(n.prefix, n.plen) for n in key.nodes]
+
+
+@settings(max_examples=80, deadline=None)
+@given(depth=st.integers(1, 12), data=st.data())
+def test_cover_of_gaps_matches_puncture(depth, data):
+    leaves = 1 << depth
+    holes = data.draw(st.sets(st.integers(0, leaves - 1),
+                              max_size=min(leaves, 64)))
+    assert (cover(gaps(sorted(holes), depth), depth)
+            == shapes(gen_root(SEED, depth).puncture(holes)))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5, 12])
+def test_cover_edge_cases_match_puncture(depth):
+    root, last = gen_root(SEED, depth), (1 << depth) - 1
+    for holes in ([], [0, last], list(range(last + 1))):
+        got = cover(gaps(sorted(set(holes)), depth), depth)
+        assert got == shapes(root.puncture(holes))
+    assert cover(gaps([], depth), depth) == [(0, 0)]
+    assert cover(gaps(range(last + 1), depth), depth) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(depth=st.integers(1, 12), data=st.data())
+def test_cover_of_prefix_run_matches_constrain_range(depth, data):
+    count = data.draw(st.integers(0, 1 << depth))
+    assert (cover([(0, count)], depth)
+            == shapes(gen_root(SEED, depth).constrain_range(count)))
+
+
+def test_non_canonical_range_key_refuses_to_encode():
+    # encode sends seeds only, so a shape decode cannot rebuild must not leave
+    key = DelegatedKey(ggm.RANGE, 4, (KeyNode(1, 1, SEED),))
+    with pytest.raises(ValueError):
+        key.encode()
 
 
 def test_path_cache_agrees_with_eval():

@@ -33,6 +33,18 @@ def test_hello_echoes_version(running_server):
     remote.close()
 
 
+def test_hello_of_another_version_gets_error_and_close(running_server):
+    assert wire.PROTOCOL_VERSION != 1
+    with socket.create_connection(running_server.address) as sock:
+        stream = sock.makefile("rwb")
+        stream.write(wire.pack_frame(wire.HELLO, b"\x01"))
+        stream.flush()
+        ftype, body = wire.read_frame(stream)
+        assert ftype == wire.ERROR
+        assert b"protocol version" in body
+        assert stream.read(1) == b""  # server closed the connection
+
+
 def test_full_protocol_round_over_socket(running_server):
     state, _ = small_state()
     with RemoteEdb(*running_server.address) as remote:

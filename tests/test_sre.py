@@ -3,8 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ddse import bloom, sre
+from ddse import bloom, ggm, sre
 
 RNG = random.Random(99)
 
@@ -149,6 +150,31 @@ def test_revoked_key_roundtrip():
     assert back.filter == rk.filter
     ct = sre.enc(msk, b"v", b"other")
     assert sre.dec(back, ct, b"other") == sre.dec(rk, ct, b"other")
+
+
+@settings(max_examples=60, deadline=None)
+@given(depth=st.integers(1, 12), data=st.data())
+def test_revoked_key_roundtrip_is_byte_identical(depth, data):
+    b = 1 << depth
+    holes = data.draw(st.sets(st.integers(0, b - 1), max_size=min(b, 64)))
+    D = bloom.BloomFilter.gen(b, 1, bytes(16))
+    for ix in holes:
+        D.bits[ix >> 3] |= 0x80 >> (ix & 7)
+    rk = sre.ck_rev(ggm.gen_root(bytes(range(16)), depth), D)
+    blob = rk.encode()
+    back, consumed = sre.decode_revoked_key(blob)
+    assert consumed == len(blob)
+    assert back.key == rk.key and back.filter == rk.filter
+    assert back.encode() == blob
+
+
+def test_decode_rejects_filter_of_other_domain():
+    # a depth-7 key needs a 128-bit filter
+    msk = make_key(128, 4)
+    rk = sre.ck_rev(msk.sk, sre.comp(msk.D, b"t"))
+    wrong = bloom.BloomFilter.gen(64, 4, bytes(16))
+    with pytest.raises(ValueError, match="key domain"):
+        sre.decode_revoked_key(rk.key.encode() + wrong.encode())
 
 
 def test_accidental_revocation_rate_bounded():

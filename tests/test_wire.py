@@ -92,17 +92,22 @@ def test_search_body_roundtrip():
         wire.decode_search_body(body + b"\x00")
 
 
-def test_search_body_with_swapped_key_nodes_rejected():
+def test_search_body_with_key_not_matching_its_filter_rejected():
+    # the key's shapes come from the filter's set bits: one more hole in
+    # a node of height k splits it into k nodes, so the seed count no
+    # longer matches the cover the filter implies
     config = ClientConfig(bf_n=100, bf_p=1e-3, d_max=8, revoke_p=1e-2,
                           sigma_depth=10)
     state, edb = cl.setup(config)
     cl.update(state, cl.ADD, b"kw", b"v1", edb)
     cl.update(state, cl.DELETE, b"kw", b"v1", edb)
-    body = bytearray(wire.encode_search_body(cl.search_client_token(state, b"kw")))
-    node = 5 + 16  # plen + prefix + seed
-    first = 32 + 6  # past the cache token and the key header
-    assert int.from_bytes(body[first - 4:first], "big") >= 2
-    a, b = body[first:first + node], body[first + node:first + 2 * node]
-    body[first:first + 2 * node] = b + a
-    with pytest.raises(FrameError):
-        wire.decode_search_body(bytes(body))
+    request = cl.search_client_token(state, b"kw")
+    key, filt = request.revoked_key.key, request.revoked_key.filter.copy()
+    node = min(key.nodes, key=lambda n: n.plen)
+    height = key.depth - node.plen
+    assert height >= 2
+    leaf = node.prefix << height
+    filt.bits[leaf >> 3] |= 0x80 >> (leaf & 7)
+    body = request.tkn + key.encode() + filt.encode() + request.sigma_token.encode()
+    with pytest.raises(FrameError, match="seeds for a cover"):
+        wire.decode_search_body(body)
