@@ -19,14 +19,19 @@ from __future__ import annotations
 import hmac
 import math
 import re
+from array import array
 
 from .crypto import KEY_LEN, decode_varint, encode_varint
 
 _SEED_LEN = KEY_LEN
 HEADER_LEN = 8 + 1 + _SEED_LEN
-# decode refuses larger filters: a few header bytes must not make the
-# receiver allocate more than the 64 MiB a wire frame may carry
-MAX_DECODED_BITS = 8 << 26
+# Largest filter decode_filter accepts, and so the largest revocation
+# domain sre.kgen makes.  The bitmap is allocated from the header alone,
+# so this caps what a few bytes on the wire can make the receiver hold
+# at 2 MiB.  A domain this size holds over a million revocations at
+# p = 1e-3; a key at that budget (half the bits set, a cover node of 16
+# bytes per three leaves) would already overflow a 64 MiB frame.
+MAX_DECODED_BITS = 1 << 24
 
 
 def size_for(n: int, p: float) -> tuple[int, int]:
@@ -104,7 +109,8 @@ class BloomFilter:
     def set_bits(self) -> list[int]:
         """Indices of set bits, ascending."""
         # bit i is character i of the big-endian binary string; the scan
-        # runs in C, so a sparse filter costs about its set bits
+        # runs in C but still costs O(b) time and b bytes of string,
+        # whatever the fill
         text = format(int.from_bytes(self.bits, "big"), f"0{len(self.bits) * 8}b")
         return [m.start() for m in re.finditer("1", text)]
 
@@ -131,11 +137,7 @@ class BloomFilter:
         out += encode_varint(len(ones))
         prev = -1
         for pos in ones:
-            gap = pos - prev - 1
-            if gap < 0x80:  # a one-byte varint, the common case
-                out.append(gap)
-            else:
-                out += encode_varint(gap)
+            out += encode_varint(pos - prev - 1)
             prev = pos
         return bytes(out)
 
@@ -144,8 +146,10 @@ class BloomFilter:
         return len(self.encode())
 
 
-def decode_filter(data: bytes, offset: int = 0) -> tuple[BloomFilter, int]:
-    """Decode a BloomFilter at ``offset``; returns (filter, next offset)."""
+def decode_filter(data: bytes, offset: int = 0
+                  ) -> tuple[BloomFilter, array, int]:
+    """Decode a BloomFilter at ``offset``; returns (filter, its set bits
+    ascending, next offset)."""
     if len(data) - offset < HEADER_LEN:
         raise ValueError("truncated bloom filter header")
     b = int.from_bytes(data[offset:offset + 8], "big")
@@ -155,15 +159,14 @@ def decode_filter(data: bytes, offset: int = 0) -> tuple[BloomFilter, int]:
                        bytes(data[offset + 9:offset + HEADER_LEN]))
     bits = filt.bits
     count, pos = decode_varint(data, offset + HEADER_LEN)
+    # a set bit costs one wire byte; an array holds it in 8, a list in ~36
+    ones = array("L")
     ix = -1
     for _ in range(count):
-        if pos < len(data) and data[pos] < 0x80:  # a one-byte varint
-            gap = data[pos]
-            pos += 1
-        else:
-            gap, pos = decode_varint(data, pos)
+        gap, pos = decode_varint(data, pos)
         ix += gap + 1
         if ix >= b:
             raise ValueError("set bit beyond the end of the bloom filter")
         bits[ix >> 3] |= 0x80 >> (ix & 7)
-    return filt, pos
+        ones.append(ix)
+    return filt, ones, pos

@@ -97,10 +97,10 @@ def decode_revoked_key(data: bytes, offset: int = 0) -> tuple[RevokedKey, int]:
     """Seeds, then the filter; the key's shapes are the cover of the
     gaps between the filter's set bits, as ``ck_rev`` punctured them."""
     depth, seeds, pos = ggm.decode_punctured_seeds(data, offset)
-    filt, pos = bloom.decode_filter(data, pos)
+    filt, holes, pos = bloom.decode_filter(data, pos)
     if filt.b != 1 << depth:
         raise ValueError("filter size does not match key domain")
-    return RevokedKey(ggm.punctured_key(depth, filt.set_bits(), seeds), filt), pos
+    return RevokedKey(ggm.punctured_key(depth, holes, seeds), filt), pos
 
 
 def kgen(b: int, h: int, *, lam: int = 128) -> SreMasterKey:
@@ -109,6 +109,9 @@ def kgen(b: int, h: int, *, lam: int = 128) -> SreMasterKey:
         raise ValueError("only lambda = 128 is supported")
     if b < 2 or b & (b - 1):
         raise ValueError("b must be a power of two >= 2")
+    if b > bloom.MAX_DECODED_BITS:
+        # its revocation filter could not cross the wire
+        raise ValueError(f"b must be at most {bloom.MAX_DECODED_BITS}")
     if not 1 <= h <= b:
         raise ValueError("h must be in 1..b")
     depth = b.bit_length() - 1

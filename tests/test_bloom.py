@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddse.bloom import BloomFilter, decode_filter, size_for
+from ddse.bloom import MAX_DECODED_BITS, BloomFilter, decode_filter, size_for
 
 SEED = bytes(range(16, 32))
 
@@ -141,9 +141,10 @@ def test_encode_decode_roundtrip():
     assert 128 <= len(ones) < 1 << 14  # a two-byte count
     assert max(b - a for a, b in zip([-1] + ones, ones)) <= 128
     assert len(blob) == bf.encoded_size == 8 + 1 + 16 + 2 + len(ones)
-    back, consumed = decode_filter(blob)
+    back, back_ones, consumed = decode_filter(blob)
     assert consumed == len(blob)
     assert back == bf
+    assert list(back_ones) == ones
     assert back.positions(b"q") == bf.positions(b"q")
 
 
@@ -157,13 +158,15 @@ def test_decode_rejects_truncation():
 
 def test_decode_rejects_bits_outside_the_filter():
     header = BloomFilter.gen(64, 2, SEED).encode()[:-1]
-    assert decode_filter(header + b"\x01\x3f")[0].set_bits() == [63]
+    back, ones, _ = decode_filter(header + b"\x01\x3f")
+    assert back.set_bits() == list(ones) == [63]
     for tail in (b"\x01\x40", b"\x02\x3f\x00", b"\x01\xc0\x00"):
         with pytest.raises(ValueError):
             decode_filter(header + tail)  # bit 64, bit 64, overlong varint
-    huge = (1 << 40).to_bytes(8, "big") + header[8:]
-    with pytest.raises(ValueError):
-        decode_filter(huge + b"\x00")  # refused before any allocation
+    for b in (MAX_DECODED_BITS + 1, 1 << 29, 1 << 40):
+        huge = b.to_bytes(8, "big") + header[8:]
+        with pytest.raises(ValueError):
+            decode_filter(huge + b"\x00")  # refused before any allocation
 
 
 def test_constructor_validation():

@@ -8,6 +8,8 @@ one whose tag is then revoked, "gone"), then one search that purges
 "gone" and caches "kept".
 """
 
+import tracemalloc
+
 import pytest
 
 from ddse import bloom, edb, fpdse, ggm, sre, statefile, wire
@@ -184,6 +186,42 @@ def test_every_truncated_search_body_rejected():
 def test_malformed_search_body_rejected(body):
     with pytest.raises(wire.FrameError):
         wire.decode_search_body(body)
+
+
+def search_body_declaring(depth: int, seeds: int = 1,
+                          holes: bytes = h("00")) -> bytes:
+    """A body over 2^depth leaves with ``seeds`` zero seeds and, by
+    default, an empty filter: 95 bytes declare the whole domain."""
+    return (TKN + bytes([0, depth]) + seeds.to_bytes(4, "big")
+            + bytes(16 * seeds) + (1 << depth).to_bytes(8, "big")
+            + SEARCH_FILTER_HEAD[8:] + holes + SEARCH_TOKEN)
+
+
+def decode_with_peak(body: bytes) -> tuple[edb.SearchRequest, int]:
+    tracemalloc.start()
+    try:
+        return wire.decode_search_body(body), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_small_body_cannot_declare_a_huge_filter():
+    for depth in (25, 29, 32):
+        with pytest.raises(wire.FrameError):
+            wire.decode_search_body(search_body_declaring(depth))
+    # the largest filter a body may declare costs its 2 MiB bitmap
+    assert bloom.MAX_DECODED_BITS == 1 << 24
+    back, peak = decode_with_peak(search_body_declaring(24))
+    assert back.revoked_key.filter.b == 1 << 24
+    assert peak < (1 << 21) + (1 << 16)
+
+
+def test_dense_hole_list_costs_a_few_bytes_per_body_byte():
+    # every leaf punctured: one gap byte per hole, and no seeds
+    body = search_body_declaring(16, 0, h("808004") + bytes(1 << 16))
+    back, peak = decode_with_peak(body)
+    assert back.revoked_key.key.nodes == ()
+    assert peak < 12 * len(body)
 
 
 def test_result_body():

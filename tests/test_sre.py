@@ -31,6 +31,8 @@ def test_kgen_validation():
         sre.kgen(8, 9)
     with pytest.raises(ValueError):
         sre.kgen(64, 3, lam=256)
+    with pytest.raises(ValueError):
+        sre.kgen(2 * bloom.MAX_DECODED_BITS, 3)  # its filter could not be decoded
     msk = sre.kgen(1024, 9)
     assert msk.sk.depth == 10
     assert msk.D.b == 1024 and msk.D.h == 9
