@@ -283,7 +283,7 @@ def _dwvh_config(volumes0, volumes1) -> ClientConfig:
     # oversized revocation filter: accidentally revoking a real tag drops
     # a result and would read as a spurious FAIL, so push the per-tag loss
     # probability to ~1e-9 at peak load; 8x headroom keeps the filter big
-    # while revoke_p=1e-2 keeps the hash count (ciphertext components) low
+    # while revoke_p=1e-2 keeps the hash count (key wraps per entry) low
     return ClientConfig(bf_n=max(1024, 4 * total), bf_p=1e-4,
                         d_max=max(64, 8 * peak), revoke_p=1e-2,
                         sigma_depth=depth)

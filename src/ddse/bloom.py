@@ -7,18 +7,21 @@ inside revocable-encryption keys.  Both need the same three operations
 family, because the filter crosses the wire and the server must map tags
 to the same bit positions the client did.
 
-Positions come from double hashing over a keyed 128-bit digest:
-``g_i(x) = (h1(x) + i*h2(x)) mod b`` with ``h2`` forced odd and coprime
-to ``b``, so every element probes ``h`` distinct positions.  Membership
-is perfectly complete (an inserted element always probes true); only
+Positions are read from a keyed expansion of the element,
+``SHAKE128(seed || x)``, as 8-byte big-endian words mod ``b``; a word
+that repeats an earlier position is skipped, so every element probes
+``h`` distinct positions and two elements share a whole position set
+only as often as ``h`` independent draws allow.  Membership is
+perfectly complete (an inserted element always probes true); only
 false positives occur, at a rate fixed by the sizing formula.
 """
 
 from __future__ import annotations
 
-import hmac
+import hashlib
 import math
 import re
+import struct
 from array import array
 
 from .crypto import KEY_LEN, decode_varint, encode_varint
@@ -81,16 +84,17 @@ class BloomFilter:
         return cls(*size_for(n, p), seed)
 
     def positions(self, x: bytes) -> list[int]:
-        d = hmac.digest(self.seed, x, "sha256")
-        h1 = int.from_bytes(d[:8], "big")
-        h2 = int.from_bytes(d[8:16], "big") | 1
-        b = self.b
-        # h2 must generate Z_b or the h positions degenerate into a short
-        # cycle and this element's false-positive rate explodes; odd is
-        # only sufficient when b is a power of two
-        while math.gcd(h2, b) != 1:
-            h2 += 2
-        return [(h1 + i * h2) % b for i in range(self.h)]
+        b, h = self.b, self.h
+        words = h
+        while True:
+            stream = hashlib.shake_128(self.seed + x).digest(8 * words)
+            # first occurrences, in order; a longer read of the same
+            # stream only appends, so the first h never change
+            out = list(dict.fromkeys(
+                w % b for w in struct.unpack(f">{words}Q", stream)))
+            if len(out) >= h:
+                return out[:h]
+            words *= 2
 
     def upd(self, x: bytes) -> "BloomFilter":
         bits = self.bits

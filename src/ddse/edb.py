@@ -53,10 +53,10 @@ def encode_entry(ct: sre.SreCiphertext, tag: bytes) -> bytes:
 
 
 def decode_entry(payload: bytes) -> tuple[sre.SreCiphertext, bytes]:
-    ct, pos = sre.decode_ciphertext(payload)
-    if len(payload) - pos != TAG_LEN:
-        raise ValueError("entry payload has trailing or missing tag bytes")
-    return ct, bytes(payload[pos:])
+    """[ciphertext][tag:16]; raises ValueError on an entry of an older
+    layout rather than letting it fail decryption and be purged."""
+    split = len(payload) - TAG_LEN
+    return sre.decode_ciphertext(payload[:split]), bytes(payload[split:])
 
 
 class EncryptedDatabase:
@@ -87,10 +87,13 @@ class EncryptedDatabase:
             ct, tag = decode_entry(payload)
             value = sre.dec(request.revoked_key, ct, tag, store)
             if value is None:
-                del self.main[address]
                 purged.append(address)
             else:
                 fresh.append(value)
+        # purge only after the whole list decoded, so an entry that does
+        # not decode raises before the store changes
+        for address in purged:
+            del self.main[address]
         seen = set(fresh)
         merged = fresh + [r for r in self.cache.get(request.tkn, [])
                           if r not in seen]

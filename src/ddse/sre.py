@@ -1,17 +1,22 @@
 """Symmetric revocable encryption over a Bloom-filter revocation set.
 
-A ciphertext is bound to a tag.  Encryption produces one component per
-filter hash function, each encrypted under the GGM leaf keyed by that
-hash position of the tag.  Revoking a tag sets its positions in the
-filter ``D``; the derived key (``ck_rev``) is the master tree punctured
-at every set bit, so a revoked tag has no surviving component while any
-other tag still has one with overwhelming probability (a false positive
-of the filter kills an innocent tag at the filter's FP rate -- the price
-of compressed revocation state).
+A ciphertext is bound to a tag.  Encryption is hybrid: the payload is
+encrypted once under a fresh data key, and that key is wrapped under the
+GGM leaf keyed by each of the tag's ``h`` filter positions.  Revoking a
+tag sets its positions in the filter ``D``; the derived key (``ck_rev``)
+is the master tree punctured at every set bit, so a revoked tag has no
+surviving wrap, and so no data key, while any other tag still has one
+with overwhelming probability (a false positive of the filter kills an
+innocent tag at the filter's FP rate -- the price of compressed
+revocation state).
 
-Components carry a validity frame [8-byte magic | 4-byte length |
-payload]; decryption under a hole-free key recovers the frame exactly,
-anything else fails the check with probability 1 - 2^-64.
+Encoding: [0][h:1][nonce:12] h x [wrap:16] [body], where each wrap is
+the data key under one leaf key and the body is [8-byte magic | payload]
+under the data key, all with the one nonce (the h + 1 keys are
+distinct).  The body runs to the end of the encoding.  Decryption
+unwraps with the first unpunctured position; a wrong key fails the magic
+check with probability 1 - 2^-64.  The leading zero byte is the format:
+the previous layout began with h >= 1, and is refused.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from .crypto import (KEY_LEN, NONCE_LEN, fresh_key, fresh_nonce, prg,
 logger = logging.getLogger(__name__)
 
 MAGIC = b"SREVALID"
-_FRAME_OVERHEAD = len(MAGIC) + 4
+FORMAT = 0
+_HEAD = 2 + NONCE_LEN
 
 
 @dataclass(frozen=True)
@@ -46,38 +52,30 @@ class SreMasterKey:
 
 @dataclass(frozen=True)
 class SreCiphertext:
-    components: tuple[tuple[bytes, bytes], ...]  # (nonce, body) per hash fn
+    nonce: bytes
+    wraps: tuple[bytes, ...]  # the data key under each position's leaf key
+    body: bytes               # MAGIC + payload under the data key
 
     @property
     def h(self) -> int:
-        return len(self.components)
+        return len(self.wraps)
 
     def encode(self) -> bytes:
-        out = bytearray([len(self.components)])
-        for nonce, body in self.components:
-            out += nonce
-            out += len(body).to_bytes(4, "big")
-            out += body
-        return bytes(out)
+        return (bytes([FORMAT, self.h]) + self.nonce + b"".join(self.wraps)
+                + self.body)
 
 
-def decode_ciphertext(data: bytes, offset: int = 0) -> tuple[SreCiphertext, int]:
-    if len(data) - offset < 1:
+def decode_ciphertext(data: bytes) -> SreCiphertext:
+    """Decode a whole encoding: the body is whatever follows the wraps."""
+    if len(data) < _HEAD or data[0] != FORMAT:
+        raise ValueError("not a hybrid SRE ciphertext")
+    h = data[1]
+    wraps_end = _HEAD + KEY_LEN * h
+    if h < 1 or len(data) < wraps_end + len(MAGIC):
         raise ValueError("truncated ciphertext")
-    h = data[offset]
-    pos = offset + 1
-    comps = []
-    for _ in range(h):
-        if len(data) - pos < NONCE_LEN + 4:
-            raise ValueError("truncated ciphertext component")
-        nonce = bytes(data[pos:pos + NONCE_LEN])
-        blen = int.from_bytes(data[pos + NONCE_LEN:pos + NONCE_LEN + 4], "big")
-        pos += NONCE_LEN + 4
-        if len(data) - pos < blen:
-            raise ValueError("truncated ciphertext body")
-        comps.append((nonce, bytes(data[pos:pos + blen])))
-        pos += blen
-    return SreCiphertext(tuple(comps)), pos
+    wraps = tuple(bytes(data[i:i + KEY_LEN])
+                  for i in range(_HEAD, wraps_end, KEY_LEN))
+    return SreCiphertext(bytes(data[2:_HEAD]), wraps, bytes(data[wraps_end:]))
 
 
 @dataclass(frozen=True)
@@ -121,14 +119,13 @@ def kgen(b: int, h: int, *, lam: int = 128) -> SreMasterKey:
 
 
 def enc(msk: SreMasterKey, payload: bytes, tag: bytes) -> SreCiphertext:
-    """One component per hash position of ``tag``, all carrying ``payload``."""
-    framed = MAGIC + len(payload).to_bytes(4, "big") + payload
-    comps = []
-    for pos in msk.D.positions(tag):
-        key = msk.sk.eval(pos)
-        nonce = fresh_nonce()
-        comps.append((nonce, stream_xor(key, nonce, framed)))
-    return SreCiphertext(tuple(comps))
+    """``payload`` once under a fresh data key, wrapped at every hash
+    position of ``tag``."""
+    dk = fresh_key(KEY_LEN)
+    nonce = fresh_nonce()
+    wraps = tuple(stream_xor(msk.sk.eval(pos), nonce, dk)
+                  for pos in msk.D.positions(tag))
+    return SreCiphertext(nonce, wraps, stream_xor(dk, nonce, MAGIC + payload))
 
 
 def comp(D: bloom.BloomFilter, tag: bytes) -> bloom.BloomFilter:
@@ -195,26 +192,23 @@ class SubkeyStore:
 
 def dec(rk: RevokedKey, ct: SreCiphertext, tag: bytes,
         store: Optional[SubkeyStore] = None) -> Optional[bytes]:
-    """Payload from the first unrevoked component, or None.
+    """Payload under the data key from the first unrevoked wrap, or None.
 
     None means every hash position of ``tag`` is punctured (the tag was
-    revoked, or collided with revoked positions) or the frame check
+    revoked, or collided with revoked positions) or the magic check
     failed.
     """
     if ct.h != rk.filter.h:
-        raise ValueError("component count does not match filter hash count")
+        raise ValueError("wrap count does not match filter hash count")
     if store is not None and store._key is not rk.key:
         raise ValueError("subkey store built for a different key")
     for i, pos in enumerate(rk.filter.positions(tag)):
         key = store.leaf(pos) if store is not None else rk.key.eval(pos)
         if key is None:
             continue
-        nonce, body = ct.components[i]
-        framed = stream_xor(key, nonce, body)
-        if len(framed) < _FRAME_OVERHEAD or framed[:8] != MAGIC:
+        dk = stream_xor(key, ct.nonce, ct.wraps[i])
+        framed = stream_xor(dk, ct.nonce, ct.body)
+        if framed[:len(MAGIC)] != MAGIC:
             return None
-        plen = int.from_bytes(framed[8:12], "big")
-        if len(framed) != _FRAME_OVERHEAD + plen:
-            return None
-        return framed[_FRAME_OVERHEAD:]
+        return framed[len(MAGIC):]
     return None

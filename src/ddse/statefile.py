@@ -20,7 +20,9 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from .crypto import GCM_TAG_LEN, NONCE_LEN
 
 _MAGIC = b"DDSE"
-_VERSION = 1
+# version 2: saved Bloom filters probe independent SHAKE128 positions,
+# so a version-1 file's filters (double hashing) would probe wrong bits
+_VERSION = 2
 _SALT_LEN = 16
 
 # scrypt cost: 16 MiB, interactive-grade
@@ -64,7 +66,9 @@ def load(path: str, passphrase: str):
         raise StateFileError(f"not a state file: {path}")
     version = blob[len(_MAGIC)]
     if version != _VERSION:
-        raise StateFileError(f"unsupported state file version {version}")
+        raise StateFileError(
+            f"{path} is a version {version} state file; this ddse reads "
+            f"version {_VERSION} only, so set up a fresh store")
     salt = blob[5:5 + _SALT_LEN]
     nonce = blob[5 + _SALT_LEN:head]
     key = _derive(passphrase, salt)

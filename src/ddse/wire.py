@@ -5,6 +5,9 @@ length covers type + body.  Frames above 64 MiB are refused on both
 sides.  Body layouts:
 
 * UPDATE:  [address:32][4-byte len][payload]
+    payload = [0][h:1][nonce:12] h x [wrap:16] [body][tag:16], where each
+              wrap is the entry's data key under one Bloom position's
+              leaf key and body = [magic:8][retrieval] under the data key
 * SEARCH:  [tkn:32][revoked key][revocation filter][placement token]
     revoked key       = [0][depth:1][count:4] count x [seed:16]
     revocation filter = [b:8][h:1][seed:16][n] n x [gap], where gap
@@ -41,7 +44,7 @@ _TYPE_NAMES = {HELLO: "HELLO", UPDATE: "UPDATE", SEARCH: "SEARCH",
                RESULT: "RESULT", ERROR: "ERROR", BYE: "BYE"}
 
 MAX_FRAME = 64 * 1024 * 1024
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 ADDRESS_LEN = 32
 

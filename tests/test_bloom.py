@@ -109,6 +109,22 @@ def test_positions_distinct_for_composite_b():
     assert all(0 <= p < b for p in pos)
 
 
+def test_position_sets_do_not_collide():
+    # double hashing gave two tags one position set with probability
+    # 4/b^2, which loses a live tag to one revoked tag; independent
+    # draws make it about 1/C(b, h)
+    bf = BloomFilter.gen(256, 7, bytes(16))
+    rng = random.Random(3000)
+    sets = {frozenset(bf.positions(rng.randbytes(16))) for _ in range(3000)}
+    assert len(sets) == 3000
+
+
+def test_positions_fill_a_tiny_domain():
+    # h == b: the draw keeps reading until every position has appeared
+    bf = BloomFilter.gen(8, 8, SEED)
+    assert sorted(bf.positions(b"x")) == list(range(8))
+
+
 def test_false_positive_rate_at_design_load():
     n, p = 500, 0.01
     bf = BloomFilter.for_load(n, p, SEED)

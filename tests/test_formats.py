@@ -25,16 +25,20 @@ LABEL = b"label"
 TAG_KEPT = b"K" * 16
 TAG_GONE = b"R" * 16
 
-# entry = [h:1] h x {[nonce:12][len:4][body]} [tag:16]
+# entry = [0][h:1][nonce:12] h x [wrap:16] [body][tag:16], where each
+# wrap is the data key under one position's leaf key and the body is
+# [magic:8][retrieval] under the data key
 ENTRY_KEPT = h(
-    "02"
-    "010101010101010101010101 00000010 fbf36fc94b112c02f58bcbf67d5b964e"
-    "020202020202020202020202 00000010 cf39a27caea608a08a1fb97eb5fb38e8"
+    "00 02 010101010101010101010101"
+    "c029e4901b33f06ccd792e735db30a49"
+    "b85becc5193f2549ed718ce473647b15"
+    "510193766bb00b6b 949586dd"
     "4b4b4b4b4b4b4b4b4b4b4b4b4b4b4b4b")
 ENTRY_GONE = h(
-    "02"
-    "030303030303030303030303 00000010 c4279ac5d0124fba90bf59cb44c4f19c"
-    "040404040404040404040404 00000010 4252dfd49534806e51b4b49f18cb0a90"
+    "00 02 020202020202020202020202"
+    "dbeedfa9d1325fa1168ea3f0341a96aa"
+    "8c0ffc1f04bd151820c5052ef39785d3"
+    "e6327f1e011b8737 58d0fb72"
     "52525252525252525252525252525252")
 ADDRESS_KEPT = h(
     "8f3f21c2cf7379abb4e58293996d6912f3a0498028482ed972d7bf256b3e0e37")
@@ -42,28 +46,31 @@ ADDRESS_GONE = h(
     "a72bfc2adcc6a5ddbc60dcf885b562e3fdfb6631dc1edc949106c9864fd78828")
 
 # UPDATE = [address:32][len:4][payload]
-UPDATE_BODY = ADDRESS_KEPT + h("00000051") + ENTRY_KEPT
+UPDATE_BODY = ADDRESS_KEPT + h("0000004a") + ENTRY_KEPT
 
 # SEARCH = [tkn:32][punctured key][revocation filter][placement token]
 # key = [kind:1][depth:1][count:4] count x [seed:16]
 # filter = [b:8][h:1][seed:16][n] n x [clear bits before the next set bit]
 # token = [label id:32][kind:1][depth:1][c] popcount(c) x [seed:16]
-# (n, gaps and c are LEB128 varints).  Holes 8 and 9 of 16 leave the runs
-# [0, 8) and [10, 16), whose cover is the nodes 0/1, 5/3 and 3/2
-# (prefix/bit length); the range key covers [0, 2) with the node 0/3.
+# (n, gaps and c are LEB128 varints).  Holes 9 and 15 of 16 leave the
+# runs [0, 9) and [10, 15), whose cover is the nodes 0/1, 8/4, 5/3, 6/3
+# and 14/4 (prefix/bit length); the range key covers [0, 2) with the
+# node 0/3.
 SEARCH_KEY_SEEDS = h(
     "be45cb2605bf36bebde684841a28f0fd"
+    "f78c39966dd00f17e36db19c1c8e7dd8"
     "2954a29785ee8ea0d190ad688a33bb76"
-    "e3023f6100e16e463e082b17b1ac5a65")
+    "c430eb30ad23ab736a8ba6b82d14a112"
+    "5b9f0090d648c4114ddbe71f305ef41d")
 SEARCH_FILTER_HEAD = h("0000000000000010 02 101112131415161718191a1b1c1d1e1f")
-SEARCH_HOLES = h("02 08 00")
+SEARCH_HOLES = h("02 09 05")
 SEARCH_TOKEN = h(
     "fdcbe265fe24cad2023bff7702a40e164acd5982b1829e7a983eb574d82fc92a"
     "01 04 02"
     "a032b0e007642d9970c008f93412e690")
 
 
-def search_body(count: int = 3, seeds: bytes = SEARCH_KEY_SEEDS,
+def search_body(count: int = 5, seeds: bytes = SEARCH_KEY_SEEDS,
                 holes: bytes = SEARCH_HOLES) -> bytes:
     return (TKN + h("00 04") + count.to_bytes(4, "big") + seeds
             + SEARCH_FILTER_HEAD + holes + SEARCH_TOKEN)
@@ -87,32 +94,57 @@ SEARCH_BODY_V1 = TKN + h(
 RESULT_KEPT = h("00000001 00000004 6b657074")
 
 # log record = [len:4][type:1][body][crc32 of type+body:4]
-PUT_KEPT = h("00000076 01") + UPDATE_BODY + h("67d1032c")
-PUT_GONE = (h("00000076 01") + ADDRESS_GONE + h("00000051") + ENTRY_GONE
-            + h("b6899fae"))
+PUT_KEPT = h("0000006f 01") + UPDATE_BODY + h("097f6fd4")
+PUT_GONE = (h("0000006f 01") + ADDRESS_GONE + h("0000004a") + ENTRY_GONE
+            + h("9cdee0b6"))
 DEL_GONE = h("00000021 02") + ADDRESS_GONE + h("37d9c405")
 CACHE_KEPT = h("0000002d 03") + TKN + RESULT_KEPT + h("de1e95c3")
 
 SNAPSHOT_HEADER = b"DDSESNAP" + h("01")
 
+# protocol version 2 stored the framed retrieval once per position, each
+# copy with its own nonce and length: [h:1] h x {[nonce:12][len:4][body]}
+# [tag:16].  Its first byte h >= 1 can never start a current entry, so
+# such an entry is refused instead of failing decryption and being purged
+ENTRY_KEPT_V2 = h(
+    "02"
+    "010101010101010101010101 00000010 fbf36fc94b112c02f58bcbf67d5b964e"
+    "020202020202020202020202 00000010 cf39a27caea608a08a1fb97eb5fb38e8"
+    "4b4b4b4b4b4b4b4b4b4b4b4b4b4b4b4b")
+ENTRY_GONE_V2 = h(
+    "02"
+    "030303030303030303030303 00000010 c4279ac5d0124fba90bf59cb44c4f19c"
+    "040404040404040404040404 00000010 4252dfd49534806e51b4b49f18cb0a90"
+    "52525252525252525252525252525252")
+PUT_KEPT_V2 = (h("00000076 01") + ADDRESS_KEPT + h("00000051") + ENTRY_KEPT_V2
+               + h("67d1032c"))
+PUT_GONE_V2 = (h("00000076 01") + ADDRESS_GONE + h("00000051") + ENTRY_GONE_V2
+               + h("b6899fae"))
+
 # state file = [magic "DDSE"][version:1][salt:16][nonce:12][AES-GCM box]
 STATE_SALT = bytes(range(16))
 STATE_NONCE = bytes(range(16, 28))
-STATE_HEADER = b"DDSE" + h("01") + STATE_SALT + STATE_NONCE
+STATE_HEADER = b"DDSE" + h("02") + STATE_SALT + STATE_NONCE
 STATE_PASSPHRASE = "pass"
 STATE_BUNDLE = {"key": bytes(range(4)), "tag": b"ddse"}
 # sealed pickle of STATE_BUNDLE; only load is pinned, as pickle bytes may
-# differ across Python versions
-STATE_FILE = STATE_HEADER + h(
+# differ across Python versions.  The AES-GCM box authenticates only the
+# magic, so the version-1 file differs in its version byte alone; its
+# Bloom filters probed double-hashed positions and it must be refused
+STATE_BOX = h(
     "d45b8be1b29dce96ba9e978db4e6b2fe52ab1aa7e18629db61bc8e8d8c8ded2f"
     "f5bcbeef4c7651d80ccd3e847978446b065e035a2b39fd7dfd0f")
+STATE_FILE = STATE_HEADER + STATE_BOX
+STATE_FILE_V1 = b"DDSE" + h("01") + STATE_SALT + STATE_NONCE + STATE_BOX
 
 
 @pytest.fixture
 def scenario(monkeypatch):
     """Fixed master key, filter seed, placement key and nonces."""
     nonces = iter(bytes([i]) * 12 for i in range(1, 256))
+    data_keys = iter(bytes([i]) * 16 for i in range(0xd1, 0x100))
     monkeypatch.setattr(sre, "fresh_nonce", lambda: next(nonces))
+    monkeypatch.setattr(sre, "fresh_key", lambda n: next(data_keys))
     msk = sre.SreMasterKey(ggm.GgmRoot(bytes(range(16)), 4),
                            bloom.BloomFilter.gen(16, 2, bytes(range(16, 32))))
     sigma = fpdse.SigmaState(bytes(range(32, 48)), 4)
@@ -128,11 +160,11 @@ def search_request(msk, sigma) -> edb.SearchRequest:
 
 
 def test_frame_headers():
-    assert wire.PROTOCOL_VERSION == 2
+    assert wire.PROTOCOL_VERSION == 3
     hello = wire.pack_frame(wire.HELLO, bytes([wire.PROTOCOL_VERSION]))
-    assert hello == h("00000002 01 02")
-    assert wire.pack_frame(wire.UPDATE, UPDATE_BODY)[:5] == h("00000076 02")
-    assert wire.pack_frame(wire.SEARCH, SEARCH_BODY)[:5] == h("000000a6 03")
+    assert hello == h("00000002 01 03")
+    assert wire.pack_frame(wire.UPDATE, UPDATE_BODY)[:5] == h("0000006f 02")
+    assert wire.pack_frame(wire.SEARCH, SEARCH_BODY)[:5] == h("000000c6 03")
     assert wire.pack_frame(wire.RESULT) == h("00000001 04")
     assert wire.pack_frame(wire.ERROR, b"x") == h("00000002 05 78")
     assert wire.pack_frame(wire.BYE) == h("00000001 06")
@@ -160,7 +192,7 @@ def test_search_body(scenario):
     back = wire.decode_search_body(SEARCH_BODY)
     assert wire.encode_search_body(back) == SEARCH_BODY
     assert list(back.sigma_token.addresses()) == [ADDRESS_KEPT, ADDRESS_GONE]
-    assert back.revoked_key.filter.set_bits() == [8, 9]
+    assert back.revoked_key.filter.set_bits() == [9, 15]
 
 
 def test_search_body_v1_rejected():
@@ -176,10 +208,10 @@ def test_every_truncated_search_body_rejected():
 
 @pytest.mark.parametrize("body", [
     SEARCH_BODY + b"\x00",                              # one appended byte
-    search_body(2, SEARCH_KEY_SEEDS[:32]),              # one seed short
-    search_body(4, SEARCH_KEY_SEEDS + bytes(16)),       # one seed extra
-    search_body(holes=h("02 08 07")),                   # hole 16 == b
-    search_body(holes=h("02 08 08")),                   # hole 17 > b
+    search_body(4, SEARCH_KEY_SEEDS[:64]),              # one seed short
+    search_body(6, SEARCH_KEY_SEEDS + bytes(16)),       # one seed extra
+    search_body(holes=h("02 09 06")),                   # hole 16 == b
+    search_body(holes=h("02 09 07")),                   # hole 17 > b
     search_body(holes=h("01 10")),                      # hole 16 == b
 ], ids=["appended-byte", "count-minus-one", "count-plus-one",
         "hole-at-b", "hole-beyond-b", "first-hole-at-b"])
@@ -250,13 +282,31 @@ def test_log_records_and_snapshot(scenario, tmp_path):
 @pytest.mark.parametrize("name,content", [
     ("log", PUT_KEPT + PUT_GONE + DEL_GONE + CACHE_KEPT),
     ("snapshot", SNAPSHOT_HEADER + PUT_KEPT + CACHE_KEPT),
-])
+], ids=["log", "snapshot"])
 def test_golden_files_replay(tmp_path, name, content):
     (tmp_path / name).write_bytes(content)
     with PersistentStore(tmp_path) as store:
         assert store.edb.main == {ADDRESS_KEPT: ENTRY_KEPT}
         assert store.edb.cache == {TKN: [b"kept"]}
     assert (tmp_path / name).read_bytes() == content
+
+
+def test_v2_entries_are_refused_not_purged(scenario, tmp_path):
+    msk, sigma, _ = scenario
+    for entry in (ENTRY_KEPT_V2, ENTRY_GONE_V2):
+        with pytest.raises(ValueError):
+            edb.decode_entry(entry)
+        sigma.update(LABEL, entry, edb.EncryptedDatabase())
+    log = PUT_KEPT_V2 + PUT_GONE_V2
+    (tmp_path / "log").write_bytes(log)
+    with PersistentStore(tmp_path) as store:
+        # a PUT record carries its payload opaquely, so replay accepts it
+        with pytest.raises(ValueError, match="not a hybrid SRE ciphertext"):
+            store.execute_search(search_request(msk, sigma))
+        assert store.edb.main == {ADDRESS_KEPT: ENTRY_KEPT_V2,
+                                  ADDRESS_GONE: ENTRY_GONE_V2}
+        assert store.edb.cache == {}
+    assert (tmp_path / "log").read_bytes() == log
 
 
 def test_state_file_header(monkeypatch, tmp_path):
@@ -273,3 +323,10 @@ def test_golden_state_file_loads(tmp_path):
     path = tmp_path / "state.ddse"
     path.write_bytes(STATE_FILE)
     assert statefile.load(str(path), STATE_PASSPHRASE) == STATE_BUNDLE
+
+
+def test_version_1_state_file_refused(tmp_path):
+    path = tmp_path / "state.ddse"
+    path.write_bytes(STATE_FILE_V1)
+    with pytest.raises(statefile.StateFileError, match="version 1 state file"):
+        statefile.load(str(path), STATE_PASSPHRASE)

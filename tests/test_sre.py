@@ -1,13 +1,16 @@
-"""Revocable encryption: roundtrip, revocation soundness, greedy reuse."""
+"""Revocable encryption: roundtrip, revocation soundness, greedy reuse,
+the hybrid ciphertext layout."""
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddse import bloom, ggm, sre
+from ddse import bloom, edb, ggm, sre
 
 RNG = random.Random(99)
+TAG = bytes(range(16))
 
 
 def make_key(b=64, h=3):
@@ -123,7 +126,7 @@ def test_dec_rejects_component_count_mismatch():
     msk = make_key(64, 3)
     ct = sre.enc(msk, b"x", b"t")
     rk = sre.ck_rev(msk.sk, msk.D)
-    bad = sre.SreCiphertext(ct.components[:2])
+    bad = dataclasses.replace(ct, wraps=ct.wraps[:2])
     with pytest.raises(ValueError):
         sre.dec(rk, bad, b"t")
 
@@ -131,14 +134,50 @@ def test_dec_rejects_component_count_mismatch():
 def test_ciphertext_roundtrip():
     msk = make_key(64, 3)
     ct = sre.enc(msk, b"some payload bytes", b"tag")
+    assert len(ct.nonce) == 12
+    assert ct.h == 3 and all(len(w) == 16 for w in ct.wraps)
+    assert len(ct.body) == len(sre.MAGIC) + len(b"some payload bytes")
     blob = ct.encode()
-    back, consumed = sre.decode_ciphertext(blob)
-    assert consumed == len(blob)
-    assert back == ct
-    with pytest.raises(ValueError):
-        sre.decode_ciphertext(blob[:-1])
+    assert blob[:2] == bytes([0, 3])
+    assert sre.decode_ciphertext(blob) == ct
     with pytest.raises(ValueError):
         sre.decode_ciphertext(b"")
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 16), size=st.integers(0, 200))
+def test_entry_size_formula(h, size):
+    # [0][h][nonce:12] h x [wrap:16] [magic:8][payload] [tag:16]
+    msk = sre.kgen(16, h)
+    entry = edb.encode_entry(sre.enc(msk, bytes(size), TAG), TAG)
+    assert len(entry) == 2 + 12 + 16 * h + 8 + size + 16
+
+
+def flip(blob: bytes, ix: int) -> bytes:
+    return blob[:ix] + bytes([blob[ix] ^ 1]) + blob[ix + 1:]
+
+
+def test_flipped_body_or_wrap_byte_fails_dec():
+    msk = make_key(256, 4)
+    rk = sre.ck_rev(msk.sk, msk.D)
+    blob = sre.enc(msk, b"payload", TAG).encode()
+    assert sre.dec(rk, sre.decode_ciphertext(blob), TAG) == b"payload"
+    # nothing is punctured, so dec unwraps with the first wrap; the
+    # body's first 8 bytes are the magic that checks the unwrap
+    first_wrap, body = 2 + 12, 2 + 12 + 16 * 4
+    for ix in (first_wrap, first_wrap + 15, body, body + 7):
+        assert sre.dec(rk, sre.decode_ciphertext(flip(blob, ix)), TAG) is None
+
+
+def test_truncated_entry_raises():
+    msk = make_key(64, 3)
+    entry = edb.encode_entry(sre.enc(msk, b"payload", TAG), TAG)
+    # header, wraps, magic and tag are fixed-size; any shorter entry
+    # cannot hold them
+    shortest = 2 + 12 + 16 * 3 + 8 + 16
+    for end in range(shortest):
+        with pytest.raises(ValueError):
+            edb.decode_entry(entry[:end])
 
 
 def test_revoked_key_roundtrip():
