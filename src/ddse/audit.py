@@ -70,9 +70,6 @@ class Transcript:
     def update_frame_sizes(self) -> list[int]:
         return [len(e.frame) for e in self.updates()]
 
-    def keywords(self) -> set[bytes]:
-        return {entry[2] for entry in self.ops}
-
     def dump(self, limit: Optional[int] = None) -> str:
         lines = []
         shown = self.events if limit is None else self.events[:limit]

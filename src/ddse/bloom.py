@@ -79,10 +79,6 @@ class BloomFilter:
     def gen(cls, b: int, h: int, seed: bytes) -> "BloomFilter":
         return cls(b, h, seed)
 
-    @classmethod
-    def for_load(cls, n: int, p: float, seed: bytes) -> "BloomFilter":
-        return cls(*size_for(n, p), seed)
-
     def positions(self, x: bytes) -> list[int]:
         b, h = self.b, self.h
         words = h
@@ -117,9 +113,6 @@ class BloomFilter:
         # whatever the fill
         text = format(int.from_bytes(self.bits, "big"), f"0{len(self.bits) * 8}b")
         return [m.start() for m in re.finditer("1", text)]
-
-    def popcount(self) -> int:
-        return int.from_bytes(self.bits, "big").bit_count()
 
     def copy(self) -> "BloomFilter":
         return BloomFilter(self.b, self.h, self.seed, bytearray(self.bits),

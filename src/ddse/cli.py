@@ -176,12 +176,8 @@ def cmd_audit(args) -> int:
     transcript = audit_mod.record(ops + searches, mutant=args.mutant)
     if args.dump:
         print(transcript.dump(limit=32))
-    shifted = wl.generate(wl.WorkloadSpec(
-        keywords=spec.keywords, updates=spec.updates, seed=spec.seed,
-        duplicate_ratio=spec.duplicate_ratio,
-        delete_fraction=spec.delete_fraction))
     paired = audit_mod.record(
-        [(kind, b"paired-" + w, v) for kind, w, v in shifted],
+        [(kind, b"paired-" + w, v) for kind, w, v in ops],
         mutant=args.mutant)
     fp = audit_mod.fp_check(transcript, paired=paired)
     print(f"forward-privacy: {fp}")

@@ -29,8 +29,7 @@ delete cannot claw it back out; deletes are only reliable for pairs
 whose first add has not yet been consumed by a search.  Re-adding a
 deleted pair is likewise unsupported: the distinct-state filter still
 remembers the pair, so the re-add is classified as a duplicate and
-revoked on arrival.  An optional tracking filter can reject such adds
-outright (``reject_readd_after_delete``).
+revoked on arrival.
 """
 
 from __future__ import annotations
@@ -64,30 +63,18 @@ class UnknownKeywordError(LookupError):
     """Search for a keyword that was never updated."""
 
 
-class DeletedPairRejected(RuntimeError):
-    """Re-add of a deleted pair, with rejection tracking enabled."""
-
-
 @dataclass
 class ClientConfig:
     bf_n: int = 2 ** 20         # distinct-state capacity (pairs)
     bf_p: float = 1e-5          # distinct-state false-positive budget
-    d_max: int = 1000           # default per-keyword revocations per epoch
+    d_max: int = 1000           # per-keyword revocations per epoch
     revoke_p: float = 1e-3      # revocation-filter false-positive budget
     sigma_depth: int = 20
-    keyword_budgets: dict[bytes, int] = field(default_factory=dict)
-    reject_readd_after_delete: bool = False
 
-    def budget_for(self, keyword: bytes) -> int:
-        return self.keyword_budgets.get(keyword, self.d_max)
-
-    def sre_params(self, keyword: bytes) -> tuple[int, int]:
-        """Power-of-two revocation domain sized for the keyword's budget.
-
-        This is the default optimization: a keyword expected to see few
-        revocations gets a small tree, so derived keys stay short.
-        """
-        b_raw, h = bloom.size_for(self.budget_for(keyword), self.revoke_p)
+    def sre_params(self) -> tuple[int, int]:
+        """Power-of-two revocation domain for ``d_max`` revocations at
+        ``revoke_p``; every keyword's tree has this size."""
+        b_raw, h = bloom.size_for(self.d_max, self.revoke_p)
         b = 1 << (max(b_raw, 2) - 1).bit_length()
         return b, h
 
@@ -104,31 +91,6 @@ class ClientState:
     revocation: dict[bytes, bloom.BloomFilter] = field(default_factory=dict)
     epoch: dict[bytes, int] = field(default_factory=dict)
     update_count: dict[bytes, int] = field(default_factory=dict)
-    revoked_in_epoch: dict[bytes, int] = field(default_factory=dict)
-    deleted_filter: Optional[bloom.BloomFilter] = None
-
-    def __post_init__(self):
-        self._value_aead = None
-
-    @property
-    def value_aead(self) -> AESGCM:
-        aead = getattr(self, "_value_aead", None)
-        if aead is None:
-            aead = AESGCM(self.k_value)
-            self._value_aead = aead
-        return aead
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_value_aead", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._value_aead = None
-        # states saved before searches retired their labels still hold a
-        # chain per searched epoch; only each keyword's current label lives
-        self.sigma.compact({self.label_for(w, e) for w, e in self.epoch.items()})
 
     def label_for(self, keyword: bytes, epoch: int) -> bytes:
         key = keyed_hash(self.k_search, b"epoch-label-key")
@@ -161,37 +123,34 @@ def setup(config: Optional[ClientConfig] = None
         sigma=SigmaState(fresh_key(KEY_LEN), config.sigma_depth),
         config=config,
     )
-    if config.reject_readd_after_delete:
-        state.deleted_filter = bloom.BloomFilter.gen(b, h, fresh_key(KEY_LEN))
     return state, EncryptedDatabase()
 
 
 def _init_keyword(state: ClientState, keyword: bytes):
     if keyword in state.msk:
         return
-    b, h = state.config.sre_params(keyword)
-    msk = sre.kgen(b, h)
+    msk = sre.kgen(*state.config.sre_params())
     state.msk[keyword] = msk
     state.revocation[keyword] = msk.D.copy()
     state.epoch[keyword] = 0
     state.update_count[keyword] = 1
-    state.revoked_in_epoch[keyword] = 0
 
 
 def _revoke(state: ClientState, keyword: bytes, tag: bytes):
-    state.revocation[keyword] = sre.comp(state.revocation[keyword], tag)
-    state.revoked_in_epoch[keyword] += 1
-    budget = state.config.budget_for(keyword)
-    if state.revoked_in_epoch[keyword] == budget + 1:
+    revocation = sre.comp(state.revocation[keyword], tag)
+    state.revocation[keyword] = revocation
+    # each epoch's filter starts from the pristine msk.D, so its
+    # insertion count is this epoch's revocations
+    if revocation.inserted == state.config.d_max + 1:
         logger.warning(
             "keyword %r exceeded its revocation budget (%d) this epoch; "
             "false-revocation rate degrades beyond the configured bound",
-            keyword, budget)
+            keyword, state.config.d_max)
 
 
 def encrypt_retrieval(state: ClientState, value: bytes, cnt: int) -> bytes:
     nonce = fresh_nonce()
-    body = state.value_aead.encrypt(
+    body = AESGCM(state.k_value).encrypt(
         nonce, value + cnt.to_bytes(_COUNTER_LEN, "big"), None)
     return nonce + body
 
@@ -209,10 +168,6 @@ def update(state: ClientState, op: str, keyword: bytes, value: bytes,
     real = state.real_tag(keyword, value)
 
     if op == ADD:
-        if state.deleted_filter is not None and state.deleted_filter.check(real):
-            raise DeletedPairRejected(
-                f"pair for keyword {keyword!r} was deleted earlier; "
-                "re-adding is not recoverable")
         first_occurrence = not state.distinct_filter.check(real)
         if first_occurrence:
             state.distinct_filter.upd(real)
@@ -234,8 +189,6 @@ def update(state: ClientState, op: str, keyword: bytes, value: bytes,
         if not state.distinct_filter.check(real):
             logger.warning("delete of never-added pair under keyword %r",
                            keyword)
-        if state.deleted_filter is not None:
-            state.deleted_filter.upd(real)
         _revoke(state, keyword, real)
 
     state.update_count[keyword] = cnt + 1
@@ -260,7 +213,6 @@ def search_client_token(state: ClientState, keyword: bytes) -> SearchRequest:
     state.msk[keyword] = fresh
     state.revocation[keyword] = fresh.D.copy()
     state.epoch[keyword] += 1
-    state.revoked_in_epoch[keyword] = 0
     # update_count deliberately survives rotation: dummy counters must
     # never repeat for a pair across epochs
     return request
@@ -269,12 +221,13 @@ def search_client_token(state: ClientState, keyword: bytes) -> SearchRequest:
 def search_finalize(state: ClientState, retrievals: Iterable[bytes]
                     ) -> set[bytes]:
     """Decrypt retrievals to the distinct value set."""
+    aead = AESGCM(state.k_value)
     values = set()
     for blob in retrievals:
         if len(blob) < NONCE_LEN + GCM_TAG_LEN + _COUNTER_LEN:
             raise ProtocolError("retrieval too short")
         try:
-            plain = state.value_aead.decrypt(
+            plain = aead.decrypt(
                 blob[:NONCE_LEN], blob[NONCE_LEN:], None)
         except InvalidTag as exc:
             raise ProtocolError("retrieval failed authentication") from exc

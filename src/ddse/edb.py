@@ -13,7 +13,7 @@ it must stay importable by server code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Protocol
+from typing import Iterable, Protocol
 
 from . import sre
 from .crypto import TAG_LEN, TOKEN_LEN
@@ -109,7 +109,3 @@ class EncryptedDatabase:
     def put_address(self, address: bytes, payload: bytes) -> None:
         """Replay path: last write wins, no collision check."""
         self.main[address] = payload
-
-    @property
-    def size(self) -> int:
-        return len(self.main)

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import ggm
-from .crypto import KEY_LEN, TOKEN_LEN, encode_parts, fresh_key, keyed_hash
-from .edb import EncryptedDatabase
+from .crypto import KEY_LEN, TOKEN_LEN, encode_parts, keyed_hash
 
 DEFAULT_DEPTH = 20
 
@@ -134,28 +133,3 @@ class SigmaState:
         token = self.search_token(label)
         self.chains.pop(label, None)
         return token
-
-    def compact(self, live: set[bytes]) -> None:
-        """Drop the chain of every label not in ``live``."""
-        self.chains = {label: chain for label, chain in self.chains.items()
-                       if label in live}
-
-
-def sigma_setup(depth: int = DEFAULT_DEPTH) -> tuple[EncryptedDatabase, SigmaState]:
-    return EncryptedDatabase(), SigmaState(fresh_key(KEY_LEN), depth)
-
-
-def sigma_search(state: SigmaState, label: bytes,
-                 edb: EncryptedDatabase) -> list[bytes]:
-    """All payloads placed under ``label``, in insertion order.
-
-    Not destructive; entries purged by the scheme layer are skipped.
-    Unknown labels give [].
-    """
-    token = state.search_token(label)
-    out = []
-    for address in token.addresses():
-        payload = edb.main.get(address)
-        if payload is not None:
-            out.append(payload)
-    return out

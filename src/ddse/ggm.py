@@ -217,9 +217,6 @@ class DelegatedKey:
             return None
         return node, offset
 
-    def covers(self, index: int) -> bool:
-        return self._locate(index) is not None
-
     def eval(self, index: int) -> Optional[bytes]:
         """Leaf value, or None when ``index`` is outside the delegation."""
         hit = self._locate(index)

@@ -248,34 +248,6 @@ def _plan_delete(p: _Parser) -> QueryPlan:
     return QueryPlan(SYN_DEL, (table, (kw_col, w, val_col, v)))
 
 
-def _lit(value: bytes) -> str:
-    text = value.decode("utf-8", errors="replace")
-    return text if text.isdigit() else f"'{text}'"
-
-
-def unparse(query: QueryPlan) -> str:
-    """Canonical statement text; plan(unparse(q)) == q for valid plans."""
-    if query.syn == SYN_DSRCH:
-        t, (kc, w, vc) = query.m
-        return f"SELECT DISTINCT {vc} FROM {t} WHERE {kc} = {_lit(w)}"
-    if query.syn == SYN_SRCH:
-        t, (kc, w, vc) = query.m
-        return f"SELECT {vc} FROM {t} WHERE {kc} = {_lit(w)}"
-    if query.syn == SYN_INS:
-        t, (kc, w, vc, v) = query.m
-        return (f"INSERT INTO {t} ({kc}, {vc}) "
-                f"VALUE ({_lit(w)}, {_lit(v)})")
-    if query.syn == SYN_DEL:
-        t, (kc, w, vc, v) = query.m
-        return (f"DELETE FROM {t} WHERE {kc} = {_lit(w)} "
-                f"AND {vc} = {_lit(v)}")
-    if query.syn == SYN_JOIN:
-        t1, t2, (kc, w, jc1), (jc2, _, vc) = query.m
-        return (f"SELECT {vc} FROM {t1} JOIN {t2} ON {jc1} = {jc2} "
-                f"WHERE {kc} = {_lit(w)}")
-    raise ValueError(f"unknown plan kind {query.syn!r}")
-
-
 # -- registry and execution -------------------------------------------------
 
 @dataclass(frozen=True)

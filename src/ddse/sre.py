@@ -101,10 +101,8 @@ def decode_revoked_key(data: bytes, offset: int = 0) -> tuple[RevokedKey, int]:
     return RevokedKey(ggm.punctured_key(depth, holes, seeds), filt), pos
 
 
-def kgen(b: int, h: int, *, lam: int = 128) -> SreMasterKey:
+def kgen(b: int, h: int) -> SreMasterKey:
     """Fresh master key over a 2^depth = b tag-position domain."""
-    if lam != 128:
-        raise ValueError("only lambda = 128 is supported")
     if b < 2 or b & (b - 1):
         raise ValueError("b must be a power of two >= 2")
     if b > bloom.MAX_DECODED_BITS:

@@ -18,6 +18,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .crypto import GCM_TAG_LEN, NONCE_LEN
+from .store import durable_replace
 
 _MAGIC = b"DDSE"
 # version 2: saved Bloom filters probe independent SHAKE128 positions,
@@ -55,7 +56,7 @@ def save(path: str, passphrase: str, bundle) -> None:
         fh.write(blob)
         fh.flush()
         os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    durable_replace(tmp, path)
 
 
 def load(path: str, passphrase: str):

@@ -44,6 +44,17 @@ REC_CACHE = 3
 _SNAP_HEADER = b"DDSESNAP\x01"  # magic + version 1
 
 
+def durable_replace(src: str | os.PathLike, dst: str | os.PathLike) -> None:
+    """``os.replace``, then fsync the directory: until the directory
+    entry is on disk, a power loss can undo the rename."""
+    os.replace(src, dst)
+    fd = os.open(os.path.dirname(os.path.abspath(dst)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _record(rectype: int, body: bytes) -> bytes:
     data = bytes([rectype]) + body
     return struct.pack(">I", len(data)) + data + struct.pack(">I", zlib.crc32(data))
@@ -150,7 +161,9 @@ class PersistentStore:
                 fh.write(_cache_record(tkn, retrievals))
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, self.snapshot_path)
+        # the new snapshot must be durable before the log it replaces
+        # is truncated
+        durable_replace(tmp, self.snapshot_path)
         self._log.truncate(0)
         self._log.flush()
         os.fsync(self._log.fileno())

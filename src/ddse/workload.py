@@ -11,7 +11,7 @@ against an encrypted index.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DIST_UNIFORM = "uniform"
 DIST_ZIPF = "zipf"
@@ -93,15 +93,3 @@ def distinct_sets(ops) -> dict[bytes, set[bytes]]:
         else:
             raise ValueError(f"unknown op {kind!r}")
     return live
-
-
-def live_counts(ops) -> dict[bytes, dict[bytes, int]]:
-    """Plaintext reference: live copy count per (keyword, value)."""
-    counts: dict[bytes, dict[bytes, int]] = {}
-    for kind, w, v in ops:
-        per = counts.setdefault(w, {})
-        if kind == "add":
-            per[v] = per.get(v, 0) + 1
-        else:
-            per.pop(v, None)
-    return counts

@@ -13,7 +13,7 @@ SEED = bytes(range(16, 32))
 
 def test_gen_starts_all_zero():
     bf = BloomFilter.gen(1000, 5, SEED)
-    assert bf.popcount() == 0
+    assert bf.set_bits() == []
     assert not bf.check(b"anything")
 
 
@@ -45,7 +45,7 @@ def test_size_for_rejects_bad_inputs():
 
 
 def test_completeness_always_found_after_upd():
-    bf = BloomFilter.for_load(200, 1e-3, SEED)
+    bf = BloomFilter(*size_for(200, 1e-3), SEED)
     items = [f"item-{i}".encode() for i in range(200)]
     for x in items:
         bf.upd(x)
@@ -68,7 +68,7 @@ def test_upd_idempotent_and_monotone():
     last = 0
     for i in range(50):
         bf.upd(str(i).encode())
-        pc = bf.popcount()
+        pc = len(bf.set_bits())
         assert pc >= last
         assert pc <= 6 * (i + 1)
         last = pc
@@ -127,7 +127,7 @@ def test_positions_fill_a_tiny_domain():
 
 def test_false_positive_rate_at_design_load():
     n, p = 500, 0.01
-    bf = BloomFilter.for_load(n, p, SEED)
+    bf = BloomFilter(*size_for(n, p), SEED)
     rng = random.Random(1234)
     for i in range(n):
         bf.upd(b"member-%d" % i)

@@ -1,6 +1,7 @@
 """State-at-rest container and the command-line front end."""
 
 import os
+import stat
 import subprocess
 import sys
 
@@ -19,6 +20,19 @@ def test_statefile_round_trip(tmp_path):
     path = str(tmp_path / "state.ddse")
     statefile.save(path, "hunter2", {"x": [1, 2, b"three"]})
     assert statefile.load(path, "hunter2") == {"x": [1, 2, b"three"]}
+
+
+def test_statefile_save_syncs_the_rename(tmp_path, monkeypatch):
+    calls = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        calls.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    statefile.save(str(tmp_path / "state.ddse"), "pw", {"k": 1})
+    assert calls == [False, True]  # the file, then its directory entry
 
 
 def test_statefile_wrong_passphrase(tmp_path):

@@ -7,9 +7,8 @@ import random
 import pytest
 
 from ddse import client as cl
-from ddse.client import (ADD, DELETE, ClientConfig, DeletedPairRejected,
-                         ProtocolError, UnknownKeywordError)
-from ddse.edb import EncryptedDatabase
+from ddse.client import (ADD, DELETE, ClientConfig, ProtocolError,
+                         UnknownKeywordError)
 
 
 def small_config(**kw) -> ClientConfig:
@@ -26,7 +25,6 @@ def test_setup_sizes_distinct_filter_from_config():
     state, edb = fresh()
     assert state.distinct_filter.b >= 2000
     assert edb.main == {} and edb.cache == {}
-    assert state.deleted_filter is None
 
 
 def test_add_then_search_returns_value():
@@ -120,15 +118,6 @@ def test_readd_after_delete_is_unrecoverable_by_default():
     assert cl.search(state, b"w", edb) == set()
 
 
-def test_readd_after_delete_rejected_when_tracking():
-    state, edb = fresh(reject_readd_after_delete=True)
-    assert state.deleted_filter is not None
-    cl.update(state, ADD, b"w", b"v", edb)
-    cl.update(state, DELETE, b"w", b"v", edb)
-    with pytest.raises(DeletedPairRejected):
-        cl.update(state, ADD, b"w", b"v", edb)
-
-
 def test_delete_after_search_cannot_unpublish_cached_value():
     # documented deletion visibility rule: the cache keeps what a search
     # already surfaced, so this delete is a no-op for later results
@@ -145,7 +134,7 @@ def test_update_count_survives_epoch_rotation():
     before = state.update_count[b"w"]
     cl.search(state, b"w", edb)
     assert state.update_count[b"w"] == before
-    assert state.revoked_in_epoch[b"w"] == 0
+    assert state.revocation[b"w"].inserted == 0
 
 
 def test_epoch_rotation_replaces_key_material():
@@ -154,7 +143,7 @@ def test_epoch_rotation_replaces_key_material():
     old = state.msk[b"w"]
     cl.search_client_token(state, b"w")
     assert state.msk[b"w"].sk.seed != old.sk.seed
-    assert state.revocation[b"w"].popcount() == 0
+    assert state.revocation[b"w"].set_bits() == []
 
 
 def test_placement_chains_do_not_grow_with_search_history():
@@ -168,30 +157,38 @@ def test_placement_chains_do_not_grow_with_search_history():
     assert got == {b"v%02d" % i for i in range(30)}
 
 
-def test_loading_state_drops_stale_placement_chains():
+def test_pickled_state_resumes_mid_epoch():
     state, edb = fresh()
     cl.update(state, ADD, b"w", b"v1", edb)
     assert cl.search(state, b"w", edb) == {b"v1"}
     cl.update(state, ADD, b"w", b"v2", edb)
     cl.update(state, ADD, b"w", b"v3", edb)
-    current = state.label_for(b"w", 1)
-    stale = state.label_for(b"w", 0)
-    # a chain left behind for a searched epoch, as older state files hold
-    state.sigma.update(stale, b"payload", EncryptedDatabase())
-    assert set(state.sigma.chains) == {current, stale}
+    cl.update(state, ADD, b"w", b"v3", edb)  # duplicate, revoked this epoch
     back = pickle.loads(pickle.dumps(state))
+    current = back.label_for(b"w", 1)
     assert set(back.sigma.chains) == {current}
-    assert back.sigma.chains[current].counter == 2
+    assert back.sigma.chains[current].counter == 3
+    assert back.revocation[b"w"].inserted == 1
     assert cl.search(back, b"w", edb) == {b"v1", b"v2", b"v3"}
 
 
 def test_budget_warning_fires_once_per_epoch(caplog):
-    state, edb = fresh(keyword_budgets={b"w": 2})
+    state, edb = fresh(d_max=2)
+
+    def warnings():
+        return [r for r in caplog.records if "revocation budget" in r.message]
+
     with caplog.at_level(logging.WARNING, logger="ddse.client"):
         for _ in range(4):
             cl.update(state, ADD, b"w", b"v", edb)  # 3 duplicates revoked
-    warnings = [r for r in caplog.records if "revocation budget" in r.message]
-    assert len(warnings) == 1
+        assert len(warnings()) == 1
+        # a search starts a new epoch, whose filter counts from zero
+        cl.search(state, b"w", edb)
+        for _ in range(2):
+            cl.update(state, ADD, b"w", b"v", edb)
+        assert len(warnings()) == 1
+        cl.update(state, ADD, b"w", b"v", edb)
+        assert len(warnings()) == 2
 
 
 def test_update_validates_op():

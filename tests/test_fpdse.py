@@ -4,10 +4,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddse import fpdse, ggm
+from ddse.crypto import KEY_LEN, fresh_key
 from ddse.edb import AddressCollision, EncryptedDatabase
-from ddse.fpdse import SigmaState, decode_sigma_token, sigma_search, sigma_setup
+from ddse.fpdse import SigmaState, decode_sigma_token
 
 KEY = bytes(range(32, 48))
+
+
+def sigma_setup(depth=fpdse.DEFAULT_DEPTH):
+    return EncryptedDatabase(), SigmaState(fresh_key(KEY_LEN), depth)
+
+
+def sigma_search(state, label, edb):
+    """Payloads placed under ``label``, in insertion order; entries
+    purged from ``edb`` are skipped and an unknown label gives []."""
+    token = state.search_token(label)
+    payloads = (edb.main.get(address) for address in token.addresses())
+    return [p for p in payloads if p is not None]
 
 
 def test_setup_returns_empty_stores():

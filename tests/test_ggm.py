@@ -71,7 +71,6 @@ def test_puncture_covers_exactly_complement(depth, holes):
     for i in range(1 << depth):
         if i in set(holes):
             assert key.eval(i) is None
-            assert not key.covers(i)
         else:
             assert key.eval(i) == expect[i]
 
@@ -102,8 +101,8 @@ def test_puncture_monotone_under_superset():
     holes = {3, 77, 200}
     small = root.puncture(holes)
     big = root.puncture(holes | {5, 130})
-    covered_small = {i for i in range(256) if small.covers(i)}
-    covered_big = {i for i in range(256) if big.covers(i)}
+    covered_small = {i for i in range(256) if small.eval(i) is not None}
+    covered_big = {i for i in range(256) if big.eval(i) is not None}
     assert covered_big < covered_small
     # unrevoked leaves keep identical values
     for i in covered_big:

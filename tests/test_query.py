@@ -7,8 +7,7 @@ import pytest
 from ddse import query as q
 from ddse.edb import EncryptedDatabase
 from ddse.query import (IntegrityError, QueryError, QueryPlan, Registry,
-                        StatementError, TableConfig, exec_statement, plan,
-                        unparse)
+                        StatementError, TableConfig, exec_statement, plan)
 
 
 # -- parsing ----------------------------------------------------------------
@@ -83,17 +82,19 @@ def test_error_position_points_at_offending_token():
     assert text[err.value.position:].startswith("extra")
 
 
-@pytest.mark.parametrize("statement", [
-    "SELECT DISTINCT T.y FROM T WHERE T.x = 'alice'",
-    "SELECT T.y FROM T WHERE T.x = 'alice'",
-    "INSERT INTO T (T.x, T.y) VALUE ('w', 'v')",
-    "INSERT INTO T (T.x, T.y) VALUE (42, 7)",
-    "DELETE FROM T WHERE T.x = 'w' AND T.y = 'v'",
-    "SELECT T2.y FROM T1 JOIN T2 ON T1.z = T2.z WHERE T1.x = 'w'",
-])
-def test_unparse_round_trip(statement):
-    p = plan(statement)
-    assert plan(unparse(p)) == p
+SYN_OF = {
+    "SELECT DISTINCT T.y FROM T WHERE T.x = 'alice'": q.SYN_DSRCH,
+    "SELECT T.y FROM T WHERE T.x = 'alice'": q.SYN_SRCH,
+    "INSERT INTO T (T.x, T.y) VALUE ('w', 'v')": q.SYN_INS,
+    "INSERT INTO T (T.x, T.y) VALUE (42, 7)": q.SYN_INS,
+    "DELETE FROM T WHERE T.x = 'w' AND T.y = 'v'": q.SYN_DEL,
+    "SELECT T2.y FROM T1 JOIN T2 ON T1.z = T2.z WHERE T1.x = 'w'": q.SYN_JOIN,
+}
+
+
+@pytest.mark.parametrize("statement", SYN_OF)
+def test_statement_plans_to_syn(statement):
+    assert plan(statement).syn == SYN_OF[statement]
 
 
 # -- registry ---------------------------------------------------------------

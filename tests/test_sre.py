@@ -33,13 +33,11 @@ def test_kgen_validation():
     with pytest.raises(ValueError):
         sre.kgen(8, 9)
     with pytest.raises(ValueError):
-        sre.kgen(64, 3, lam=256)
-    with pytest.raises(ValueError):
         sre.kgen(2 * bloom.MAX_DECODED_BITS, 3)  # its filter could not be decoded
     msk = sre.kgen(1024, 9)
     assert msk.sk.depth == 10
     assert msk.D.b == 1024 and msk.D.h == 9
-    assert msk.D.popcount() == 0
+    assert msk.D.set_bits() == []
 
 
 @pytest.mark.parametrize("size", [0, 1, 33, 1000])
@@ -78,7 +76,7 @@ def test_comp_does_not_mutate_input():
     before = bytes(msk.D.bits)
     D2 = sre.comp(msk.D, b"gone")
     assert bytes(msk.D.bits) == before
-    assert D2.popcount() > 0
+    assert D2.set_bits()
 
 
 def test_ck_rev_deterministic():
@@ -107,7 +105,7 @@ def test_dec_skips_punctured_component_and_uses_next():
     D = msk.D.copy()
     D.bits[positions[0] >> 3] |= 0x80 >> (positions[0] & 7)
     rk = sre.ck_rev(msk.sk, D)
-    assert not rk.key.covers(positions[0])
+    assert rk.key.eval(positions[0]) is None
     assert sre.dec(rk, ct, tag) == b"still-here"
 
 

@@ -1,6 +1,8 @@
 """Write-ahead log: durability, torn tails, snapshots, purge persistence."""
 
 import logging
+import os
+import stat
 import struct
 import zlib
 
@@ -8,7 +10,7 @@ import pytest
 
 from ddse import client as cl
 from ddse.client import ClientConfig
-from ddse.edb import AddressCollision, EncryptedDatabase
+from ddse.edb import AddressCollision
 from ddse.store import PersistentStore
 
 
@@ -126,6 +128,27 @@ def test_snapshot_folds_log(tmp_path):
     with PersistentStore(tmp_path / "db") as back:
         assert back.edb.main == expect_main
         assert back.edb.cache == expect_cache
+
+
+def test_snapshot_syncs_its_rename_before_truncating_the_log(tmp_path,
+                                                           monkeypatch):
+    state, _ = small_state()
+    log = tmp_path / "db" / "log"
+    calls = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        calls.append((stat.S_ISDIR(os.fstat(fd).st_mode), log.stat().st_size))
+        real_fsync(fd)
+
+    with PersistentStore(tmp_path / "db") as store:
+        cl.update(state, cl.ADD, b"w", b"v", store)
+        monkeypatch.setattr(os, "fsync", fsync)
+        store.snapshot()
+    # snapshot file, then its directory entry while the log is still
+    # whole, then the truncated log
+    assert [is_dir for is_dir, _ in calls] == [False, True, False]
+    assert calls[1][1] > 0 and calls[2][1] == 0
 
 
 def test_log_after_snapshot_replays_on_top(tmp_path):

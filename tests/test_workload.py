@@ -4,7 +4,19 @@ import pytest
 
 from ddse import client as cl, workload as wl
 from ddse.client import ClientConfig
-from ddse.workload import WorkloadSpec, distinct_sets, generate, live_counts
+from ddse.workload import WorkloadSpec, distinct_sets, generate
+
+
+def live_counts(ops):
+    """Plaintext reference: live copy count per (keyword, value)."""
+    counts = {}
+    for kind, w, v in ops:
+        per = counts.setdefault(w, {})
+        if kind == "add":
+            per[v] = per.get(v, 0) + 1
+        else:
+            per.pop(v, None)
+    return counts
 
 
 def test_generation_is_deterministic():
