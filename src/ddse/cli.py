@@ -62,13 +62,16 @@ def _store_path(db: str) -> str:
     return os.path.join(db, "store")
 
 
-def _load_registry(db: str) -> q.Registry:
-    bundle = statefile.load(_state_path(db), _passphrase())
-    return bundle["registry"]
+def _load_registry(db: str) -> tuple[q.Registry, tuple[bytes, bytes]]:
+    """The registry, and the state file's key for ``_save_registry``."""
+    bundle, key = statefile.load_with_key(_state_path(db), _passphrase())
+    return bundle["registry"], key
 
 
-def _save_registry(db: str, registry: q.Registry) -> None:
-    statefile.save(_state_path(db), _passphrase(), {"registry": registry})
+def _save_registry(db: str, registry: q.Registry,
+                   key: tuple[bytes, bytes]) -> None:
+    statefile.save(_state_path(db), _passphrase(), {"registry": registry},
+                   key)
 
 
 def _open_edb(args, db):
@@ -108,26 +111,26 @@ def cmd_setup(args) -> int:
 
 def cmd_register_table(args) -> int:
     db = _db_dir(args)
-    registry = _load_registry(db)
+    registry, key = _load_registry(db)
     config = q.TableConfig(args.table, args.keyword_column, args.value_column,
                            args.order, bf_n=args.bf_n, bf_p=args.bf_p,
                            d_max=args.d_max)
     registry.register(config)
-    _save_registry(db, registry)
+    _save_registry(db, registry, key)
     print(f"registered {config.manifest_line()}")
     return 0
 
 
 def cmd_exec(args) -> int:
     db = _db_dir(args)
-    registry = _load_registry(db)
+    registry, key = _load_registry(db)
     edb, closer = _open_edb(args, db)
     try:
         result = q.exec_statement(registry, args.statement, edb)
     finally:
         closer()
     # searches rotate epochs and updates advance counters: always persist
-    _save_registry(db, registry)
+    _save_registry(db, registry, key)
     if result is None:
         print("ok")
     elif isinstance(result, set):
@@ -141,7 +144,7 @@ def cmd_exec(args) -> int:
 
 def cmd_ingest(args) -> int:
     db = _db_dir(args)
-    registry = _load_registry(db)
+    registry, key = _load_registry(db)
     edb, closer = _open_edb(args, db)
     done = skipped = 0
     try:
@@ -163,7 +166,7 @@ def cmd_ingest(args) -> int:
                 done += 1
     finally:
         closer()
-    _save_registry(db, registry)
+    _save_registry(db, registry, key)
     print(f"ingested {done} rows ({skipped} skipped)")
     return 0
 

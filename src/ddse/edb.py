@@ -44,6 +44,7 @@ class SearchRequest:
 class SearchOutcome:
     results: list[bytes]            # NV + OV, in response order
     purged: list[bytes] = field(default_factory=list)  # addresses dropped
+    fresh: int = 0                  # results[:fresh] surfaced by this search
 
 
 def encode_entry(ct: sre.SreCiphertext, tag: bytes) -> bytes:
@@ -75,7 +76,7 @@ class EncryptedDatabase:
         """Decrypt the epoch's list, purge revoked entries, fold the cache.
 
         New valid retrievals come first in placement order, then the
-        cached ones; the merged result replaces the cache slot.
+        cached ones (see ``fold_fresh``).
         """
         fresh: list[bytes] = []
         purged: list[bytes] = []
@@ -94,11 +95,22 @@ class EncryptedDatabase:
         # not decode raises before the store changes
         for address in purged:
             del self.main[address]
+        merged = self.fold_fresh(request.tkn, fresh)
+        return SearchOutcome(merged, purged, len(fresh))
+
+    def fold_fresh(self, tkn: bytes, fresh: list[bytes]) -> list[bytes]:
+        """The cache merge rule, shared by searches and log replay:
+        ``fresh + [r for r in old if r not in fresh]``.  Returns a copy
+        of the slot.  With nothing fresh the slot is left as it was, so
+        an empty slot is never created: absent and empty are one state.
+        """
+        old = self.cache.get(tkn, [])
+        if not fresh:
+            return list(old)
         seen = set(fresh)
-        merged = fresh + [r for r in self.cache.get(request.tkn, [])
-                          if r not in seen]
-        self.cache[request.tkn] = merged
-        return SearchOutcome(list(merged), purged)
+        merged = fresh + [r for r in old if r not in seen]
+        self.cache[tkn] = merged
+        return list(merged)
 
     def cache_put(self, tkn: bytes, retrievals: list[bytes]) -> None:
         self.cache[tkn] = list(retrievals)

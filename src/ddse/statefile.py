@@ -4,6 +4,9 @@ Client key material never touches disk in the clear: the pickled state
 bundle is sealed with AES-GCM under a key derived from a passphrase via
 scrypt with a per-file random salt.  The container is versioned so the
 key-derivation parameters can change later without breaking old files.
+A save that follows a load of the same file may reuse that file's salt
+and derived key (``load_with_key``), drawing only a fresh nonce, so a
+load-then-save pays for one scrypt derivation instead of two.
 
 Layout: magic "DDSE" | version u8 | salt 16 | nonce 12 | AES-GCM box.
 """
@@ -44,12 +47,20 @@ def _derive(passphrase: str, salt: bytes) -> bytes:
                           maxmem=64 * 1024 * 1024, dklen=32)
 
 
-def save(path: str, passphrase: str, bundle) -> None:
-    """Seal a picklable bundle to disk, replacing any previous file."""
-    salt = os.urandom(_SALT_LEN)
+def save(path: str, passphrase: str, bundle,
+         key: tuple[bytes, bytes] | None = None) -> None:
+    """Seal a picklable bundle to disk, replacing any previous file.
+
+    ``key`` is the ``(salt, derived key)`` that ``load_with_key`` read
+    from this file; without it a fresh salt is drawn and the key derived
+    from ``passphrase``.  Either way the nonce is fresh.
+    """
+    if key is None:
+        salt = os.urandom(_SALT_LEN)
+        key = (salt, _derive(passphrase, salt))
+    salt, derived = key
     nonce = os.urandom(NONCE_LEN)
-    key = _derive(passphrase, salt)
-    box = AESGCM(key).encrypt(nonce, pickle.dumps(bundle), _MAGIC)
+    box = AESGCM(derived).encrypt(nonce, pickle.dumps(bundle), _MAGIC)
     blob = _MAGIC + bytes([_VERSION]) + salt + nonce + box
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
@@ -60,6 +71,12 @@ def save(path: str, passphrase: str, bundle) -> None:
 
 
 def load(path: str, passphrase: str):
+    return load_with_key(path, passphrase)[0]
+
+
+def load_with_key(path: str, passphrase: str):
+    """The bundle, and the ``(salt, derived key)`` that opened it for a
+    later ``save`` of the same file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     head = len(_MAGIC) + 1 + _SALT_LEN + NONCE_LEN
@@ -72,10 +89,10 @@ def load(path: str, passphrase: str):
             f"version {_VERSION} only, so set up a fresh store")
     salt = blob[5:5 + _SALT_LEN]
     nonce = blob[5 + _SALT_LEN:head]
-    key = _derive(passphrase, salt)
+    derived = _derive(passphrase, salt)
     try:
-        data = AESGCM(key).decrypt(nonce, blob[head:], _MAGIC)
+        data = AESGCM(derived).decrypt(nonce, blob[head:], _MAGIC)
     except InvalidTag:
         raise StateFileError(
             "cannot open state file: wrong passphrase or corrupted data")
-    return pickle.loads(data)
+    return pickle.loads(data), (salt, derived)

@@ -6,7 +6,16 @@ byte + body].  The bodies reuse the wire codecs of ``ddse.wire``:
 
 * PUT (on update):   the UPDATE body, [address:32][4-byte len][payload]
 * DEL (on purge):    [address:32]
-* CACHE (on search): [tkn:32] + the RESULT body of the cache slot
+* FRESH (on search): [tkn:32] + the RESULT body of the search's fresh
+  retrievals, folded into the slot by ``EncryptedDatabase.fold_fresh``:
+  ``fresh + [r for r in old if r not in fresh]``
+* CACHE (snapshot):  [tkn:32] + the RESULT body of the whole cache slot;
+  it replaces the slot, and logs written before FRESH existed hold one
+  per search
+
+A search appends its DEL records and, if it surfaced anything, one
+FRESH record, under one fsync; a search that surfaced and purged
+nothing appends nothing and does not sync.
 
 Recovery replays the snapshot, then the log.  It stops at the first
 record whose length or checksum does not hold -- a torn tail from a
@@ -14,9 +23,11 @@ crash -- and truncates the junk so the file appends cleanly again.  A
 record whose length and checksum hold but which does not decode was
 written whole, so it is not a torn tail: recovery refuses it, naming
 its file and byte offset, and leaves the file untouched.
-``snapshot()`` rewrites the full state and resets the log; replay is
-last-write-wins, so a crash between those two steps only replays
-records the snapshot already contains.
+``snapshot()`` rewrites the full state and resets the log.  A crash
+between those two steps replays the old log over a snapshot that
+already holds it: PUT, DEL and CACHE are last-write-wins, and a FRESH
+fold only moves its retrievals to the front of a slot, so replaying
+the folds again leaves each slot in the order it already has.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ logger = logging.getLogger(__name__)
 REC_PUT = 1
 REC_DEL = 2
 REC_CACHE = 3
+REC_FRESH = 4
 
 _SNAP_HEADER = b"DDSESNAP\x01"  # magic + version 1
 
@@ -64,8 +76,8 @@ def _put_record(address: bytes, payload: bytes) -> bytes:
     return _record(REC_PUT, encode_update_body(address, payload))
 
 
-def _cache_record(tkn: bytes, retrievals: list[bytes]) -> bytes:
-    return _record(REC_CACHE, tkn + encode_result_body(retrievals))
+def _cache_record(rectype: int, tkn: bytes, retrievals: list[bytes]) -> bytes:
+    return _record(rectype, tkn + encode_result_body(retrievals))
 
 
 def _apply_record(edb: EncryptedDatabase, data: bytes) -> None:
@@ -80,6 +92,8 @@ def _apply_record(edb: EncryptedDatabase, data: bytes) -> None:
         edb.delete_address(body)
     elif rectype == REC_CACHE:
         edb.cache_put(body[:TOKEN_LEN], decode_result_body(body[TOKEN_LEN:]))
+    elif rectype == REC_FRESH:
+        edb.fold_fresh(body[:TOKEN_LEN], decode_result_body(body[TOKEN_LEN:]))
     else:
         raise ValueError(f"unknown record type {rectype}")
 
@@ -158,7 +172,7 @@ class PersistentStore:
             for address, payload in self.edb.main.items():
                 fh.write(_put_record(address, payload))
             for tkn, retrievals in self.edb.cache.items():
-                fh.write(_cache_record(tkn, retrievals))
+                fh.write(_cache_record(REC_CACHE, tkn, retrievals))
             fh.flush()
             os.fsync(fh.fileno())
         # the new snapshot must be durable before the log it replaces
@@ -188,6 +202,9 @@ class PersistentStore:
     def execute_search(self, request: SearchRequest) -> SearchOutcome:
         outcome = self.edb.execute_search(request)
         records = [_record(REC_DEL, a) for a in outcome.purged]
-        records.append(_cache_record(request.tkn, outcome.results))
-        self._append(*records)
+        if outcome.fresh:
+            records.append(_cache_record(REC_FRESH, request.tkn,
+                                         outcome.results[:outcome.fresh]))
+        if records:
+            self._append(*records)
         return outcome

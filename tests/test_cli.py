@@ -1,5 +1,6 @@
 """State-at-rest container and the command-line front end."""
 
+import hashlib
 import os
 import stat
 import subprocess
@@ -33,6 +34,34 @@ def test_statefile_save_syncs_the_rename(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fsync", fsync)
     statefile.save(str(tmp_path / "state.ddse"), "pw", {"k": 1})
     assert calls == [False, True]  # the file, then its directory entry
+
+
+def count_scrypt(monkeypatch) -> list:
+    calls = []
+    real_scrypt = hashlib.scrypt
+
+    def scrypt(*args, **kwargs):
+        calls.append(1)
+        return real_scrypt(*args, **kwargs)
+
+    monkeypatch.setattr(statefile.hashlib, "scrypt", scrypt)
+    return calls
+
+
+def test_statefile_save_after_load_derives_the_key_once(tmp_path, monkeypatch):
+    path = str(tmp_path / "state.ddse")
+    statefile.save(path, "pw", {"k": 1})
+    first = open(path, "rb").read()
+    calls = count_scrypt(monkeypatch)
+    bundle, key = statefile.load_with_key(path, "pw")
+    statefile.save(path, "pw", {"k": bundle["k"] + 1}, key)
+    assert len(calls) == 1
+    second = open(path, "rb").read()
+    assert second[5:21] == first[5:21]      # the file's salt is kept
+    assert second[21:33] != first[21:33]    # with a fresh nonce
+    assert statefile.load(path, "pw") == {"k": 2}
+    with pytest.raises(StateFileError, match="wrong passphrase"):
+        statefile.load(path, "wrong")
 
 
 def test_statefile_wrong_passphrase(tmp_path):
@@ -147,6 +176,17 @@ def test_insert_select_round_trip(db, capsys):
                    "SELECT T.y FROM T WHERE T.x = 'w'") == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out[-3:] == ["amy", "bob", "bob"]
+
+
+def test_exec_derives_the_state_key_once(db, monkeypatch, capsys):
+    assert register(db) == 0
+    calls = count_scrypt(monkeypatch)
+    assert run_cli(db, "exec",
+                   "INSERT INTO T (T.x, T.y) VALUE ('w', 'v')") == 0
+    assert len(calls) == 1
+    assert run_cli(db, "exec",
+                   "SELECT DISTINCT T.y FROM T WHERE T.x = 'w'") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "v"
 
 
 def test_state_persists_across_invocations(db, capsys):

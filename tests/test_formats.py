@@ -92,13 +92,19 @@ SEARCH_BODY_V1 = TKN + h(
 
 # RESULT = [count:4] count x {[len:4][retrieval]}
 RESULT_KEPT = h("00000001 00000004 6b657074")
+RESULT_NEW = h("00000001 00000003 6e6577")
 
 # log record = [len:4][type:1][body][crc32 of type+body:4]
 PUT_KEPT = h("0000006f 01") + UPDATE_BODY + h("097f6fd4")
 PUT_GONE = (h("0000006f 01") + ADDRESS_GONE + h("0000004a") + ENTRY_GONE
             + h("9cdee0b6"))
 DEL_GONE = h("00000021 02") + ADDRESS_GONE + h("37d9c405")
+# a search logs only its fresh retrievals (FRESH), folded into the slot
+# on replay; CACHE replaces the whole slot and is what snapshots write
+# and what every search logged before FRESH existed
 CACHE_KEPT = h("0000002d 03") + TKN + RESULT_KEPT + h("de1e95c3")
+FRESH_KEPT = h("0000002d 04") + TKN + RESULT_KEPT + h("021e40a5")
+FRESH_NEW = h("0000002c 04") + TKN + RESULT_NEW + h("79c1b060")
 
 SNAPSHOT_HEADER = b"DDSESNAP" + h("01")
 
@@ -273,21 +279,24 @@ def test_log_records_and_snapshot(scenario, tmp_path):
         assert log.read_bytes() == PUT_KEPT + PUT_GONE
         outcome = store.execute_search(search_request(msk, sigma))
         assert (outcome.results, outcome.purged) == ([b"kept"], [ADDRESS_GONE])
-        assert log.read_bytes() == PUT_KEPT + PUT_GONE + DEL_GONE + CACHE_KEPT
+        assert log.read_bytes() == PUT_KEPT + PUT_GONE + DEL_GONE + FRESH_KEPT
         store.snapshot()
     assert snap.read_bytes() == SNAPSHOT_HEADER + PUT_KEPT + CACHE_KEPT
     assert log.read_bytes() == b""
 
 
-@pytest.mark.parametrize("name,content", [
-    ("log", PUT_KEPT + PUT_GONE + DEL_GONE + CACHE_KEPT),
-    ("snapshot", SNAPSHOT_HEADER + PUT_KEPT + CACHE_KEPT),
-], ids=["log", "snapshot"])
-def test_golden_files_replay(tmp_path, name, content):
+@pytest.mark.parametrize("name,content,cached", [
+    ("log", PUT_KEPT + PUT_GONE + DEL_GONE + CACHE_KEPT, [b"kept"]),
+    ("snapshot", SNAPSHOT_HEADER + PUT_KEPT + CACHE_KEPT, [b"kept"]),
+    ("log", PUT_KEPT + PUT_GONE + DEL_GONE + FRESH_KEPT, [b"kept"]),
+    ("log", PUT_KEPT + PUT_GONE + DEL_GONE + CACHE_KEPT + FRESH_NEW,
+     [b"new", b"kept"]),
+], ids=["log", "snapshot", "fresh", "cache-then-fresh"])
+def test_golden_files_replay(tmp_path, name, content, cached):
     (tmp_path / name).write_bytes(content)
     with PersistentStore(tmp_path) as store:
         assert store.edb.main == {ADDRESS_KEPT: ENTRY_KEPT}
-        assert store.edb.cache == {TKN: [b"kept"]}
+        assert store.edb.cache == {TKN: cached}
     assert (tmp_path / name).read_bytes() == content
 
 

@@ -2,6 +2,8 @@
 
 import logging
 import os
+import random
+import shutil
 import stat
 import struct
 import zlib
@@ -30,25 +32,131 @@ def test_updates_survive_reopen(tmp_path):
         assert cl.search(state, b"w", back) == {b"v%d" % i for i in range(10)}
 
 
+class Tee:
+    """Sends every request to a persistent and an in-memory database and
+    checks that both answer alike."""
+
+    def __init__(self, store, mem):
+        self.store, self.mem = store, mem
+
+    def apply_update(self, address, payload):
+        self.mem.apply_update(address, payload)
+        self.store.apply_update(address, payload)
+
+    def execute_search(self, request):
+        expect = self.mem.execute_search(request)
+        got = self.store.execute_search(request)
+        assert got == expect
+        return got
+
+
+def assert_same_state(edb, mem):
+    assert edb.main == mem.main
+    assert edb.cache == mem.cache
+
+
 def test_matches_in_memory_database(tmp_path):
     state, mem = small_state()
-    store = PersistentStore(tmp_path / "db")
+    root = tmp_path / "db"
+    rng = random.Random(7)
+    with PersistentStore(root) as store:
+        tee = Tee(store, mem)
+        # an epoch whose only entry is revoked: purges, surfaces nothing
+        cl.update(state, cl.ADD, b"gone", b"v", tee)
+        cl.update(state, cl.DELETE, b"gone", b"v", tee)
+        assert cl.search(state, b"gone", tee) == set()
+        live = {w: set() for w in (b"a", b"b", b"c")}
+        for _ in range(120):
+            w = rng.choice(sorted(live))
+            roll = rng.random()
+            if roll < 0.5:
+                v = b"v%d" % rng.randrange(6)   # repeats add duplicates
+                cl.update(state, cl.ADD, w, v, tee)
+                live[w].add(v)
+            elif roll < 0.6 and live[w]:
+                v = rng.choice(sorted(live[w]))
+                cl.update(state, cl.DELETE, w, v, tee)
+                live[w].discard(v)
+            elif w in state.msk:
+                cl.search(state, w, tee)
+        assert_same_state(store.edb, mem)
+        old_log = (root / "log").read_bytes()
+        store.snapshot()
+    with PersistentStore(root) as back:
+        assert_same_state(back.edb, mem)
+    # a crash between the snapshot's rename and the log reset replays
+    # the whole old log over the snapshot
+    (root / "log").write_bytes(old_log)
+    with PersistentStore(root) as back:
+        assert_same_state(back.edb, mem)
+    (root / "snapshot").unlink()
+    with PersistentStore(root) as back:
+        assert_same_state(back.edb, mem)
 
-    class Tee:
-        def apply_update(self, address, payload):
-            mem.apply_update(address, payload)
-            store.apply_update(address, payload)
 
-    tee = Tee()
-    for i in range(8):
-        cl.update(state, cl.ADD, b"w", b"v%d" % i, tee)
-    cl.update(state, cl.DELETE, b"w", b"v0", tee)
-    assert store.edb.main == mem.main
-    request = cl.search_client_token(state, b"w")
-    assert (store.execute_search(request).results
-            == mem.execute_search(request).results)
-    assert store.edb.cache == mem.cache
-    store.close()
+def record_ends(raw: bytes, pos: int) -> list[int]:
+    ends = []
+    while pos < len(raw):
+        (blen,) = struct.unpack_from(">I", raw, pos)
+        pos += 4 + blen + 4
+        ends.append(pos)
+    return ends
+
+
+def test_every_cut_of_a_search_batch_recovers(tmp_path):
+    state, _ = small_state()
+    root = tmp_path / "db"
+    with PersistentStore(root) as store:
+        for v in (b"v0", b"v1", b"v2", b"v0"):       # v0 twice: a dummy
+            cl.update(state, cl.ADD, b"w", v, store)
+        cl.update(state, cl.DELETE, b"w", b"v1", store)
+        before = (root / "log").stat().st_size
+        main_before = dict(store.edb.main)
+        outcome = store.execute_search(cl.search_client_token(state, b"w"))
+        main_after, cache_after = dict(store.edb.main), dict(store.edb.cache)
+    raw = (root / "log").read_bytes()
+    # the batch: one DEL per purged address, then one FRESH record
+    ends = record_ends(raw, before)
+    assert len(outcome.purged) == 2 and outcome.fresh == 2
+    assert len(ends) == len(outcome.purged) + 1 and ends[-1] == len(raw)
+    cut_root = tmp_path / "cut"
+    for cut in range(before, len(raw) + 1):
+        shutil.rmtree(cut_root, ignore_errors=True)
+        cut_root.mkdir()
+        (cut_root / "log").write_bytes(raw[:cut])
+        dels = sum(end <= cut for end in ends[:-1])
+        with PersistentStore(cut_root) as back:
+            if cut == len(raw):
+                assert back.edb.main == main_after
+                assert back.edb.cache == cache_after
+            else:
+                expect = dict(main_before)
+                for address in outcome.purged[:dels]:
+                    del expect[address]
+                assert back.edb.main == expect
+                assert back.edb.cache == {}
+        # a torn record is cut back to the last whole one
+        assert (cut_root / "log").stat().st_size == max(
+            [before] + [end for end in ends if end <= cut])
+
+
+def test_search_that_changes_nothing_appends_and_syncs_nothing(tmp_path,
+                                                               monkeypatch):
+    state, _ = small_state()
+    log = tmp_path / "db" / "log"
+    with PersistentStore(tmp_path / "db") as store:
+        for v in (b"v0", b"v1"):
+            cl.update(state, cl.ADD, b"w", v, store)
+        assert cl.search(state, b"w", store) == {b"v0", b"v1"}
+        raw = log.read_bytes()
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: fsyncs.append(fd) or real_fsync(fd))
+        # the new epoch is empty: nothing fresh, nothing purged
+        assert cl.search(state, b"w", store) == {b"v0", b"v1"}
+        assert fsyncs == []
+    assert log.read_bytes() == raw
 
 
 def test_search_effects_are_durable(tmp_path):
