@@ -23,8 +23,10 @@ import math
 import re
 import struct
 from array import array
+from itertools import chain
+from typing import Sequence
 
-from .crypto import KEY_LEN, decode_varint, encode_varint
+from .crypto import INDEX_TYPE, KEY_LEN, decode_varint, encode_varint
 
 _SEED_LEN = KEY_LEN
 HEADER_LEN = 8 + 1 + _SEED_LEN
@@ -123,20 +125,21 @@ class BloomFilter:
                 and (self.b, self.h, self.seed) == (other.b, other.h, other.seed)
                 and self.bits == other.bits)
 
-    def encode(self) -> bytes:
+    def encode(self, ones: Sequence[int] | None = None) -> bytes:
         """[b:8][h:1][seed:16], the number of set bits, then before each
         set bit the number of clear bits since the previous one; counts
-        are encode_varint values."""
-        out = bytearray(self.b.to_bytes(8, "big"))
-        out.append(self.h)
-        out += self.seed
-        ones = self.set_bits()
-        out += encode_varint(len(ones))
-        prev = -1
-        for pos in ones:
-            out += encode_varint(pos - prev - 1)
-            prev = pos
-        return bytes(out)
+        are encode_varint values.
+
+        ``ones``, if given, must be the set bits, ascending: a caller
+        that already holds them (a revoked key's holes) spares the O(b)
+        scan of ``set_bits``.
+        """
+        if ones is None:
+            ones = self.set_bits()
+        return (self.b.to_bytes(8, "big") + bytes([self.h]) + self.seed
+                + encode_varint(len(ones)) + b"".join(
+                    encode_varint(pos - prev - 1)
+                    for prev, pos in zip(chain((-1,), ones), ones)))
 
     @property
     def encoded_size(self) -> int:
@@ -156,8 +159,8 @@ def decode_filter(data: bytes, offset: int = 0
                        bytes(data[offset + 9:offset + HEADER_LEN]))
     bits = filt.bits
     count, pos = decode_varint(data, offset + HEADER_LEN)
-    # a set bit costs one wire byte; an array holds it in 8, a list in ~36
-    ones = array("L")
+    # a set bit costs one wire byte; an array holds it in 4, a list in ~36
+    ones = array(INDEX_TYPE)
     ix = -1
     for _ in range(count):
         gap, pos = decode_varint(data, pos)

@@ -10,12 +10,16 @@ from __future__ import annotations
 import hashlib
 import hmac
 import secrets
+from array import array
 
 KEY_LEN = 16  # lambda/8 for the default security parameter (128 bit)
 TAG_LEN = 16
 TOKEN_LEN = 32
 NONCE_LEN = 12
 GCM_TAG_LEN = 16  # AES-GCM authentication tag
+# array typecode for leaf and bit indices: unsigned, at least 32 bits,
+# so any leaf of a depth-32 tree fits ("I" is 4 bytes where it can be)
+INDEX_TYPE = "I" if array("I").itemsize >= 4 else "L"
 
 
 def fresh_key(n: int = KEY_LEN) -> bytes:

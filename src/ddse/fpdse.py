@@ -120,7 +120,7 @@ class SigmaState:
         chain = self.chains.get(label)
         if chain is None or chain.counter == 0:
             return SearchTokenSigma(
-                label_id, ggm.DelegatedKey(ggm.RANGE, self.depth, ()))
+                label_id, ggm.DelegatedKey(ggm.RANGE, self.depth, 0, b""))
         return SearchTokenSigma(
             label_id, chain.root.constrain_range(chain.counter))
 

@@ -12,9 +12,12 @@ protocols need:
 * *range-constrained* keys -- the canonical cover of ``[0, count)``,
   used to let a server derive the first ``count`` addresses of a chain.
 
-Both shapes are canonical covers of leaf runs (``cover``), so a key
-travels as its seeds alone: the receiver rebuilds the shapes from the
-holes (sent anyway, inside the revocation filter) or from ``count``.
+Both shapes are canonical covers of leaf runs (``cover``), so a key is
+held, and travels, as its hole list or its bound plus one blob of node
+seeds in ascending leaf order.  No node shape is stored: evaluating a
+leaf bisects into the holes and finds its node within that run by
+arithmetic (``_block``), so a receiver pays only for the leaves it
+evaluates.  ``DelegatedKey.nodes`` rebuilds the shapes as a view.
 
 Keys and roots are immutable; every operation is deterministic, so the
 same revocation set always serializes to the same bytes.
@@ -22,12 +25,15 @@ same revocation set always serializes to the same bytes.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from hashlib import sha256
+from itertools import accumulate, starmap
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .crypto import KEY_LEN, decode_varint, encode_varint
+from .crypto import INDEX_TYPE, KEY_LEN, decode_varint, encode_varint
 
 PUNCTURED = "punctured"
 RANGE = "range"
@@ -70,13 +76,49 @@ def cover(runs: Iterable[tuple[int, int]], depth: int) -> list[tuple[int, int]]:
     return out
 
 
-def gaps(holes: Sequence[int], depth: int) -> Iterator[tuple[int, int]]:
-    """Runs of leaves between ``holes`` (ascending, distinct)."""
+def gaps(holes: Sequence[int], end: int) -> Iterator[tuple[int, int]]:
+    """Runs of leaves of [0, end) between ``holes`` (ascending, distinct)."""
     start = 0
     for hole in holes:
         yield start, hole
         start = hole + 1
-    yield start, 1 << depth
+    yield start, end
+
+
+# The cover of a run [start, end) splits at ``mid``: ``end`` with every
+# bit below the highest bit in which start and end differ cleared.  Left
+# of it the blocks grow, one per set bit of mid - start (lowest first);
+# right of it they shrink, one per set bit of end - mid (highest first).
+
+def _run_nodes(start: int, end: int) -> int:
+    """Node count of the cover of [start, end); refuses end < start."""
+    if end <= start:
+        if end < start:
+            raise ValueError("holes must be ascending, distinct and "
+                             "inside the key's domain")
+        return 0
+    cut = (start ^ end).bit_length() - 1
+    mid = end >> cut << cut
+    return (mid - start).bit_count() + (end - mid).bit_count()
+
+
+def _block(start: int, end: int, index: int) -> tuple[int, int, int]:
+    """(rank in the run's cover, first leaf, height) of the node of the
+    cover of [start, end) that holds ``index``."""
+    cut = (start ^ end).bit_length() - 1
+    mid = end >> cut << cut
+    left = mid - start
+    if index < mid:
+        # counted back from mid, the blocks end at the high prefixes of
+        # left; index's block is the highest bit where the count differs
+        height = ((mid - 1 - index) ^ left).bit_length() - 1
+        below = left & ((1 << height) - 1)
+        return below.bit_count(), start + below, height
+    right = end - mid
+    height = ((index - mid) ^ right).bit_length() - 1
+    above = right >> (height + 1)
+    return (left.bit_count() + above.bit_count(),
+            mid + (above << (height + 1)), height)
 
 
 class KeyNode(NamedTuple):
@@ -122,18 +164,19 @@ class GgmRoot:
         produce byte-identical keys.
         """
         holes = sorted(set(indices))
-        for ix in holes:
-            self._check_index(ix)
+        if holes:
+            self._check_index(holes[0])
+            self._check_index(holes[-1])
         depth = self.depth
-        nodes: list[KeyNode] = []
-        append = nodes.append
+        seeds: list[bytes] = []
+        append = seeds.append
         # depth-first over (subtree, hole slice); right child pushed first
-        # so the emitted cover is already in ascending leaf order
+        # so the seeds come out in ascending leaf order
         stack = [(self.seed, 0, 0, 0, len(holes))]
         while stack:
             seed, prefix, plen, lo, hi = stack.pop()
             if lo == hi:
-                append(KeyNode(prefix, plen, seed))
+                append(seed)
                 continue
             if plen == depth:
                 continue  # punctured leaf: contribute nothing
@@ -143,7 +186,8 @@ class GgmRoot:
             out = sha256(seed).digest()
             stack.append((out[16:], (prefix << 1) | 1, plen + 1, split, hi))
             stack.append((out[:16], prefix << 1, plen + 1, lo, split))
-        return DelegatedKey(PUNCTURED, depth, tuple(nodes))
+        return DelegatedKey(PUNCTURED, depth, array(INDEX_TYPE, holes),
+                            b"".join(seeds))
 
     def constrain_range(self, count: int) -> "DelegatedKey":
         """Delegated key covering exactly leaves [0, count).
@@ -153,8 +197,8 @@ class GgmRoot:
         """
         if not 0 <= count <= self.leaves:
             raise ValueError(f"count {count} outside [0, 2^{self.depth}]")
-        return DelegatedKey(RANGE, self.depth, tuple(
-            KeyNode(prefix, plen, _walk(self.seed, prefix, plen))
+        return DelegatedKey(RANGE, self.depth, count, b"".join(
+            _walk(self.seed, prefix, plen)
             for prefix, plen in cover([(0, count)], self.depth)))
 
 
@@ -164,75 +208,99 @@ def gen_root(seed: bytes, depth: int) -> GgmRoot:
 
 @dataclass(frozen=True)
 class DelegatedKey:
-    """Prefix-free bundle of subtree seeds; evaluates covered leaves only."""
+    """Canonical cover of leaf runs as its seeds; evaluates covered
+    leaves only.
+
+    ``shape`` is the ascending hole list of a punctured key (kept as an
+    ``array`` of ``INDEX_TYPE``) or the bound ``c`` of a range key over
+    [0, c).  ``seeds`` joins the cover's node seeds in ascending leaf
+    order; its length must match the cover the shape implies.
+    """
 
     kind: str
     depth: int
-    nodes: tuple[KeyNode, ...]
+    shape: array | int
+    seeds: bytes
 
     def __post_init__(self):
         if self.kind not in _KIND_CODES:
             raise ValueError(f"unknown key kind {self.kind!r}")
         if not 1 <= self.depth <= MAX_DEPTH:
             raise ValueError("bad depth")
-        # nodes must come in canonical order, ascending first-covered leaf:
-        # the order encode() writes and puncture/constrain_range build
-        starts = []
-        end = 0
-        for prefix, plen, _ in self.nodes:
-            if not 0 <= plen <= self.depth:
-                raise ValueError("node prefix longer than depth")
-            if not 0 <= prefix < (1 << plen):
-                raise ValueError("prefix value does not fit its bit length")
-            height = self.depth - plen
-            start = prefix << height
-            if start < end:
-                raise ValueError("nodes overlap or are out of ascending order")
-            starts.append(start)
-            end = start + (1 << height)
-        object.__setattr__(self, "_starts", starts)
+        leaves = 1 << self.depth
+        if self.kind == RANGE:
+            if not 0 <= self.shape <= leaves:
+                raise ValueError(
+                    f"range bound {self.shape} outside [0, 2^{self.depth}]")
+            holes, limit = (), self.shape
+        else:
+            holes, limit = self.shape, leaves
+            if not (isinstance(holes, array) and holes.typecode == INDEX_TYPE):
+                try:
+                    holes = array(INDEX_TYPE, holes)
+                except OverflowError:
+                    raise ValueError("hole outside the key's domain") from None
+                object.__setattr__(self, "shape", holes)
+        # leaves [0, limit) minus the holes are covered; _ranks[j] is the
+        # number of nodes before run j, the run that ends at holes[j]
+        ranks = array(INDEX_TYPE, accumulate(
+            starmap(_run_nodes, gaps(holes, limit)), initial=0))
+        if len(self.seeds) != ranks[-1] * KEY_LEN:
+            raise ValueError(f"{len(self.seeds) / KEY_LEN:g} seeds for a "
+                             f"cover of {ranks[-1]} nodes")
+        object.__setattr__(self, "_holes", holes)
+        object.__setattr__(self, "_limit", limit)
+        object.__setattr__(self, "_ranks", ranks)
 
     @property
     def covered_count(self) -> int:
-        return sum(1 << (self.depth - n.plen) for n in self.nodes)
+        return self._limit - len(self._holes)
 
-    @property
-    def range_bound(self) -> int:
-        """For range keys: the count c such that leaves [0, c) are covered."""
-        if self.kind != RANGE:
-            raise ValueError("range_bound is defined for range keys only")
-        return self.covered_count
+    def _seed(self, node: int) -> bytes:
+        return self.seeds[node * KEY_LEN:(node + 1) * KEY_LEN]
 
-    def _locate(self, index: int) -> Optional[tuple[KeyNode, int]]:
-        if not 0 <= index < (1 << self.depth) or not self.nodes:
+    def _locate(self, index: int) -> Optional[tuple[int, int, int]]:
+        """(node number, node height, offset of ``index`` in the node), or
+        None when ``index`` is a hole or outside the delegation."""
+        if not 0 <= index < self._limit:
             return None
-        starts = self._starts
-        pos = bisect_right(starts, index) - 1
-        if pos < 0:
-            return None
-        node = self.nodes[pos]
-        height = self.depth - node.plen
-        offset = index - starts[pos]
-        if offset >= (1 << height):
-            return None
-        return node, offset
+        holes = self._holes
+        run = bisect_left(holes, index)
+        if run < len(holes):
+            end = holes[run]
+            if end == index:
+                return None
+        else:
+            end = self._limit
+        start = holes[run - 1] + 1 if run else 0
+        rank, first, height = _block(start, end, index)
+        return self._ranks[run] + rank, height, index - first
 
     def eval(self, index: int) -> Optional[bytes]:
         """Leaf value, or None when ``index`` is outside the delegation."""
         hit = self._locate(index)
         if hit is None:
             return None
-        node, offset = hit
-        return _walk(node.seed, offset, self.depth - node.plen)
+        node, height, offset = hit
+        return _walk(self._seed(node), offset, height)
+
+    def _cover(self) -> list[tuple[int, int]]:
+        return cover(gaps(self._holes, self._limit), self.depth)
+
+    @cached_property
+    def nodes(self) -> tuple[KeyNode, ...]:
+        """The cover as (prefix, plen, seed) nodes, ascending."""
+        return tuple(KeyNode(prefix, plen, self._seed(i))
+                     for i, (prefix, plen) in enumerate(self._cover()))
 
     def iter_leaves(self) -> Iterator[tuple[int, bytes]]:
         """(index, value) for every covered leaf, ascending.
 
         Depth-first expansion: ~2 PRG calls per leaf instead of ``depth``.
         """
-        for node in self.nodes:
-            height = self.depth - node.plen
-            stack = [(node.seed, node.prefix << height, height)]
+        for i, (prefix, plen) in enumerate(self._cover()):
+            height = self.depth - plen
+            stack = [(self._seed(i), prefix << height, height)]
             while stack:
                 seed, base, h = stack.pop()
                 if h == 0:
@@ -242,30 +310,24 @@ class DelegatedKey:
                 stack.append((out[16:], base + (1 << (h - 1)), h - 1))
                 stack.append((out[:16], base, h - 1))
 
+    def _head(self) -> bytes:
+        if self.kind == RANGE:
+            return encode_varint(self.shape)
+        return (len(self.seeds) // KEY_LEN).to_bytes(4, "big")
+
     def encode(self) -> bytes:
         """[kind:1][depth:1], then [count:4] for a punctured key or the
         bound c as a varint for a range key, then the node seeds.
 
-        Shapes are not sent: ``decode_punctured_seeds`` plus
-        ``punctured_key`` or ``decode_range_key`` rebuild them, so only
-        the canonical covers ``puncture``/``constrain_range`` build can
-        be encoded.
+        Shapes are not sent: ``decode_punctured_seeds`` plus the holes,
+        or ``decode_range_key``, rebuild the key.
         """
-        if self.kind == RANGE:
-            head = encode_varint(self.range_bound)
-            if ([(n.prefix, n.plen) for n in self.nodes]
-                    != cover([(0, self.range_bound)], self.depth)):
-                raise ValueError("range key is not the cover of [0, count)")
-        else:
-            head = len(self.nodes).to_bytes(4, "big")
-        return (bytes([_KIND_CODES[self.kind], self.depth]) + head
-                + b"".join(n.seed for n in self.nodes))
+        return (bytes([_KIND_CODES[self.kind], self.depth]) + self._head()
+                + self.seeds)
 
     @property
     def encoded_size(self) -> int:
-        head = (len(encode_varint(self.range_bound)) if self.kind == RANGE
-                else 4)
-        return 2 + head + len(self.nodes) * KEY_LEN
+        return 2 + len(self._head()) + len(self.seeds)
 
 
 def _decode_head(data: bytes, offset: int, kind: str) -> tuple[int, int]:
@@ -279,26 +341,18 @@ def _decode_head(data: bytes, offset: int, kind: str) -> tuple[int, int]:
     return depth, offset + 2
 
 
-def _decode_seeds(data: bytes, pos: int, count: int) -> tuple[list[bytes], int]:
+def _decode_seeds(data: bytes, pos: int, count: int) -> tuple[bytes, int]:
     end = pos + count * KEY_LEN
     if end > len(data):
         raise ValueError("truncated delegated key seeds")
-    blob = bytes(data[pos:end])
-    return [blob[i:i + KEY_LEN] for i in range(0, len(blob), KEY_LEN)], end
-
-
-def _from_shapes(kind: str, depth: int, shapes: list[tuple[int, int]],
-                 seeds: list[bytes]) -> DelegatedKey:
-    if len(shapes) != len(seeds):
-        raise ValueError(f"{len(seeds)} seeds for a cover of {len(shapes)} nodes")
-    return DelegatedKey(kind, depth, tuple(
-        KeyNode(prefix, plen, seed) for (prefix, plen), seed in zip(shapes, seeds)))
+    return bytes(data[pos:end]), end
 
 
 def decode_punctured_seeds(data: bytes, offset: int = 0
-                           ) -> tuple[int, list[bytes], int]:
-    """Depth and seeds of a punctured key at ``offset``; returns
-    (depth, seeds, next offset).  ``punctured_key`` adds the shapes."""
+                           ) -> tuple[int, bytes, int]:
+    """Depth and seed blob of a punctured key at ``offset``; returns
+    (depth, seeds, next offset).  The key is
+    ``DelegatedKey(PUNCTURED, depth, holes, seeds)``."""
     depth, pos = _decode_head(data, offset, PUNCTURED)
     if len(data) - pos < 4:
         raise ValueError("truncated delegated key header")
@@ -307,25 +361,14 @@ def decode_punctured_seeds(data: bytes, offset: int = 0
     return depth, seeds, pos
 
 
-def punctured_key(depth: int, holes: Sequence[int],
-                  seeds: list[bytes]) -> DelegatedKey:
-    """The key ``puncture(holes)`` builds, rebuilt from its seeds alone.
-
-    ``holes`` must be ascending and distinct; a seed count other than
-    the cover's node count is rejected.
-    """
-    return _from_shapes(PUNCTURED, depth, cover(gaps(holes, depth), depth), seeds)
-
-
 def decode_range_key(data: bytes, offset: int = 0) -> tuple[DelegatedKey, int]:
     """Decode a range key at ``offset``; returns (key, next offset)."""
     depth, pos = _decode_head(data, offset, RANGE)
     count, pos = decode_varint(data, pos)
     if count > 1 << depth:
         raise ValueError(f"range bound {count} outside [0, 2^{depth}]")
-    shapes = cover([(0, count)], depth)
-    seeds, pos = _decode_seeds(data, pos, len(shapes))
-    return _from_shapes(RANGE, depth, shapes, seeds), pos
+    seeds, pos = _decode_seeds(data, pos, _run_nodes(0, count))
+    return DelegatedKey(RANGE, depth, count, seeds), pos
 
 
 class PathCache:

@@ -1,14 +1,15 @@
 """Tree-PRF delegation checked against a brute-force tree expansion."""
 
 import hashlib
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddse import ggm
-from ddse.ggm import (DelegatedKey, GgmRoot, KeyNode, PathCache, cover,
-                      decode_punctured_seeds, decode_range_key, gaps, gen_root,
-                      punctured_key)
+from ddse.crypto import INDEX_TYPE
+from ddse.ggm import (DelegatedKey, KeyNode, PathCache, cover,
+                      decode_punctured_seeds, decode_range_key, gaps, gen_root)
 
 SEED = bytes(range(16))
 
@@ -125,7 +126,7 @@ def test_constrain_range_every_count(depth):
         key = root.constrain_range(count)
         assert len(key.nodes) <= depth
         assert len(key.nodes) == bin(count).count("1")
-        assert key.range_bound == count
+        assert key.shape == count
         for i in range(1 << depth):
             if i < count:
                 assert key.eval(i) == expect[i]
@@ -159,7 +160,7 @@ def test_iter_leaves_matches_eval():
 
 
 def test_serialization_roundtrip_both_kinds():
-    # a punctured key carries seeds only; its shapes come back from the holes
+    # a punctured key carries seeds only; the holes travel in the filter
     root = gen_root(SEED, 12)
     holes = [17, 3000]
     key = root.puncture(holes)
@@ -167,7 +168,7 @@ def test_serialization_roundtrip_both_kinds():
     assert len(blob) == key.encoded_size == 6 + 16 * len(key.nodes)
     depth, seeds, consumed = decode_punctured_seeds(blob)
     assert consumed == len(blob)
-    back = punctured_key(depth, holes, seeds)
+    back = DelegatedKey(ggm.PUNCTURED, depth, array(INDEX_TYPE, holes), seeds)
     assert back == key
     assert back.encode() == blob
 
@@ -197,21 +198,40 @@ def test_decode_rejects_garbage():
     with pytest.raises(ValueError):
         decode_range_key(gen_root(SEED, 6).constrain_range(5).encode()[:-1])
     depth, seeds, _ = decode_punctured_seeds(key.encode())
+    with pytest.raises(ValueError, match="seeds for a cover"):
+        DelegatedKey(ggm.PUNCTURED, depth, [4, 5], seeds)  # 5 nodes, not 6
+
+
+@pytest.mark.parametrize("holes", [[5, 3], [3, 3], [0, 7, 2]],
+                         ids=["unsorted", "duplicate", "unsorted-tail"])
+def test_unsorted_or_duplicate_holes_rejected(holes):
+    # a shape is only ever a canonical cover: the holes must be ascending
+    nodes = len(cover(gaps(sorted(set(holes)), 16), 4))
+    with pytest.raises(ValueError, match="ascending"):
+        DelegatedKey(ggm.PUNCTURED, 4, holes, bytes(16 * nodes))
+
+
+@pytest.mark.parametrize("holes", [[16], [3, 16], [-1], [2 ** 40]])
+def test_holes_outside_domain_rejected(holes):
     with pytest.raises(ValueError):
-        punctured_key(depth, [4, 5], seeds)  # 5 nodes, not 6
+        DelegatedKey(ggm.PUNCTURED, 4, holes, bytes(16 * 8))
 
 
-def test_overlapping_nodes_rejected():
-    with pytest.raises(ValueError):
-        DelegatedKey(ggm.PUNCTURED, 4, (
-            KeyNode(0, 1, SEED), KeyNode(1, 2, SEED)))
+@pytest.mark.parametrize("count", [-1, 17, 1 << 10])
+def test_range_bound_outside_domain_rejected(count):
+    with pytest.raises(ValueError, match="outside"):
+        DelegatedKey(ggm.RANGE, 4, count, b"")
 
 
-def test_unordered_nodes_rejected():
-    # the one canonical order is the order encode() writes
-    with pytest.raises(ValueError):
-        DelegatedKey(ggm.PUNCTURED, 4, (
-            KeyNode(1, 1, SEED), KeyNode(0, 1, SEED)))
+@pytest.mark.parametrize("kind,shape,nodes", [
+    (ggm.PUNCTURED, [], 1), (ggm.PUNCTURED, [4], 4),
+    (ggm.RANGE, 0, 0), (ggm.RANGE, 11, 3), (ggm.RANGE, 16, 1)])
+def test_seed_blob_of_wrong_length_rejected(kind, shape, nodes):
+    DelegatedKey(kind, 4, shape, bytes(16 * nodes))
+    for size in (16 * nodes - 1, 16 * nodes + 1, 16 * (nodes + 1)):
+        if size >= 0:
+            with pytest.raises(ValueError, match="seeds for a cover"):
+                DelegatedKey(kind, 4, shape, bytes(size))
 
 
 def test_nodes_stored_in_ascending_leaf_order():
@@ -244,7 +264,7 @@ def test_range_roundtrip_random(depth, data):
     count = data.draw(st.integers(0, 1 << depth))
     key = gen_root(SEED, depth).constrain_range(count)
     back, _ = decode_range_key(key.encode())
-    assert back == key and back.range_bound == count
+    assert back == key and back.shape == count
 
 
 def shapes(key: DelegatedKey) -> list[tuple[int, int]]:
@@ -257,7 +277,7 @@ def test_cover_of_gaps_matches_puncture(depth, data):
     leaves = 1 << depth
     holes = data.draw(st.sets(st.integers(0, leaves - 1),
                               max_size=min(leaves, 64)))
-    assert (cover(gaps(sorted(holes), depth), depth)
+    assert (cover(gaps(sorted(holes), 1 << depth), depth)
             == shapes(gen_root(SEED, depth).puncture(holes)))
 
 
@@ -265,10 +285,10 @@ def test_cover_of_gaps_matches_puncture(depth, data):
 def test_cover_edge_cases_match_puncture(depth):
     root, last = gen_root(SEED, depth), (1 << depth) - 1
     for holes in ([], [0, last], list(range(last + 1))):
-        got = cover(gaps(sorted(set(holes)), depth), depth)
+        got = cover(gaps(sorted(set(holes)), last + 1), depth)
         assert got == shapes(root.puncture(holes))
-    assert cover(gaps([], depth), depth) == [(0, 0)]
-    assert cover(gaps(range(last + 1), depth), depth) == []
+    assert cover(gaps([], last + 1), depth) == [(0, 0)]
+    assert cover(gaps(range(last + 1), last + 1), depth) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,16 +299,80 @@ def test_cover_of_prefix_run_matches_constrain_range(depth, data):
             == shapes(gen_root(SEED, depth).constrain_range(count)))
 
 
-def test_non_canonical_range_key_refuses_to_encode():
-    # encode sends seeds only, so a shape decode cannot rebuild must not leave
-    key = DelegatedKey(ggm.RANGE, 4, (KeyNode(1, 1, SEED),))
-    with pytest.raises(ValueError):
-        key.encode()
-
-
 def test_path_cache_agrees_with_eval():
     root = gen_root(SEED, 16)
     cache = PathCache(root)
     seq = list(range(40)) + [1000, 1001, 7, 65535, 0, 0, 3]
     for i in seq:
         assert cache.leaf(i) == root.eval(i)
+
+
+def walked_nodes(depth: int, runs) -> list[KeyNode]:
+    """Reference cover: shapes from ``cover``, seeds walked from SEED."""
+    nodes = []
+    for prefix, plen in cover(runs, depth):
+        seed = SEED
+        for bit in range(plen - 1, -1, -1):
+            out = hashlib.sha256(seed).digest()
+            seed = out[16:] if (prefix >> bit) & 1 else out[:16]
+        nodes.append(KeyNode(prefix, plen, seed))
+    return nodes
+
+
+@st.composite
+def hole_sets(draw):
+    depth = draw(st.integers(1, 12))
+    leaves = 1 << depth
+    dense = (st.sets(st.integers(0, leaves - 1), min_size=leaves // 2)
+             if leaves <= 64 else st.just({0, leaves - 1}))
+    holes = draw(st.one_of(
+        st.just(set()), st.just(set(range(leaves))),
+        st.sets(st.integers(0, leaves - 1), max_size=min(leaves, 64)),
+        dense))  # most leaves revoked: short, ragged runs
+    return depth, holes
+
+
+@settings(max_examples=80, deadline=None)
+@given(hole_sets())
+def test_punctured_key_matches_root_and_cover(case):
+    depth, holes = case
+    root = gen_root(SEED, depth)
+    key = root.puncture(holes)
+    assert isinstance(key.shape, array) and key.shape.typecode == INDEX_TYPE
+    assert list(key.shape) == sorted(holes)
+    assert key.covered_count == (1 << depth) - len(holes)
+    for i in range(1 << depth):
+        assert key.eval(i) == (None if i in holes else root.eval(i))
+    assert key.eval(-1) is None and key.eval(1 << depth) is None
+    assert list(key.nodes) == walked_nodes(
+        depth, gaps(sorted(holes), 1 << depth))
+    assert dict(key.iter_leaves()) == {
+        i: root.eval(i) for i in range(1 << depth) if i not in holes}
+
+
+@settings(max_examples=60, deadline=None)
+@given(hole_sets())
+def test_punctured_encode_decode_gives_equal_key(case):
+    depth, holes = case
+    key = gen_root(SEED, depth).puncture(holes)
+    got_depth, seeds, pos = decode_punctured_seeds(key.encode())
+    assert pos == key.encoded_size
+    # the server's holes come from bloom.decode_filter, an array
+    back = DelegatedKey(ggm.PUNCTURED, got_depth,
+                        array(INDEX_TYPE, sorted(holes)), seeds)
+    assert back == key and back.encode() == key.encode()
+    # any ascending sequence is held as that same array type
+    assert DelegatedKey(ggm.PUNCTURED, depth, sorted(holes), seeds) == key
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_range_keys_at_every_count(depth):
+    root = gen_root(SEED, depth)
+    expect = oracle_leaves(SEED, depth)
+    for count in range((1 << depth) + 1):
+        key = root.constrain_range(count)
+        assert list(key.nodes) == walked_nodes(depth, [(0, count)])
+        assert [key.eval(i) for i in range(1 << depth)] == (
+            expect[:count] + [None] * ((1 << depth) - count))
+        back, _ = decode_range_key(key.encode())
+        assert back == key

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddse import bloom, edb, ggm, sre
+from ddse import client as cl
+from ddse.crypto import stream_xor
 
 RNG = random.Random(99)
 TAG = bytes(range(16))
@@ -272,3 +274,75 @@ def test_store_rejects_foreign_key():
     store = sre.SubkeyStore(rk_b.key)
     with pytest.raises(ValueError):
         sre.dec(rk_a, ct, b"t", store)
+
+
+def reference_dec(rk, ct, tag):
+    """Reference ``dec``: evaluates the key at every position, revoked
+    or not, and decrypts with the first that survives."""
+    for i, pos in enumerate(rk.filter.positions(tag)):
+        key = rk.key.eval(pos)
+        if key is None:
+            continue
+        dk = stream_xor(key, ct.nonce, ct.wraps[i])
+        framed = stream_xor(dk, ct.nonce, ct.body)
+        return (framed[len(sre.MAGIC):] if framed[:len(sre.MAGIC)] == sre.MAGIC
+                else None)
+    return None
+
+
+def search_counting_evals(monkeypatch, state, db, keyword):
+    """Run one search; returns (outcome, the reference's fresh values and
+    purges, DelegatedKey.eval calls made by the search)."""
+    request = cl.search_client_token(state, keyword)
+    fresh, purged = [], []
+    for address in request.sigma_token.addresses():
+        payload = db.main.get(address)
+        if payload is None:
+            continue
+        value = reference_dec(request.revoked_key, *edb.decode_entry(payload))
+        if value is None:
+            purged.append(address)
+        else:
+            fresh.append(value)
+    calls = []
+    inner = ggm.DelegatedKey.eval
+
+    def counted(self, index):
+        calls.append(index)
+        return inner(self, index)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ggm.DelegatedKey, "eval", counted)
+        outcome = db.execute_search(request)
+    assert outcome.results[:outcome.fresh] == fresh
+    assert outcome.purged == purged
+    return outcome, len(calls)
+
+
+def test_revoked_entries_cost_no_key_work(monkeypatch):
+    # revoke_p small enough that no live tag is revoked by accident
+    state, db = cl.setup(cl.ClientConfig(bf_n=200, bf_p=1e-6, d_max=50,
+                                         revoke_p=1e-6, sigma_depth=10))
+    for value in (b"a", b"b", b"c"):
+        cl.update(state, cl.ADD, b"w", value, db)
+    outcome, evals = search_counting_evals(monkeypatch, state, db, b"w")
+    assert outcome.fresh == 3 and evals == 3
+
+    # an epoch of duplicates and deletes only: every entry is a dummy
+    for value in (b"a", b"b", b"a", b"c", b"a"):
+        cl.update(state, cl.ADD, b"w", value, db)
+    cl.update(state, cl.DELETE, b"w", b"b", db)
+    outcome, evals = search_counting_evals(monkeypatch, state, db, b"w")
+    assert evals == 0
+    assert outcome.fresh == 0 and len(outcome.purged) == 5
+
+    # mixed: fresh adds, duplicates and a delete of a fresh add; a
+    # delete uploads nothing, so the epoch holds five entries
+    for op, value in ((cl.ADD, b"d"), (cl.ADD, b"e"), (cl.ADD, b"a"),
+                      (cl.ADD, b"d"), (cl.ADD, b"f"), (cl.DELETE, b"e")):
+        cl.update(state, op, b"w", value, db)
+    outcome, evals = search_counting_evals(monkeypatch, state, db, b"w")
+    assert outcome.fresh == 2 and len(outcome.purged) == 3
+    assert evals == 2
+    assert cl.search_finalize(state, outcome.results) == {
+        b"a", b"b", b"c", b"d", b"f"}

@@ -1,12 +1,14 @@
 """Frame codec: length prefixes, caps, body layouts."""
 
 import io
+import tracemalloc
 
 import pytest
 
 from ddse import client as cl
 from ddse import wire
 from ddse.client import ClientConfig
+from ddse.crypto import encode_varint
 from ddse.wire import FrameError
 
 
@@ -111,3 +113,24 @@ def test_search_body_with_key_not_matching_its_filter_rejected():
     body = request.tkn + key.encode() + filt.encode() + request.sigma_token.encode()
     with pytest.raises(FrameError, match="seeds for a cover"):
         wire.decode_search_body(body)
+
+
+def test_search_body_decode_holds_few_bytes_per_body_byte():
+    # a hole at every other leaf: each odd leaf is a cover node of its
+    # own, so the body is one seed plus one gap byte per hole.  2^18
+    # leaves, not 2^20: tracing every allocation slows the decode ~20x
+    depth, holes = 18, 1 << 17
+    key = bytes([0, depth]) + holes.to_bytes(4, "big") + bytes(16 * holes)
+    filt = ((1 << depth).to_bytes(8, "big") + b"\x05" + bytes(16)
+            + encode_varint(holes) + b"\x00" + b"\x01" * (holes - 1))
+    body = bytes(32) + key + filt + bytes(32) + bytes([1, depth, 0])
+    tracemalloc.start()
+    try:
+        back = wire.decode_search_body(body)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    got = back.revoked_key.key
+    assert got.covered_count == holes and len(got.seeds) == 16 * holes
+    assert got.eval(2) is None and got.eval(3) == bytes(16)
+    assert peak <= 4 * len(body)
