@@ -28,7 +28,7 @@ from . import audit as audit_mod
 from . import query as q
 from . import statefile
 from . import workload as wl
-from .client import ProtocolError
+from .client import ClientConfig, ProtocolError
 from .netclient import RemoteEdb
 from .store import PersistentStore
 
@@ -231,11 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("value_column")
     p.add_argument("--order", default=q.ORDER_LEX,
                    choices=[q.ORDER_LEX, q.ORDER_NUMERIC])
-    p.add_argument("--bf-n", type=int, default=2 ** 20,
+    p.add_argument("--bf-n", type=int, default=ClientConfig.bf_n,
                    help="distinct-pair capacity")
-    p.add_argument("--bf-p", type=float, default=1e-5,
+    p.add_argument("--bf-p", type=float, default=ClientConfig.bf_p,
                    help="false-positive budget for the distinct state")
-    p.add_argument("--d-max", type=int, default=1000,
+    p.add_argument("--d-max", type=int, default=ClientConfig.d_max,
                    help="per-keyword duplicate/delete budget")
     p.set_defaults(run=cmd_register_table)
 

@@ -1,8 +1,11 @@
 """Distinct-search client: update and search protocols.
 
 The client keeps three master keys (cache tokens, tags, value
-encryption), a large distinct-state Bloom filter, and per-keyword
-revocable-encryption state.  The moving parts fit together like this:
+encryption), a placement key, a large distinct-state Bloom filter, and
+one ``KeywordState`` record per keyword: the epoch's revocable master
+key, whose filter is the epoch's revocation filter, the epoch number,
+the dummy-tag counter and the count of entries placed this epoch.  The
+moving parts fit together like this:
 
 * Every (keyword, value) pair owns a *real* tag ``F(K_t, w||v||0)``.
   The first add of a pair uploads a ciphertext under the real tag and
@@ -20,7 +23,8 @@ revocable-encryption state.  The moving parts fit together like this:
   decrypts the epoch's list, throws away (and purges) everything
   revoked, folds in the cached results of earlier epochs, and returns
   one retrieval per distinct live value.  The client then rotates the
-  epoch: fresh revocable key, empty revocation filter, next label.
+  epoch: fresh revocable key with an empty filter, next label, no
+  entries placed.
 
 Deletion visibility rule: a delete takes effect through revocation of
 the current epoch's ciphertext.  Once a value's retrieval has entered
@@ -80,6 +84,17 @@ class ClientConfig:
 
 
 @dataclass
+class KeywordState:
+    """One keyword's state; ``msk.D`` is the epoch's revocation filter."""
+
+    msk: sre.SreMasterKey
+    epoch: int = 0
+    updates: int = 1    # dummy-tag counter (0 is the real tag's); never
+                        # reset, so no pair's dummy tag repeats across epochs
+    placed: int = 0     # entries under this epoch's label
+
+
+@dataclass
 class ClientState:
     k_search: bytes             # cache tokens tkn = F(., w)
     k_tag: bytes                # real/dummy tags
@@ -87,10 +102,7 @@ class ClientState:
     distinct_filter: bloom.BloomFilter
     sigma: SigmaState
     config: ClientConfig
-    msk: dict[bytes, sre.SreMasterKey] = field(default_factory=dict)
-    revocation: dict[bytes, bloom.BloomFilter] = field(default_factory=dict)
-    epoch: dict[bytes, int] = field(default_factory=dict)
-    update_count: dict[bytes, int] = field(default_factory=dict)
+    keywords: dict[bytes, KeywordState] = field(default_factory=dict)
 
     def label_for(self, keyword: bytes, epoch: int) -> bytes:
         key = keyed_hash(self.k_search, b"epoch-label-key")
@@ -126,21 +138,18 @@ def setup(config: Optional[ClientConfig] = None
     return state, EncryptedDatabase()
 
 
-def _init_keyword(state: ClientState, keyword: bytes):
-    if keyword in state.msk:
-        return
-    msk = sre.kgen(*state.config.sre_params())
-    state.msk[keyword] = msk
-    state.revocation[keyword] = msk.D.copy()
-    state.epoch[keyword] = 0
-    state.update_count[keyword] = 1
+def _keyword(state: ClientState, keyword: bytes) -> KeywordState:
+    record = state.keywords.get(keyword)
+    if record is None:
+        record = KeywordState(sre.kgen(*state.config.sre_params()))
+        state.keywords[keyword] = record
+    return record
 
 
 def _revoke(state: ClientState, keyword: bytes, tag: bytes):
-    revocation = sre.comp(state.revocation[keyword], tag)
-    state.revocation[keyword] = revocation
-    # each epoch's filter starts from the pristine msk.D, so its
-    # insertion count is this epoch's revocations
+    revocation = state.keywords[keyword].msk.D.upd(tag)
+    # each epoch starts a fresh filter, so its insertion count is this
+    # epoch's revocations
     if revocation.inserted == state.config.d_max + 1:
         logger.warning(
             "keyword %r exceeded its revocation budget (%d) this epoch; "
@@ -163,8 +172,8 @@ def update(state: ClientState, op: str, keyword: bytes, value: bytes,
     """
     if op not in (ADD, DELETE):
         raise ValueError(f"op must be {ADD!r} or {DELETE!r}, got {op!r}")
-    _init_keyword(state, keyword)
-    cnt = state.update_count[keyword]
+    record = _keyword(state, keyword)
+    cnt = record.updates
     real = state.real_tag(keyword, value)
 
     if op == ADD:
@@ -180,9 +189,10 @@ def update(state: ClientState, op: str, keyword: bytes, value: bytes,
         else:
             tag = state.dummy_tag(keyword, value, cnt)
         retrieval = encrypt_retrieval(state, value, cnt)
-        ciphertext = sre.enc(state.msk[keyword], retrieval, tag)
-        label = state.label_for(keyword, state.epoch[keyword])
-        state.sigma.update(label, encode_entry(ciphertext, tag), edb)
+        ciphertext = sre.enc(record.msk, retrieval, tag)
+        state.sigma.update(state.label_for(keyword, record.epoch),
+                           record.placed, encode_entry(ciphertext, tag), edb)
+        record.placed += 1
         if not first_occurrence:
             _revoke(state, keyword, tag)   # dummy dies on arrival
     else:
@@ -191,7 +201,7 @@ def update(state: ClientState, op: str, keyword: bytes, value: bytes,
                            keyword)
         _revoke(state, keyword, real)
 
-    state.update_count[keyword] = cnt + 1
+    record.updates = cnt + 1
 
 
 def search_client_token(state: ClientState, keyword: bytes) -> SearchRequest:
@@ -199,22 +209,19 @@ def search_client_token(state: ClientState, keyword: bytes) -> SearchRequest:
 
     Raises UnknownKeywordError for a keyword with no update history.
     """
-    if keyword not in state.msk:
+    record = state.keywords.get(keyword)
+    if record is None:
         raise UnknownKeywordError(keyword)
-    msk = state.msk[keyword]
-    revocation = state.revocation[keyword]
+    msk = record.msk
     request = SearchRequest(
         tkn=state.cache_token(keyword),
-        revoked_key=sre.ck_rev(msk.sk, revocation),
-        sigma_token=state.sigma.retire(
-            state.label_for(keyword, state.epoch[keyword])),
+        revoked_key=sre.ck_rev(msk.sk, msk.D),
+        sigma_token=state.sigma.search_token(
+            state.label_for(keyword, record.epoch), record.placed),
     )
-    fresh = sre.kgen(msk.b, msk.h)
-    state.msk[keyword] = fresh
-    state.revocation[keyword] = fresh.D.copy()
-    state.epoch[keyword] += 1
-    # update_count deliberately survives rotation: dummy counters must
-    # never repeat for a pair across epochs
+    record.msk = sre.kgen(msk.b, msk.h)
+    record.epoch += 1
+    record.placed = 0
     return request
 
 

@@ -2,26 +2,27 @@
 
 Each label owns a chain of pseudorandom addresses: entry ``c`` lives at
 ``KeyedHash(leaf_c, "addr")`` where ``leaf_c`` is leaf ``c`` of a
-per-label GGM tree.  Updates walk the chain forward; a search hands the
-server a range-constrained key covering exactly ``[0, c)``, from which
-it re-derives every address of the label -- and nothing else.  Because
-an update token is a PRF output of (key, label, counter) alone, the
-server learns nothing linking it to previous updates or future searches:
-that is the forward-privacy contract the audit harness spot-checks.
+per-label GGM tree, rooted at ``KeyedHash(key, "label-root" || label)``.
+The layer stores nothing per label: the caller counts a label's entries,
+names each new entry by its counter, and searches with the count.  A
+search hands the server a range-constrained key covering exactly
+``[0, c)``, from which it re-derives every address of the label -- and
+nothing else.  Because an update token is a PRF output of (key, label,
+counter) alone, the server learns nothing linking it to previous updates
+or future searches: that is the forward-privacy contract the audit
+harness spot-checks.
 
-Counters cap at 2^depth updates per label (depth 20 by default); the
-scheme layer rotates to a fresh label per epoch long before that.
+Counters cap at 2^depth entries per label; the client starts a fresh
+label at every epoch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from . import ggm
 from .crypto import KEY_LEN, TOKEN_LEN, encode_parts, keyed_hash
-
-DEFAULT_DEPTH = 20
 
 _ROOT_CTX = b"label-root"
 _ID_CTX = b"label-id"
@@ -73,63 +74,34 @@ def decode_sigma_token(data: bytes, offset: int = 0) -> tuple[SearchTokenSigma, 
     return SearchTokenSigma(label_id, key), pos
 
 
-@dataclass
-class _LabelChain:
-    root: ggm.GgmRoot
-    counter: int = 0
-    path: ggm.PathCache | None = None
-
-    def leaf(self, index: int) -> bytes:
-        if self.path is None:
-            self.path = ggm.PathCache(self.root)
-        return self.path.leaf(index)
-
-
-@dataclass
+@dataclass(frozen=True)
 class SigmaState:
+    """Placement key; each call re-derives the label's tree root."""
+
     key: bytes
-    depth: int = DEFAULT_DEPTH
-    chains: dict[bytes, _LabelChain] = field(default_factory=dict)
+    depth: int
 
-    def _chain(self, label: bytes) -> _LabelChain:
-        chain = self.chains.get(label)
-        if chain is None:
-            seed = keyed_hash(self.key, encode_parts(_ROOT_CTX, label))[:KEY_LEN]
-            chain = _LabelChain(ggm.gen_root(seed, self.depth))
-            self.chains[label] = chain
-        return chain
+    def _root(self, label: bytes) -> ggm.GgmRoot:
+        seed = keyed_hash(self.key, encode_parts(_ROOT_CTX, label))[:KEY_LEN]
+        return ggm.gen_root(seed, self.depth)
 
-    def update(self, label: bytes, payload: bytes, edb) -> UpdateToken:
-        """Place ``payload`` at the label's next address via ``edb``.
+    def update(self, label: bytes, counter: int, payload: bytes,
+               edb) -> UpdateToken:
+        """Place ``payload`` as entry ``counter`` of ``label`` via ``edb``.
 
         ``edb`` only needs ``apply_update(address, payload)``, so the
-        token can be shipped over a wire transport transparently.
+        token can be shipped over a wire transport transparently.  A
+        counter must not repeat under one label: it names the address.
         """
-        chain = self._chain(label)
-        if chain.counter >= (1 << self.depth):
+        if counter >= (1 << self.depth):
             raise CounterExhausted(
-                f"label chain full after {chain.counter} updates")
-        token = UpdateToken(_address(chain.leaf(chain.counter)), payload)
+                f"label chain full after {counter} updates")
+        token = UpdateToken(_address(self._root(label).eval(counter)), payload)
         edb.apply_update(token.address, token.payload)
-        chain.counter += 1
         return token
 
-    def search_token(self, label: bytes) -> SearchTokenSigma:
-        """Token for all current entries; empty coverage if none exist."""
+    def search_token(self, label: bytes, count: int) -> SearchTokenSigma:
+        """Token for the label's first ``count`` entries."""
         label_id = keyed_hash(self.key, encode_parts(_ID_CTX, label))
-        chain = self.chains.get(label)
-        if chain is None or chain.counter == 0:
-            return SearchTokenSigma(
-                label_id, ggm.DelegatedKey(ggm.RANGE, self.depth, 0, b""))
         return SearchTokenSigma(
-            label_id, chain.root.constrain_range(chain.counter))
-
-    def retire(self, label: bytes) -> SearchTokenSigma:
-        """Final search token for ``label``; its chain is dropped.
-
-        The label must take no further updates: a new chain would start
-        again at the retired addresses.
-        """
-        token = self.search_token(label)
-        self.chains.pop(label, None)
-        return token
+            label_id, self._root(label).constrain_range(count))

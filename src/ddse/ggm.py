@@ -374,7 +374,11 @@ def decode_range_key(data: bytes, offset: int = 0) -> tuple[DelegatedKey, int]:
 class PathCache:
     """Leaf evaluator that reuses the PRG path shared with the previous
     index; sequential counters cost ~2 PRG calls per step instead of
-    ``depth``."""
+    ``depth``.
+
+    No production path uses it: placement re-derives each leaf with
+    ``GgmRoot.eval``.  The benchmark's tracer wraps ``leaf`` by name.
+    """
 
     def __init__(self, root: GgmRoot):
         self._root = root

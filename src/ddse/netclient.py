@@ -18,10 +18,15 @@ class RemoteEdb:
     def __init__(self, host: str, port: int, timeout: float = 30.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._stream = self._sock.makefile("rwb")
-        reply_type, body = self._roundtrip(
-            wire.HELLO, bytes([wire.PROTOCOL_VERSION]))
-        if reply_type != wire.HELLO or body != bytes([wire.PROTOCOL_VERSION]):
-            raise ProtocolError("server did not echo the protocol version")
+        hello = bytes([wire.PROTOCOL_VERSION])
+        try:
+            reply_type, body = self._roundtrip(wire.HELLO, hello)
+            if reply_type != wire.HELLO or body != hello:
+                raise ProtocolError("server did not echo the protocol version")
+        except BaseException:
+            self._stream.close()
+            self._sock.close()
+            raise
 
     def _roundtrip(self, ftype: int, body: bytes) -> tuple[int, bytes]:
         self._stream.write(wire.pack_frame(ftype, body))

@@ -256,9 +256,9 @@ class TableConfig:
     keyword_column: str
     value_column: str
     value_order: str = ORDER_LEX
-    bf_n: int = 2 ** 20
-    bf_p: float = 1e-5
-    d_max: int = 1000
+    bf_n: int = ClientConfig.bf_n
+    bf_p: float = ClientConfig.bf_p
+    d_max: int = ClientConfig.d_max
 
     def __post_init__(self):
         if self.value_order not in (ORDER_LEX, ORDER_NUMERIC):
@@ -299,8 +299,8 @@ class Registry:
         self.instances: dict[tuple[str, str, str], TableInstance] = {}
 
     def register(self, config: TableConfig,
-                 sigma_depth: int = 20,
-                 revoke_p: float = 1e-3) -> TableInstance:
+                 sigma_depth: int = ClientConfig.sigma_depth,
+                 revoke_p: float = ClientConfig.revoke_p) -> TableInstance:
         if config.key in self.instances:
             raise QueryError(f"instance already registered: {config.key}")
         state, _ = cl.setup(ClientConfig(

@@ -39,7 +39,7 @@ _HEAD = 2 + NONCE_LEN
 @dataclass(frozen=True)
 class SreMasterKey:
     sk: ggm.GgmRoot
-    D: bloom.BloomFilter  # pristine revocation filter; callers evolve a copy
+    D: bloom.BloomFilter  # the current revocation filter
 
     @property
     def b(self) -> int:

@@ -25,8 +25,10 @@ from .store import durable_replace
 
 _MAGIC = b"DDSE"
 # version 2: saved Bloom filters probe independent SHAKE128 positions,
-# so a version-1 file's filters (double hashing) would probe wrong bits
-_VERSION = 2
+# so a version-1 file's filters (double hashing) would probe wrong bits;
+# version 3: one client record per keyword replaces version 2's
+# per-keyword maps and placement chains
+_VERSION = 3
 _SALT_LEN = 16
 
 # scrypt cost: 16 MiB, interactive-grade

@@ -79,7 +79,7 @@ def test_results_accumulate_across_epochs():
     assert cl.search(state, b"w", edb) == {b"v1", b"v2"}
     cl.update(state, ADD, b"w", b"v3", edb)
     assert cl.search(state, b"w", edb) == {b"v1", b"v2", b"v3"}
-    assert state.epoch[b"w"] == 2
+    assert state.keywords[b"w"].epoch == 2
 
 
 def test_cross_epoch_duplicate_is_suppressed():
@@ -107,7 +107,7 @@ def test_delete_of_never_added_pair_logs(caplog):
     with caplog.at_level(logging.WARNING, logger="ddse.client"):
         cl.update(state, DELETE, b"w", b"ghost", edb)
     assert any("never-added" in r.message for r in caplog.records)
-    assert state.update_count[b"w"] == 2
+    assert state.keywords[b"w"].updates == 2
 
 
 def test_readd_after_delete_is_unrecoverable_by_default():
@@ -131,29 +131,36 @@ def test_delete_after_search_cannot_unpublish_cached_value():
 def test_update_count_survives_epoch_rotation():
     state, edb = fresh()
     cl.update(state, ADD, b"w", b"v", edb)
-    before = state.update_count[b"w"]
+    record = state.keywords[b"w"]
+    before = record.updates
     cl.search(state, b"w", edb)
-    assert state.update_count[b"w"] == before
-    assert state.revocation[b"w"].inserted == 0
+    assert record.updates == before
+    assert record.msk.D.inserted == 0
 
 
 def test_epoch_rotation_replaces_key_material():
     state, edb = fresh()
     cl.update(state, ADD, b"w", b"v", edb)
-    old = state.msk[b"w"]
+    cl.update(state, DELETE, b"w", b"v", edb)
+    record = state.keywords[b"w"]
+    old = record.msk
+    assert old.D.set_bits() != []
     cl.search_client_token(state, b"w")
-    assert state.msk[b"w"].sk.seed != old.sk.seed
-    assert state.revocation[b"w"].set_bits() == []
+    assert record.msk.sk.seed != old.sk.seed
+    assert record.msk.D.set_bits() == []
+    assert (record.epoch, record.placed) == (1, 0)
 
 
-def test_placement_chains_do_not_grow_with_search_history():
+def test_client_state_does_not_grow_with_search_history():
     state, edb = fresh()
-    chains = []
+    sizes = []
     for i in range(30):
         cl.update(state, ADD, b"w", b"v%02d" % i, edb)
         got = cl.search(state, b"w", edb)
-        chains.append(len(state.sigma.chains))
-    assert chains == [0] * 30
+        sizes.append(len(pickle.dumps(state)))
+    assert len(state.keywords) == 1
+    assert state.keywords[b"w"].placed == 0
+    assert max(sizes) - min(sizes) < 16, sizes
     assert got == {b"v%02d" % i for i in range(30)}
 
 
@@ -165,10 +172,9 @@ def test_pickled_state_resumes_mid_epoch():
     cl.update(state, ADD, b"w", b"v3", edb)
     cl.update(state, ADD, b"w", b"v3", edb)  # duplicate, revoked this epoch
     back = pickle.loads(pickle.dumps(state))
-    current = back.label_for(b"w", 1)
-    assert set(back.sigma.chains) == {current}
-    assert back.sigma.chains[current].counter == 3
-    assert back.revocation[b"w"].inserted == 1
+    record = back.keywords[b"w"]
+    assert (record.epoch, record.placed, record.updates) == (1, 3, 5)
+    assert record.msk.D.inserted == 1
     assert cl.search(back, b"w", edb) == {b"v1", b"v2", b"v3"}
 
 
@@ -277,12 +283,12 @@ def test_matches_type_db_oracle_updates_then_search(seed):
     for op, w, v in workload:
         cl.update(state, op, w, v, edb)
     for w in keywords:
-        if w not in state.msk:
+        if w not in state.keywords:
             assert not oracle.type_db(w)
             continue
         # a live value is lost exactly when every Bloom position of its
         # real tag is set in this epoch's revocation filter
-        revocation = state.revocation[w]
+        revocation = state.keywords[w].msk.D
         want = {v for v in oracle.type_db(w)
                 if not revocation.check(state.real_tag(w, v))}
         assert cl.search(state, w, edb) == want, f"keyword {w!r}"
@@ -304,14 +310,14 @@ def test_matches_oracle_with_interleaved_searches():
         # the search rotates the epoch)
         gone = lost.setdefault(w, set())
         gone |= {v for v in oracle.type_db(w) - searched.get(w, set())
-                 if state.revocation[w].check(state.real_tag(w, v))}
+                 if state.keywords[w].msk.D.check(state.real_tag(w, v))}
         return oracle.type_db(w) - gone
 
     for step in range(300):
         w = rng.choice(keywords)
         if rng.random() < 0.15:
-            want = expected(w) if w in state.msk else oracle.type_db(w)
-            got = cl.search(state, w, edb) if w in state.msk else set()
+            want = expected(w) if w in state.keywords else oracle.type_db(w)
+            got = cl.search(state, w, edb) if w in state.keywords else set()
             assert got == want
             searched.setdefault(w, set()).update(got)
             continue
@@ -330,7 +336,7 @@ def test_matches_oracle_with_interleaved_searches():
         oracle.apply(op, w, v)
         cl.update(state, op, w, v, edb)
     for w in keywords:
-        if w in state.msk:
+        if w in state.keywords:
             want = expected(w)
             assert cl.search(state, w, edb) == want
     # a false revocation is rare; more than one lost value in a run

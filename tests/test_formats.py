@@ -130,18 +130,20 @@ PUT_GONE_V2 = (h("00000076 01") + ADDRESS_GONE + h("00000051") + ENTRY_GONE_V2
 # state file = [magic "DDSE"][version:1][salt:16][nonce:12][AES-GCM box]
 STATE_SALT = bytes(range(16))
 STATE_NONCE = bytes(range(16, 28))
-STATE_HEADER = b"DDSE" + h("02") + STATE_SALT + STATE_NONCE
+STATE_HEADER = b"DDSE" + h("03") + STATE_SALT + STATE_NONCE
 STATE_PASSPHRASE = "pass"
 STATE_BUNDLE = {"key": bytes(range(4)), "tag": b"ddse"}
 # sealed pickle of STATE_BUNDLE; only load is pinned, as pickle bytes may
 # differ across Python versions.  The AES-GCM box authenticates only the
-# magic, so the version-1 file differs in its version byte alone; its
-# Bloom filters probed double-hashed positions and it must be refused
+# magic, so the older files differ in their version byte alone and must
+# be refused: version 1's Bloom filters probed double-hashed positions,
+# and version 2 held per-keyword maps and placement chains
 STATE_BOX = h(
     "d45b8be1b29dce96ba9e978db4e6b2fe52ab1aa7e18629db61bc8e8d8c8ded2f"
     "f5bcbeef4c7651d80ccd3e847978446b065e035a2b39fd7dfd0f")
 STATE_FILE = STATE_HEADER + STATE_BOX
 STATE_FILE_V1 = b"DDSE" + h("01") + STATE_SALT + STATE_NONCE + STATE_BOX
+STATE_FILE_V2 = b"DDSE" + h("02") + STATE_SALT + STATE_NONCE + STATE_BOX
 
 
 @pytest.fixture
@@ -162,7 +164,7 @@ def scenario(monkeypatch):
 def search_request(msk, sigma) -> edb.SearchRequest:
     return edb.SearchRequest(
         TKN, sre.ck_rev(msk.sk, sre.comp(msk.D, TAG_GONE)),
-        sigma.search_token(LABEL))
+        sigma.search_token(LABEL, 2))  # both golden entries
 
 
 def test_frame_headers():
@@ -185,15 +187,15 @@ def test_entry_and_update_body(scenario):
             self.body = wire.encode_update_body(address, payload)
 
     capture = Capture()
-    sigma.update(LABEL, ENTRY_KEPT, capture)
+    sigma.update(LABEL, 0, ENTRY_KEPT, capture)
     assert capture.body == UPDATE_BODY
     assert wire.decode_update_body(UPDATE_BODY) == (ADDRESS_KEPT, ENTRY_KEPT)
 
 
 def test_search_body(scenario):
     msk, sigma, _ = scenario
-    sigma.update(LABEL, ENTRY_KEPT, edb.EncryptedDatabase())
-    sigma.update(LABEL, ENTRY_GONE, edb.EncryptedDatabase())
+    sigma.update(LABEL, 0, ENTRY_KEPT, edb.EncryptedDatabase())
+    sigma.update(LABEL, 1, ENTRY_GONE, edb.EncryptedDatabase())
     assert wire.encode_search_body(search_request(msk, sigma)) == SEARCH_BODY
     back = wire.decode_search_body(SEARCH_BODY)
     assert wire.encode_search_body(back) == SEARCH_BODY
@@ -274,8 +276,8 @@ def test_log_records_and_snapshot(scenario, tmp_path):
     msk, sigma, entries = scenario
     log, snap = tmp_path / "log", tmp_path / "snapshot"
     with PersistentStore(tmp_path) as store:
-        for entry in entries:
-            sigma.update(LABEL, entry, store)
+        for counter, entry in enumerate(entries):
+            sigma.update(LABEL, counter, entry, store)
         assert log.read_bytes() == PUT_KEPT + PUT_GONE
         outcome = store.execute_search(search_request(msk, sigma))
         assert (outcome.results, outcome.purged) == ([b"kept"], [ADDRESS_GONE])
@@ -302,10 +304,10 @@ def test_golden_files_replay(tmp_path, name, content, cached):
 
 def test_v2_entries_are_refused_not_purged(scenario, tmp_path):
     msk, sigma, _ = scenario
-    for entry in (ENTRY_KEPT_V2, ENTRY_GONE_V2):
+    for counter, entry in enumerate((ENTRY_KEPT_V2, ENTRY_GONE_V2)):
         with pytest.raises(ValueError):
             edb.decode_entry(entry)
-        sigma.update(LABEL, entry, edb.EncryptedDatabase())
+        sigma.update(LABEL, counter, entry, edb.EncryptedDatabase())
     log = PUT_KEPT_V2 + PUT_GONE_V2
     (tmp_path / "log").write_bytes(log)
     with PersistentStore(tmp_path) as store:
@@ -338,4 +340,11 @@ def test_version_1_state_file_refused(tmp_path):
     path = tmp_path / "state.ddse"
     path.write_bytes(STATE_FILE_V1)
     with pytest.raises(statefile.StateFileError, match="version 1 state file"):
+        statefile.load(str(path), STATE_PASSPHRASE)
+
+
+def test_version_2_state_file_refused(tmp_path):
+    path = tmp_path / "state.ddse"
+    path.write_bytes(STATE_FILE_V2)
+    with pytest.raises(statefile.StateFileError, match="version 2 state file"):
         statefile.load(str(path), STATE_PASSPHRASE)

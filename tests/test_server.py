@@ -2,6 +2,7 @@
 
 import socket
 import struct
+import threading
 
 import pytest
 
@@ -44,6 +45,29 @@ def test_hello_of_another_version_gets_error_and_close(running_server):
             assert ftype == wire.ERROR
             assert b"protocol version" in body
             assert stream.read(1) == b""  # server closed the connection
+
+
+def test_refused_hello_closes_the_client_socket():
+    seen = []
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def refuse():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rwb") as stream:
+                conn.settimeout(3)
+                wire.read_frame(stream)
+                stream.write(wire.pack_frame(wire.ERROR, b"go away"))
+                stream.flush()
+                seen.append(stream.read(1))  # EOF once the client closes
+
+        thread = threading.Thread(target=refuse)
+        thread.start()
+        with pytest.raises(ProtocolError, match="go away") as refused:
+            RemoteEdb(*listener.getsockname())
+        # ``refused`` keeps the half-built client alive through its
+        # traceback, so garbage collection cannot be what closes it
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert seen == [b""], refused.value
 
 
 def test_full_protocol_round_over_socket(running_server):

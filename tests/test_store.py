@@ -77,7 +77,7 @@ def test_matches_in_memory_database(tmp_path):
                 v = rng.choice(sorted(live[w]))
                 cl.update(state, cl.DELETE, w, v, tee)
                 live[w].discard(v)
-            elif w in state.msk:
+            elif w in state.keywords:
                 cl.search(state, w, tee)
         assert_same_state(store.edb, mem)
         old_log = (root / "log").read_bytes()
