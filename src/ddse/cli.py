@@ -74,16 +74,14 @@ def _save_registry(db: str, registry: q.Registry,
                    key)
 
 
-def _open_edb(args, db):
-    """Returns (edb, closer)."""
+def _open_edb(args, db) -> RemoteEdb | PersistentStore:
+    """The remote store of ``--server``, else the local one."""
     if getattr(args, "server", None):
         host, _, port = args.server.rpartition(":")
         if not host:
             raise CliError("--server needs HOST:PORT")
-        remote = RemoteEdb(host, int(port))
-        return remote, remote.close
-    store = PersistentStore(_store_path(db))
-    return store, store.close
+        return RemoteEdb(host, int(port))
+    return PersistentStore(_store_path(db))
 
 
 def _show(value: bytes) -> str:
@@ -124,11 +122,8 @@ def cmd_register_table(args) -> int:
 def cmd_exec(args) -> int:
     db = _db_dir(args)
     registry, key = _load_registry(db)
-    edb, closer = _open_edb(args, db)
-    try:
+    with _open_edb(args, db) as edb:
         result = q.exec_statement(registry, args.statement, edb)
-    finally:
-        closer()
     # searches rotate epochs and updates advance counters: always persist
     _save_registry(db, registry, key)
     if result is None:
@@ -145,27 +140,23 @@ def cmd_exec(args) -> int:
 def cmd_ingest(args) -> int:
     db = _db_dir(args)
     registry, key = _load_registry(db)
-    edb, closer = _open_edb(args, db)
     done = skipped = 0
-    try:
-        with open(args.csv, newline="", encoding="utf-8") as fh:
-            for lineno, row in enumerate(csv.DictReader(fh), start=2):
-                w = row.get(args.keyword_column)
-                v = row.get(args.value_column)
-                if not w or not v:
-                    log.warning("line %d: missing %s or %s, skipped",
-                                lineno, args.keyword_column,
-                                args.value_column)
-                    skipped += 1
-                    continue
-                plan = q.QueryPlan(q.SYN_INS, (
-                    args.table,
-                    (args.keyword_column, w.encode(),
-                     args.value_column, v.encode())))
-                q.execute(registry, plan, edb)
-                done += 1
-    finally:
-        closer()
+    with _open_edb(args, db) as edb, \
+            open(args.csv, newline="", encoding="utf-8") as fh:
+        for lineno, row in enumerate(csv.DictReader(fh), start=2):
+            w = row.get(args.keyword_column)
+            v = row.get(args.value_column)
+            if not w or not v:
+                log.warning("line %d: missing %s or %s, skipped",
+                            lineno, args.keyword_column, args.value_column)
+                skipped += 1
+                continue
+            plan = q.QueryPlan(q.SYN_INS, (
+                args.table,
+                (args.keyword_column, w.encode(),
+                 args.value_column, v.encode())))
+            q.execute(registry, plan, edb)
+            done += 1
     _save_registry(db, registry, key)
     print(f"ingested {done} rows ({skipped} skipped)")
     return 0

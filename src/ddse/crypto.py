@@ -1,4 +1,7 @@
-"""Shared symmetric primitives: PRFs, the GGM length-doubling PRG, AEAD.
+"""Shared symmetric primitives: PRFs, a SHA-256 keystream, key and
+nonce sizes, and the length framing and varints the formats use.  The
+GGM tree's length-doubling PRG is SHA-256 of a seed, expanded inline
+where the tree is walked (``ggm``).
 
 Everything here is deterministic given its key material; randomness is
 injected only through ``fresh_key``/``fresh_nonce`` so the protocol
@@ -40,14 +43,6 @@ def prf(key: bytes, msg: bytes, out_len: int = TOKEN_LEN) -> bytes:
 def keyed_hash(key: bytes, msg: bytes) -> bytes:
     """Full-width keyed hash (32 bytes)."""
     return hmac.digest(key, msg, "sha256")
-
-
-def prg(seed: bytes) -> bytes:
-    """Length-doubling PRG: 16-byte seed -> 32 bytes.
-
-    Left child of a GGM node is the low half, right child the high half.
-    """
-    return hashlib.sha256(seed).digest()
 
 
 def encode_parts(*parts: bytes) -> bytes:

@@ -42,9 +42,9 @@ _KIND_CODES = {PUNCTURED: 0, RANGE: 1}
 
 MAX_DEPTH = 32
 
-# The length-doubling PRG (crypto.prg) is called millions of times per
-# large token, so the loops below expand sha256 inline; left child is
-# the low half of the digest, right child the high half.
+# The length-doubling PRG is sha256 of a 16-byte seed, called millions
+# of times per large token, so the loops below expand it inline; left
+# child is the low half of the digest, right child the high half.
 
 
 def _walk(seed: bytes, path: int, nbits: int) -> bytes:

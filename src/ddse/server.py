@@ -1,15 +1,17 @@
 """Socket server hosting a persistent encrypted database.
 
-One thread per connection; mutations are serialized through a lock and
-hit the store's log before the acknowledgement goes out.  The server
-only ever sees delegated key material inside SEARCH bodies -- this
-module must not import the client side.
+Connections are served by ``socketserver``, one thread each; a
+connection that sends nothing for ``Connection.timeout`` (300 s) is
+closed.  Mutations are serialized through a lock and hit the store's
+log before the acknowledgement goes out.  The server only ever sees
+delegated key material inside SEARCH bodies -- this module must not
+import the client side.
 """
 
 from __future__ import annotations
 
 import logging
-import socket
+import socketserver
 import threading
 
 from . import wire
@@ -19,77 +21,62 @@ from .store import PersistentStore
 logger = logging.getLogger(__name__)
 
 
-class Server:
+class Connection(socketserver.StreamRequestHandler):
+    """One client connection: frames in, replies out, until BYE."""
+
+    timeout = 300  # idle seconds before the server drops the connection
+
+    def handle(self) -> None:
+        while True:
+            try:
+                ftype, body = wire.read_frame(self.rfile)
+            except wire.FrameError as exc:
+                if "connection closed" not in str(exc):
+                    self.server._send(self.wfile, wire.ERROR,
+                                      str(exc).encode())
+                return
+            except OSError:
+                return  # idle timeout or reset: the connection is over
+            try:
+                if not self.server._dispatch(self.wfile, ftype, body):
+                    return
+            except (wire.FrameError, AddressCollision, ValueError) as exc:
+                self.server._send(self.wfile, wire.ERROR, str(exc).encode())
+                return
+
+
+class Server(socketserver.ThreadingTCPServer):
+    daemon_threads = True
+    allow_reuse_address = True  # a restart may bind over TIME_WAIT
+    request_queue_size = 128  # socket.create_server's listen backlog
+
     def __init__(self, store: PersistentStore, host: str = "127.0.0.1",
                  port: int = 0):
+        super().__init__((host, port), Connection)
         self.store = store
         self._lock = threading.Lock()
-        self._listener = socket.create_server((host, port))
-        # wake periodically so stop() can interrupt a blocked accept()
-        self._listener.settimeout(0.2)
-        self.address: tuple[str, int] = self._listener.getsockname()[:2]
-        self._accept_thread: threading.Thread | None = None
-        self._stopping = threading.Event()
+        self.address: tuple[str, int] = self.server_address[:2]
+        # shutdown() waits for serve_forever, so it must have been entered
+        self._served = False
 
     def start(self) -> "Server":
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="ddse-server", daemon=True)
-        self._accept_thread.start()
+        self._served = True
+        threading.Thread(target=self.serve_forever, name="ddse-server",
+                         daemon=True).start()
         return self
 
-    def serve_forever(self) -> None:
-        self._accept_loop()
+    def serve_forever(self, poll_interval: float = 0.2) -> None:
+        self._served = True
+        logger.info("listening on %s:%d", *self.address)
+        super().serve_forever(poll_interval)
 
     def stop(self) -> None:
-        self._stopping.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-
-    def __enter__(self):
-        return self
+        if self._served:
+            self.shutdown()
+        self.server_close()
 
     def __exit__(self, *exc):
         self.stop()
-
-    def _accept_loop(self) -> None:
-        logger.info("listening on %s:%d", *self.address)
-        while not self._stopping.is_set():
-            try:
-                conn, peer = self._listener.accept()
-            except TimeoutError:
-                continue
-            except OSError:
-                break  # listener closed
-            conn.settimeout(None)
-            threading.Thread(target=self._serve_connection,
-                             args=(conn, peer), daemon=True).start()
-
-    def _serve_connection(self, conn: socket.socket, peer) -> None:
-        stream = conn.makefile("rwb")
-        try:
-            while True:
-                try:
-                    ftype, body = wire.read_frame(stream)
-                except wire.FrameError as exc:
-                    if "connection closed" not in str(exc):
-                        self._send(stream, wire.ERROR, str(exc).encode())
-                    return
-                try:
-                    if not self._dispatch(stream, ftype, body):
-                        return
-                except (wire.FrameError, AddressCollision, ValueError) as exc:
-                    self._send(stream, wire.ERROR, str(exc).encode())
-                    return
-        finally:
-            try:
-                stream.close()
-            except OSError:
-                pass
-            conn.close()
 
     def _dispatch(self, stream, ftype: int, body: bytes) -> bool:
         """Handle one frame; False ends the connection."""

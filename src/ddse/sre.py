@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from hashlib import sha256
 from typing import Optional
 
 from . import bloom, ggm
-from .crypto import (KEY_LEN, NONCE_LEN, fresh_key, fresh_nonce, prg,
-                     stream_xor)
+from .crypto import KEY_LEN, NONCE_LEN, fresh_key, fresh_nonce, stream_xor
 
 logger = logging.getLogger(__name__)
 
@@ -152,9 +152,8 @@ class SubkeyStore:
     Bounded; eviction drops the oldest entries.
 
     No production path uses it: ``EncryptedDatabase.execute_search``
-    calls plain ``dec``, which measured faster.  It stays as the second
-    evaluator of acceptance criterion 5's differential check, and the
-    benchmark's tracer wraps ``leaf`` by name.
+    calls plain ``dec``, which measured faster.  It stays only because
+    the benchmark's tracer wraps ``leaf`` by name.
     """
 
     def __init__(self, key: ggm.DelegatedKey, max_entries: int = 512):
@@ -179,7 +178,7 @@ class SubkeyStore:
             start = index - offset
             seed = self._key._seed(node)
         while height > 0:
-            out = prg(seed)
+            out = sha256(seed).digest()
             height -= 1
             half = 1 << height
             if index < start + half:
@@ -194,8 +193,7 @@ class SubkeyStore:
         return seed
 
 
-def dec(rk: RevokedKey, ct: SreCiphertext, tag: bytes,
-        store: Optional[SubkeyStore] = None) -> Optional[bytes]:
+def dec(rk: RevokedKey, ct: SreCiphertext, tag: bytes) -> Optional[bytes]:
     """Payload under the data key from the first unrevoked wrap, or None.
 
     None means every hash position of ``tag`` is punctured (the tag was
@@ -206,13 +204,11 @@ def dec(rk: RevokedKey, ct: SreCiphertext, tag: bytes,
     """
     if ct.h != rk.filter.h:
         raise ValueError("wrap count does not match filter hash count")
-    if store is not None and store._key is not rk.key:
-        raise ValueError("subkey store built for a different key")
     bits = rk.filter.bits
     for i, pos in enumerate(rk.filter.positions(tag)):
         if bits[pos >> 3] & (0x80 >> (pos & 7)):
             continue  # a hole of the key
-        key = store.leaf(pos) if store is not None else rk.key.eval(pos)
+        key = rk.key.eval(pos)
         if key is None:
             continue
         dk = stream_xor(key, ct.nonce, ct.wraps[i])

@@ -11,6 +11,7 @@ import time
 
 from ddse import audit, bloom, client as cl, sre, wire, workload as wl
 from ddse.client import ClientConfig, UnknownKeywordError
+from ddse.crypto import stream_xor
 from ddse.edb import EncryptedDatabase
 from ddse.query import Registry, TableConfig, exec_statement
 from ddse.server import Server
@@ -156,19 +157,31 @@ def test_criterion_5_revocation_soundness_and_optimizations():
             lost += 1
     assert lost / trials <= 2 * p, lost / trials
 
-    # differential leg: the subkey-caching decryptor agrees with the
-    # plain one on 10^4 random decryptions over a partially revoked key
+    # differential leg: dec through the punctured key agrees with a
+    # plain per-leaf walk from the root on 10^4 random decryptions over
+    # a partially revoked key
     key = sre.kgen(1024, 5)
     tags = [f"d-{i}".encode() for i in range(400)]
     for t in tags[:120]:
         key = sre.SreMasterKey(key.sk, sre.comp(key.D, t))
     rk = sre.ck_rev(key.sk, key.D)
-    store = sre.SubkeyStore(rk.key)
+    revoked_bits = set(key.D.set_bits())
+
+    def walk_from_root(ct, t):
+        for i, pos in enumerate(key.D.positions(t)):
+            if pos not in revoked_bits:
+                dk = stream_xor(key.sk.eval(pos), ct.nonce, ct.wraps[i])
+                framed = stream_xor(dk, ct.nonce, ct.body)
+                if not framed.startswith(sre.MAGIC):
+                    return None
+                return framed[len(sre.MAGIC):]
+        return None
+
     rng = random.Random(55)
     for _ in range(10 ** 4):
         t = rng.choice(tags)
         ct = sre.enc(key, b"v:" + t, t)
-        assert sre.dec(rk, ct, t) == sre.dec(rk, ct, t, store=store)
+        assert sre.dec(rk, ct, t) == walk_from_root(ct, t)
 
 
 def test_criterion_6_forward_privacy_check_and_mutant():

@@ -3,6 +3,7 @@
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -11,7 +12,8 @@ from ddse import wire
 from ddse.client import ClientConfig, ProtocolError
 from ddse.edb import EncryptedDatabase
 from ddse.netclient import RemoteEdb
-from ddse.server import serve
+from ddse import server as server_mod
+from ddse.server import Server, serve
 from ddse.store import PersistentStore
 
 
@@ -154,3 +156,45 @@ def test_state_survives_server_restart(tmp_path):
     finally:
         server2.stop()
         store2.close()
+
+
+def test_idle_connection_is_closed(running_server, monkeypatch, capsys):
+    monkeypatch.setattr(server_mod.Connection, "timeout", 0.3)
+    with socket.create_connection(running_server.address) as sock:
+        sock.settimeout(10)
+        t0 = time.monotonic()
+        assert sock.recv(1) == b""  # the server hung up, sending nothing
+        assert time.monotonic() - t0 < 5
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_stop_without_start_returns(tmp_path):
+    store = PersistentStore(tmp_path / "db")
+    t0 = time.monotonic()
+    Server(store).stop()
+    assert time.monotonic() - t0 < 1
+    store.close()
+
+
+def test_stop_returns_with_an_idle_client_connected(tmp_path):
+    store = PersistentStore(tmp_path / "db")
+    server = serve(store)
+    with socket.create_connection(server.address) as sock:
+        sock.sendall(wire.pack_frame(wire.HELLO,
+                                     bytes([wire.PROTOCOL_VERSION])))
+        sock.settimeout(10)
+        assert sock.recv(64)  # the connection is being served
+        t0 = time.monotonic()
+        server.stop()
+        assert time.monotonic() - t0 < 2
+    store.close()
+
+
+def test_port_rebinds_after_a_closed_connection(tmp_path):
+    # the server closes first after BYE, leaving TIME_WAIT on its port
+    store = PersistentStore(tmp_path / "db")
+    with serve(store) as server:
+        RemoteEdb(*server.address).close()
+    with Server(store, port=server.address[1]) as again:
+        assert again.address == server.address
+    store.close()
