@@ -1,9 +1,12 @@
 """Command-line front end.
 
-A database directory holds two things: ``state.ddse``, the encrypted
-client bundle (key material, distinct-state, quantity vectors), and
-``store/``, the server-side encrypted store.  The passphrase sealing the
-client bundle comes from DDSE_PASSPHRASE; the default directory from
+A database directory holds ``state.ddse``, the encrypted client bundle
+(key material, distinct-state, quantity vectors), and ``store/``, the
+server-side encrypted store.  A command that changes the client bundle
+holds an exclusive lock on ``state.lock`` from its load to its save, so
+two concurrent commands run one after the other instead of the later
+save undoing the earlier one.  The passphrase sealing the client
+bundle comes from DDSE_PASSPHRASE; the default directory from
 DDSE_STORE.  With ``--server HOST:PORT`` the server half is remote and
 only the client bundle is touched locally.
 
@@ -20,6 +23,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import fcntl
+import functools
 import logging
 import os
 import sys
@@ -60,6 +65,17 @@ def _state_path(db: str) -> str:
 
 def _store_path(db: str) -> str:
     return os.path.join(db, "store")
+
+
+def _state_locked(command):
+    """Run ``command`` holding the client state's lock, a file of its
+    own because ``statefile.save`` replaces ``state.ddse`` by rename."""
+    @functools.wraps(command)
+    def locked(args) -> int:
+        with open(os.path.join(_db_dir(args), "state.lock"), "ab") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            return command(args)
+    return locked
 
 
 def _load_registry(db: str) -> tuple[q.Registry, tuple[bytes, bytes]]:
@@ -107,6 +123,7 @@ def cmd_setup(args) -> int:
     return 0
 
 
+@_state_locked
 def cmd_register_table(args) -> int:
     db = _db_dir(args)
     registry, key = _load_registry(db)
@@ -119,6 +136,7 @@ def cmd_register_table(args) -> int:
     return 0
 
 
+@_state_locked
 def cmd_exec(args) -> int:
     db = _db_dir(args)
     registry, key = _load_registry(db)
@@ -137,6 +155,7 @@ def cmd_exec(args) -> int:
     return 0
 
 
+@_state_locked
 def cmd_ingest(args) -> int:
     db = _db_dir(args)
     registry, key = _load_registry(db)

@@ -6,8 +6,9 @@ retrievals already surfaced by earlier searches so re-encrypted history
 never has to be replayed.  Search executes entirely on delegated key
 material: the request carries a punctured revocable-encryption key, the
 filter snapshot defining tag positions, and a range-constrained
-placement token.  Nothing in this module touches client master keys --
-it must stay importable by server code.
+placement token.  ``ddse.store`` logs each change and replays its log
+through these same operations.  Nothing in this module touches client
+master keys -- it must stay importable by server code.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def decode_entry(payload: bytes) -> tuple[sre.SreCiphertext, bytes]:
 
 
 class EncryptedDatabase:
-    """In-memory store; the persistent variant wraps this with a log."""
+    """In-memory store; ``ddse.store`` wraps this with a log."""
 
     def __init__(self):
         self.main: dict[bytes, bytes] = {}
@@ -112,13 +113,3 @@ class EncryptedDatabase:
         merged = fresh + [r for r in old if r not in seen]
         self.cache[tkn] = merged
         return list(merged)
-
-    def cache_put(self, tkn: bytes, retrievals: list[bytes]) -> None:
-        self.cache[tkn] = list(retrievals)
-
-    def delete_address(self, address: bytes) -> None:
-        self.main.pop(address, None)
-
-    def put_address(self, address: bytes, payload: bytes) -> None:
-        """Replay path: last write wins, no collision check."""
-        self.main[address] = payload

@@ -3,14 +3,16 @@
 Connections are served by ``socketserver``, one thread each; a
 connection that sends nothing for ``Connection.timeout`` (300 s) is
 closed.  Mutations are serialized through a lock and hit the store's
-log before the acknowledgement goes out.  The server only ever sees
-delegated key material inside SEARCH bodies -- this module must not
-import the client side.
+log before the acknowledgement goes out.  ``stop()`` also ends every
+established connection, and no store operation runs once it returns.
+The server only ever sees delegated key material inside SEARCH bodies
+-- this module must not import the client side.
 """
 
 from __future__ import annotations
 
 import logging
+import socket
 import socketserver
 import threading
 
@@ -19,6 +21,10 @@ from .edb import AddressCollision
 from .store import PersistentStore
 
 logger = logging.getLogger(__name__)
+
+
+class _Stopped(Exception):
+    """A frame arrived after ``Server.stop()``; it is not served."""
 
 
 class Connection(socketserver.StreamRequestHandler):
@@ -40,6 +46,8 @@ class Connection(socketserver.StreamRequestHandler):
             try:
                 if not self.server._dispatch(self.wfile, ftype, body):
                     return
+            except _Stopped:
+                return
             except (wire.FrameError, AddressCollision, ValueError) as exc:
                 self.server._send(self.wfile, wire.ERROR, str(exc).encode())
                 return
@@ -55,6 +63,8 @@ class Server(socketserver.ThreadingTCPServer):
         super().__init__((host, port), Connection)
         self.store = store
         self._lock = threading.Lock()
+        self._stopped = False
+        self._connections: set[socket.socket] = set()  # under _lock
         self.address: tuple[str, int] = self.server_address[:2]
         # shutdown() waits for serve_forever, so it must have been entered
         self._served = False
@@ -72,8 +82,26 @@ class Server(socketserver.ThreadingTCPServer):
 
     def stop(self) -> None:
         if self._served:
-            self.shutdown()
+            self.shutdown()  # no connection is accepted after this
+        with self._lock:
+            self._stopped = True
+            live = list(self._connections)
+        for sock in live:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)  # its reader sees EOF
+            except OSError:
+                pass
         self.server_close()
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
 
     def __exit__(self, *exc):
         self.stop()
@@ -88,13 +116,11 @@ class Server(socketserver.ThreadingTCPServer):
             self._send(stream, wire.HELLO, body)
         elif ftype == wire.UPDATE:
             address, payload = wire.decode_update_body(body)
-            with self._lock:
-                self.store.apply_update(address, payload)
+            self._locked(self.store.apply_update, address, payload)
             self._send(stream, wire.RESULT, b"")
         elif ftype == wire.SEARCH:
             request = wire.decode_search_body(body)
-            with self._lock:
-                outcome = self.store.execute_search(request)
+            outcome = self._locked(self.store.execute_search, request)
             self._send(stream, wire.RESULT,
                        wire.encode_result_body(outcome.results))
         elif ftype == wire.BYE:
@@ -104,6 +130,13 @@ class Server(socketserver.ThreadingTCPServer):
             raise wire.FrameError(
                 f"unexpected {wire.type_name(ftype)} frame from client")
         return True
+
+    def _locked(self, operation, *args):
+        """Run a store operation under the mutation lock, unless stopped."""
+        with self._lock:
+            if self._stopped:
+                raise _Stopped
+            return operation(*args)
 
     @staticmethod
     def _send(stream, ftype: int, body: bytes = b"") -> None:

@@ -1,10 +1,13 @@
 """State-at-rest container and the command-line front end."""
 
+import fcntl
 import hashlib
 import os
 import stat
 import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -51,12 +54,12 @@ def count_scrypt(monkeypatch) -> list:
 def test_statefile_save_after_load_derives_the_key_once(tmp_path, monkeypatch):
     path = str(tmp_path / "state.ddse")
     statefile.save(path, "pw", {"k": 1})
-    first = open(path, "rb").read()
+    first = Path(path).read_bytes()
     calls = count_scrypt(monkeypatch)
     bundle, key = statefile.load_with_key(path, "pw")
     statefile.save(path, "pw", {"k": bundle["k"] + 1}, key)
     assert len(calls) == 1
-    second = open(path, "rb").read()
+    second = Path(path).read_bytes()
     assert second[5:21] == first[5:21]      # the file's salt is kept
     assert second[21:33] != first[21:33]    # with a fresh nonce
     assert statefile.load(path, "pw") == {"k": 2}
@@ -79,16 +82,16 @@ def test_statefile_rejects_empty_passphrase(tmp_path):
 def test_statefile_detects_corruption(tmp_path):
     path = str(tmp_path / "state.ddse")
     statefile.save(path, "pw", {"k": 1})
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[-1] ^= 0xFF
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(StateFileError, match="corrupted"):
         statefile.load(path, "pw")
 
 
 def test_statefile_rejects_foreign_files(tmp_path):
     path = str(tmp_path / "junk")
-    open(path, "wb").write(b"PDF-1.4 definitely not ours" * 4)
+    Path(path).write_bytes(b"PDF-1.4 definitely not ours" * 4)
     with pytest.raises(StateFileError, match="not a state file"):
         statefile.load(path, "pw")
 
@@ -100,7 +103,7 @@ def test_statefile_keys_not_plaintext_on_disk(tmp_path):
                         sigma_depth=12, revoke_p=1e-2)
     path = str(tmp_path / "state.ddse")
     statefile.save(path, "pw", {"registry": reg})
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     for secret in (inst.state.k_search, inst.state.k_tag,
                    inst.state.k_value):
         assert secret not in blob
@@ -211,6 +214,23 @@ def test_statement_syntax_error_is_reported(db, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_commands_wait_for_the_state_lock(db, capsys):
+    assert register(db) == 0
+    capsys.readouterr()
+    codes = []
+    command = threading.Thread(target=lambda: codes.append(run_cli(
+        db, "exec", "INSERT INTO T (T.x, T.y) VALUE ('w', 'late')")))
+    with open(os.path.join(db, "state.lock"), "ab") as held:
+        fcntl.flock(held, fcntl.LOCK_EX)
+        command.start()
+        command.join(0.3)
+        assert command.is_alive()  # waiting for the lock
+    command.join(30)
+    assert not command.is_alive() and codes == [0]
+    assert run_cli(db, "exec", "SELECT DISTINCT T.y FROM T WHERE T.x = 'w'") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "late"
+
+
 def test_ingest_csv_skips_bad_rows(db, tmp_path, capsys, caplog):
     assert register(db, "People", "People.name", "People.mail") == 0
     csv_path = tmp_path / "people.csv"
@@ -254,25 +274,25 @@ def test_bench_subcommand_is_gone(db, capsys):
 def test_serve_and_remote_exec(db, tmp_path, monkeypatch):
     server_db = str(tmp_path / "server-db")
     env = dict(os.environ, DDSE_PASSPHRASE="test-passphrase")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "ddse.cli", "--db", server_db,
-         "serve", "--listen", "127.0.0.1:0"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        env=env, text=True)
-    try:
-        line = proc.stdout.readline()
-        assert line.startswith("listening on "), line
-        hostport = line.split()[-1]
-        assert register(db) == 0
-        assert run_cli(db, "exec",
-                       "INSERT INTO T (T.x, T.y) VALUE ('w', 'remote')",
-                       "--server", hostport) == 0
-        assert run_cli(db, "exec",
-                       "SELECT DISTINCT T.y FROM T WHERE T.x = 'w'",
-                       "--server", hostport) == 0
-    finally:
-        proc.terminate()
-        proc.wait(timeout=10)
+    # leaving the block closes the pipe and waits for the server
+    with subprocess.Popen(
+            [sys.executable, "-m", "ddse.cli", "--db", server_db,
+             "serve", "--listen", "127.0.0.1:0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            env=env, text=True) as proc:
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("listening on "), line
+            hostport = line.split()[-1]
+            assert register(db) == 0
+            assert run_cli(db, "exec",
+                           "INSERT INTO T (T.x, T.y) VALUE ('w', 'remote')",
+                           "--server", hostport) == 0
+            assert run_cli(db, "exec",
+                           "SELECT DISTINCT T.y FROM T WHERE T.x = 'w'",
+                           "--server", hostport) == 0
+        finally:
+            proc.terminate()
 
 
 def test_remote_select_output(db, tmp_path, capsys):

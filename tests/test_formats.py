@@ -2,10 +2,11 @@
 
 Every vector is built from fixed seeds, tags and nonces and compared
 with literal bytes, so a change to a frame header, a body codec, the
-entry encoding, a log record or the snapshot header fails here.  The
-scenario: two entries placed under one label (a live one, "kept", and
-one whose tag is then revoked, "gone"), then one search that purges
-"gone" and caches "kept".
+entry encoding or a log record fails here.  The scenario: two entries
+placed under one label (a live one, "kept", and one whose tag is then
+revoked, "gone"), then one search that purges "gone" and caches
+"kept", then a compaction that leaves only the live state.  Retired
+layouts are kept as vectors that must be refused.
 """
 
 import tracemalloc
@@ -100,12 +101,14 @@ PUT_GONE = (h("0000006f 01") + ADDRESS_GONE + h("0000004a") + ENTRY_GONE
             + h("9cdee0b6"))
 DEL_GONE = h("00000021 02") + ADDRESS_GONE + h("37d9c405")
 # a search logs only its fresh retrievals (FRESH), folded into the slot
-# on replay; CACHE replaces the whole slot and is what snapshots write
-# and what every search logged before FRESH existed
-CACHE_KEPT = h("0000002d 03") + TKN + RESULT_KEPT + h("de1e95c3")
+# on replay; compaction writes one FRESH per slot, which folded into an
+# absent slot gives exactly that slot
 FRESH_KEPT = h("0000002d 04") + TKN + RESULT_KEPT + h("021e40a5")
 FRESH_NEW = h("0000002c 04") + TKN + RESULT_NEW + h("79c1b060")
 
+# retired: CACHE (type 3) replaced a whole slot; snapshot files wrote it
+# after their header, and so did every search before FRESH existed
+CACHE_KEPT = h("0000002d 03") + TKN + RESULT_KEPT + h("de1e95c3")
 SNAPSHOT_HEADER = b"DDSESNAP" + h("01")
 
 # protocol version 2 stored the framed retrieval once per position, each
@@ -272,9 +275,9 @@ def test_result_body():
     assert wire.decode_result_body(RESULT_KEPT) == [b"kept"]
 
 
-def test_log_records_and_snapshot(scenario, tmp_path):
+def test_log_records_and_compaction(scenario, tmp_path):
     msk, sigma, entries = scenario
-    log, snap = tmp_path / "log", tmp_path / "snapshot"
+    log = tmp_path / "log"
     with PersistentStore(tmp_path) as store:
         for counter, entry in enumerate(entries):
             sigma.update(LABEL, counter, entry, store)
@@ -282,23 +285,40 @@ def test_log_records_and_snapshot(scenario, tmp_path):
         outcome = store.execute_search(search_request(msk, sigma))
         assert (outcome.results, outcome.purged) == ([b"kept"], [ADDRESS_GONE])
         assert log.read_bytes() == PUT_KEPT + PUT_GONE + DEL_GONE + FRESH_KEPT
-        store.snapshot()
-    assert snap.read_bytes() == SNAPSHOT_HEADER + PUT_KEPT + CACHE_KEPT
-    assert log.read_bytes() == b""
+        store.compact()
+    assert log.read_bytes() == PUT_KEPT + FRESH_KEPT
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log"]
 
 
-@pytest.mark.parametrize("name,content,cached", [
-    ("log", PUT_KEPT + PUT_GONE + DEL_GONE + CACHE_KEPT, [b"kept"]),
-    ("snapshot", SNAPSHOT_HEADER + PUT_KEPT + CACHE_KEPT, [b"kept"]),
-    ("log", PUT_KEPT + PUT_GONE + DEL_GONE + FRESH_KEPT, [b"kept"]),
-    ("log", PUT_KEPT + PUT_GONE + DEL_GONE + CACHE_KEPT + FRESH_NEW,
+@pytest.mark.parametrize("content,cached", [
+    (PUT_KEPT + PUT_GONE + DEL_GONE + FRESH_KEPT, [b"kept"]),
+    (PUT_KEPT + FRESH_KEPT, [b"kept"]),
+    (PUT_KEPT + PUT_GONE + DEL_GONE + FRESH_KEPT + FRESH_NEW,
      [b"new", b"kept"]),
-], ids=["log", "snapshot", "fresh", "cache-then-fresh"])
-def test_golden_files_replay(tmp_path, name, content, cached):
-    (tmp_path / name).write_bytes(content)
+], ids=["fresh", "compacted", "fresh-then-fresh"])
+def test_golden_files_replay(tmp_path, content, cached):
+    (tmp_path / "log").write_bytes(content)
     with PersistentStore(tmp_path) as store:
         assert store.edb.main == {ADDRESS_KEPT: ENTRY_KEPT}
         assert store.edb.cache == {TKN: cached}
+    assert (tmp_path / "log").read_bytes() == content
+
+
+@pytest.mark.parametrize("name,content,match", [
+    ("log", PUT_KEPT + PUT_GONE + DEL_GONE + CACHE_KEPT,
+     f"byte {len(PUT_KEPT + PUT_GONE + DEL_GONE)} .*record type 3"),
+    ("log", PUT_KEPT + PUT_GONE + DEL_GONE + CACHE_KEPT + FRESH_NEW,
+     f"byte {len(PUT_KEPT + PUT_GONE + DEL_GONE)} .*record type 3"),
+    ("snapshot", SNAPSHOT_HEADER + PUT_KEPT + CACHE_KEPT,
+     "snapshot files are no longer read"),
+], ids=["cache-log", "cache-then-fresh", "snapshot"])
+def test_golden_files_refused(tmp_path, name, content, match):
+    # a CACHE record is written whole, so it is refused, not cut off as
+    # a torn tail; a snapshot file's log alone holds a partial state
+    (tmp_path / name).write_bytes(content)
+    with pytest.raises(ValueError, match=match) as refused:
+        PersistentStore(tmp_path)
+    assert str(tmp_path / name) in str(refused.value)
     assert (tmp_path / name).read_bytes() == content
 
 

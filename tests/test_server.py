@@ -1,5 +1,7 @@
-"""Socket server: handshake, remote protocol rounds, fault handling."""
+"""Socket server: handshake, remote protocol rounds, fault handling,
+stopping, and compaction between requests."""
 
+import io
 import socket
 import struct
 import threading
@@ -12,6 +14,7 @@ from ddse import wire
 from ddse.client import ClientConfig, ProtocolError
 from ddse.edb import EncryptedDatabase
 from ddse.netclient import RemoteEdb
+from ddse.query import Registry, TableConfig, exec_statement
 from ddse import server as server_mod
 from ddse.server import Server, serve
 from ddse.store import PersistentStore
@@ -198,3 +201,97 @@ def test_port_rebinds_after_a_closed_connection(tmp_path):
     with Server(store, port=server.address[1]) as again:
         assert again.address == server.address
     store.close()
+
+
+def test_stop_ends_established_connections(tmp_path):
+    late = wire.encode_update_body(bytes(32), b"late")
+    store = PersistentStore(tmp_path / "db")
+    server = serve(store)
+    with socket.create_connection(server.address) as sock:
+        sock.sendall(wire.pack_frame(wire.HELLO,
+                                     bytes([wire.PROTOCOL_VERSION])))
+        sock.settimeout(10)
+        assert sock.recv(64)  # the connection is being served
+        server.stop()
+        sock.settimeout(1)
+        assert sock.recv(64) == b""  # the server hung up
+        try:
+            sock.sendall(wire.pack_frame(wire.UPDATE, late))
+            time.sleep(0.2)
+        except OSError:
+            pass  # reset by the server: also not served
+    # a frame read just before stop() is not served either
+    with pytest.raises(server_mod._Stopped):
+        server._dispatch(io.BytesIO(), wire.UPDATE, late)
+    assert store.edb.main == {}
+    assert (tmp_path / "db" / "log").stat().st_size == 0
+    store.close()
+
+
+class TwinTee:
+    """Sends every request to a remote store and to a local twin that is
+    never compacted; every search must answer alike."""
+
+    def __init__(self, remote, twin):
+        self.remote, self.twin = remote, twin
+
+    def apply_update(self, address, payload):
+        self.twin.apply_update(address, payload)
+        self.remote.apply_update(address, payload)
+
+    def execute_search(self, request):
+        expect = self.twin.execute_search(request)
+        got = self.remote.execute_search(request)
+        assert got.results == expect.results
+        return got
+
+
+def test_compaction_behind_a_live_server(tmp_path):
+    registry = Registry()
+    registry.register(TableConfig("T", "T.x", "T.y", bf_n=2000, bf_p=1e-4,
+                                  d_max=16), sigma_depth=10, revoke_p=1e-2)
+    store = PersistentStore(tmp_path / "db")
+    twin = PersistentStore(tmp_path / "twin")
+    server = serve(store)
+    remote = RemoteEdb(*server.address)
+
+    def run(statement):
+        return exec_statement(registry, statement, TwinTee(remote, twin))
+
+    def insert(x, y):
+        run(f"INSERT INTO T (T.x, T.y) VALUE ('{x}', '{y}')")
+
+    def select(x):
+        return run(f"SELECT DISTINCT T.y FROM T WHERE T.x = '{x}'")
+
+    def compact():
+        with server._lock:  # as between two requests
+            store.compact()
+
+    try:
+        for y in ("a", "b", "a", "c"):
+            insert("w", y)
+        insert("z", "q")
+        assert select("w") == {b"a", b"b", b"c"}
+        compact()
+        insert("w", "d")
+        assert select("w") == {b"a", b"b", b"c", b"d"}
+        assert select("z") == {b"q"}
+        compact()
+        insert("z", "r")
+        remote.close()
+        server.stop()
+        store.close()
+        store = PersistentStore(tmp_path / "db")
+        assert store.edb.main == twin.edb.main
+        assert store.edb.cache == twin.edb.cache
+        server = serve(store)
+        remote = RemoteEdb(*server.address)
+        insert("w", "e")
+        assert select("w") == {b"a", b"b", b"c", b"d", b"e"}
+        assert select("z") == {b"q", b"r"}
+    finally:
+        remote.close()
+        server.stop()
+        store.close()
+        twin.close()

@@ -1,4 +1,5 @@
-"""Write-ahead log: durability, torn tails, snapshots, purge persistence."""
+"""Write-ahead log: durability, torn tails, strict replay, compaction,
+purge persistence.  The log is the store's only file."""
 
 import logging
 import os
@@ -81,15 +82,15 @@ def test_matches_in_memory_database(tmp_path):
                 cl.search(state, w, tee)
         assert_same_state(store.edb, mem)
         old_log = (root / "log").read_bytes()
-        store.snapshot()
+        store.compact()
+        assert_same_state(store.edb, mem)
+    # the purged PUT+DEL pairs and the superseded folds are gone
+    assert (root / "log").stat().st_size < len(old_log)
+    assert not (root / "log.tmp").exists()
     with PersistentStore(root) as back:
         assert_same_state(back.edb, mem)
-    # a crash between the snapshot's rename and the log reset replays
-    # the whole old log over the snapshot
+    # a crash before the rename leaves the old log, whole
     (root / "log").write_bytes(old_log)
-    with PersistentStore(root) as back:
-        assert_same_state(back.edb, mem)
-    (root / "snapshot").unlink()
     with PersistentStore(root) as back:
         assert_same_state(back.edb, mem)
 
@@ -101,6 +102,11 @@ def record_ends(raw: bytes, pos: int) -> list[int]:
         pos += 4 + blen + 4
         ends.append(pos)
     return ends
+
+
+def record(rectype: int, body: bytes) -> bytes:
+    data = bytes([rectype]) + body
+    return struct.pack(">I", len(data)) + data + struct.pack(">I", zlib.crc32(data))
 
 
 def test_every_cut_of_a_search_batch_recovers(tmp_path):
@@ -215,7 +221,7 @@ def test_undecodable_record_refuses_replay(tmp_path):
         store.apply_update(b"\x01" * 32, b"second")
     log = root / "log"
     raw = log.read_bytes()
-    unknown = struct.pack(">I", 1) + b"\x09" + struct.pack(">I", zlib.crc32(b"\x09"))
+    unknown = record(9, b"")
     raw = raw[:size_after_first] + unknown + raw[size_after_first:]
     log.write_bytes(raw)
     with pytest.raises(ValueError, match=f"byte {size_after_first}"):
@@ -223,51 +229,94 @@ def test_undecodable_record_refuses_replay(tmp_path):
     assert log.read_bytes() == raw
 
 
-def test_snapshot_folds_log(tmp_path):
+def searched_store(root):
+    """A store with live entries, a purge and a cache slot, and its log."""
     state, _ = small_state()
-    with PersistentStore(tmp_path / "db") as store:
-        for i in range(6):
-            cl.update(state, cl.ADD, b"w", b"v%d" % i, store)
-        cl.search(state, b"w", store)
+    store = PersistentStore(root)
+    for v in (b"v0", b"v1", b"v2", b"v0"):
+        cl.update(state, cl.ADD, b"w", v, store)
+    cl.update(state, cl.DELETE, b"w", b"v1", store)
+    assert cl.search(state, b"w", store) == {b"v0", b"v2"}
+    cl.update(state, cl.ADD, b"w", b"v3", store)
+    return store, (root / "log").read_bytes()
+
+
+def test_compact_rewrites_the_log_as_the_live_state(tmp_path):
+    root = tmp_path / "db"
+    store, old_log = searched_store(root)
+    with store:
         expect_main, expect_cache = dict(store.edb.main), dict(store.edb.cache)
-        store.snapshot()
-        assert (tmp_path / "db" / "log").stat().st_size == 0
-        assert (tmp_path / "db" / "snapshot").stat().st_size > 0
-    with PersistentStore(tmp_path / "db") as back:
+        store.compact()
+        assert store.edb.main == expect_main
+    # one PUT per live entry, then one FRESH per cache slot
+    raw = (root / "log").read_bytes()
+    ends = record_ends(raw, 0)
+    assert len(ends) == len(expect_main) + len(expect_cache)
+    assert [raw[start + 4] for start in [0] + ends[:-1]] == (
+        [1] * len(expect_main) + [4] * len(expect_cache))
+    assert len(raw) < len(old_log)
+    assert sorted(os.listdir(root)) == ["log"]
+    with PersistentStore(root) as back:
         assert back.edb.main == expect_main
         assert back.edb.cache == expect_cache
 
 
-def test_snapshot_syncs_its_rename_before_truncating_the_log(tmp_path,
-                                                           monkeypatch):
+def test_every_truncation_of_log_tmp_leaves_the_old_state(tmp_path):
+    store, old_log = searched_store(tmp_path / "db")
+    with store:
+        expect_main, expect_cache = dict(store.edb.main), dict(store.edb.cache)
+        store.compact()
+    new_log = (tmp_path / "db" / "log").read_bytes()
+    cut_root = tmp_path / "cut"
+    for cut in range(len(new_log) + 1):
+        # a crash while writing log.tmp, or before its rename
+        shutil.rmtree(cut_root, ignore_errors=True)
+        cut_root.mkdir()
+        (cut_root / "log").write_bytes(old_log)
+        (cut_root / "log.tmp").write_bytes(new_log[:cut])
+        with PersistentStore(cut_root) as back:
+            assert back.edb.main == expect_main
+            assert back.edb.cache == expect_cache
+        assert (cut_root / "log").read_bytes() == old_log
+    # the next compaction writes over the leftover
+    with PersistentStore(cut_root) as back:
+        back.compact()
+    assert (cut_root / "log").read_bytes() == new_log
+    assert not (cut_root / "log.tmp").exists()
+
+
+def test_compact_syncs_the_tmp_file_then_its_directory(tmp_path, monkeypatch):
     state, _ = small_state()
-    log = tmp_path / "db" / "log"
+    tmp = tmp_path / "db" / "log.tmp"
     calls = []
     real_fsync = os.fsync
 
     def fsync(fd):
-        calls.append((stat.S_ISDIR(os.fstat(fd).st_mode), log.stat().st_size))
+        st = os.fstat(fd)
+        calls.append((stat.S_ISDIR(st.st_mode),
+                      tmp.exists() and tmp.stat().st_ino == st.st_ino))
         real_fsync(fd)
 
     with PersistentStore(tmp_path / "db") as store:
         cl.update(state, cl.ADD, b"w", b"v", store)
         monkeypatch.setattr(os, "fsync", fsync)
-        store.snapshot()
-    # snapshot file, then its directory entry while the log is still
-    # whole, then the truncated log
-    assert [is_dir for is_dir, _ in calls] == [False, True, False]
-    assert calls[1][1] > 0 and calls[2][1] == 0
+        store.compact()
+    # log.tmp whole, then the directory entry of its rename
+    assert calls == [(False, True), (True, False)]
 
 
-def test_log_after_snapshot_replays_on_top(tmp_path):
+def test_update_after_compact_survives_reopen(tmp_path):
+    # the append handle must move to the new log
     state, _ = small_state()
     with PersistentStore(tmp_path / "db") as store:
         cl.update(state, cl.ADD, b"w", b"old", store)
-        store.snapshot()
+        store.compact()
         cl.update(state, cl.ADD, b"w", b"new", store)
         expect = dict(store.edb.main)
+    assert len(expect) == 2
     with PersistentStore(tmp_path / "db") as back:
         assert back.edb.main == expect
+        assert cl.search(state, b"w", back) == {b"old", b"new"}
 
 
 def test_bad_snapshot_header_is_an_error(tmp_path):
@@ -288,13 +337,28 @@ def test_collision_detected_before_logging(tmp_path):
         assert (tmp_path / "db" / "log").stat().st_size == size
 
 
-def test_replay_is_last_write_wins(tmp_path):
-    # simulates a crash between snapshot rename and log reset: the same
-    # PUT may be replayed twice without tripping the collision check
+def test_doubled_put_is_refused(tmp_path):
+    # replay runs the live update, so an address cannot be put twice
     root = tmp_path / "db"
     with PersistentStore(root) as store:
         store.apply_update(bytes(32), b"payload")
     log = root / "log"
-    log.write_bytes(log.read_bytes() * 2)
-    with PersistentStore(root) as back:
-        assert back.edb.main == {bytes(32): b"payload"}
+    once = log.read_bytes()
+    log.write_bytes(once * 2)
+    with pytest.raises(ValueError, match=f"byte {len(once)}.*address reused"):
+        PersistentStore(root)
+    assert log.read_bytes() == once * 2
+
+
+def test_del_of_absent_address_is_refused(tmp_path):
+    root = tmp_path / "db"
+    with PersistentStore(root) as store:
+        store.apply_update(bytes(32), b"payload")
+    log = root / "log"
+    raw = log.read_bytes() + record(2, bytes(32)) + record(2, bytes(32))
+    log.write_bytes(raw)
+    # the first DEL purges the entry; the second names an absent one
+    at = len(raw) - len(record(2, bytes(32)))
+    with pytest.raises(ValueError, match=f"byte {at}.*absent address"):
+        PersistentStore(root)
+    assert log.read_bytes() == raw
