@@ -13,7 +13,9 @@ combines three pieces:
   (``ddse.fpdse``).
 
 ``ddse.client`` glues them into the update/search protocols,
-``ddse.query`` maps a four-statement SQL-ish surface onto them, and
+``ddse.query`` maps an SQL-ish surface onto them (four operations:
+search, join, insert, delete; five statement shapes, since a search is
+SELECT or SELECT DISTINCT), and
 ``ddse.server``/``ddse.store`` host the encrypted database behind a
 length-prefixed wire protocol.  ``ddse.audit`` replays workloads and
 checks the leakage claims (volume hiding, forward privacy) against

@@ -37,6 +37,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import client as cl
 from . import wire
+from . import workload as wl
 from .client import ClientConfig, UnknownKeywordError
 from .edb import EncryptedDatabase
 
@@ -234,20 +235,15 @@ class DwvhResult:
         return f"{'PASS' if self.ok else 'FAIL'}: {self.detail}"
 
 
-def _dwvh_value(i: int, j: int, value_len: int) -> bytes:
-    return (i.to_bytes(4, "big") + j.to_bytes(4, "big")).ljust(
-        value_len, b"\0")
-
-
 def _dwvh_workload(volumes: Sequence[tuple[int, int]],
                    value_len: int) -> list[tuple]:
     ops = []
     for i, (distinct, total) in enumerate(volumes):
         w = f"kw-{i:06d}".encode()
         for j in range(distinct):
-            ops.append((OP_ADD, w, _dwvh_value(i, j, value_len)))
+            ops.append((OP_ADD, w, wl.value_bytes(i, j, value_len)))
         for k in range(total - distinct):
-            ops.append((OP_ADD, w, _dwvh_value(i, k % distinct, value_len)))
+            ops.append((OP_ADD, w, wl.value_bytes(i, k % distinct, value_len)))
     for i in range(len(volumes)):
         ops.append((OP_SEARCH, f"kw-{i:06d}".encode()))
     return ops

@@ -96,7 +96,10 @@ def _open_edb(args, db) -> RemoteEdb | PersistentStore:
         host, _, port = args.server.rpartition(":")
         if not host:
             raise CliError("--server needs HOST:PORT")
-        return RemoteEdb(host, int(port))
+        try:
+            return RemoteEdb(host, int(port))
+        except OSError as exc:
+            raise CliError(f"cannot reach {args.server}: {exc}") from exc
     return PersistentStore(_store_path(db))
 
 
@@ -140,8 +143,9 @@ def cmd_register_table(args) -> int:
 def cmd_exec(args) -> int:
     db = _db_dir(args)
     registry, key = _load_registry(db)
+    query = q.plan(args.statement)
     with _open_edb(args, db) as edb:
-        result = q.exec_statement(registry, args.statement, edb)
+        result = q.execute(registry, query, edb)
     # searches rotate epochs and updates advance counters: always persist
     _save_registry(db, registry, key)
     if result is None:
@@ -159,23 +163,29 @@ def cmd_exec(args) -> int:
 def cmd_ingest(args) -> int:
     db = _db_dir(args)
     registry, key = _load_registry(db)
+    registry.instance_for(args.table, args.keyword_column, args.value_column)
     done = skipped = 0
-    with _open_edb(args, db) as edb, \
-            open(args.csv, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.DictReader(fh), start=2):
-            w = row.get(args.keyword_column)
-            v = row.get(args.value_column)
-            if not w or not v:
-                log.warning("line %d: missing %s or %s, skipped",
-                            lineno, args.keyword_column, args.value_column)
-                skipped += 1
-                continue
-            plan = q.QueryPlan(q.SYN_INS, (
-                args.table,
-                (args.keyword_column, w.encode(),
-                 args.value_column, v.encode())))
-            q.execute(registry, plan, edb)
-            done += 1
+    with open(args.csv, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in (args.keyword_column, args.value_column)
+                   if c not in (reader.fieldnames or ())]
+        if missing:
+            raise CliError(f"{args.csv} has no column {', '.join(missing)}")
+        with _open_edb(args, db) as edb:
+            for lineno, row in enumerate(reader, start=2):
+                w = row.get(args.keyword_column)
+                v = row.get(args.value_column)
+                if not w or not v:
+                    log.warning("line %d: missing %s or %s, skipped", lineno,
+                                args.keyword_column, args.value_column)
+                    skipped += 1
+                    continue
+                plan = q.QueryPlan(q.SYN_INS, (
+                    args.table,
+                    (args.keyword_column, w.encode(),
+                     args.value_column, v.encode())))
+                q.execute(registry, plan, edb)
+                done += 1
     _save_registry(db, registry, key)
     print(f"ingested {done} rows ({skipped} skipped)")
     return 0

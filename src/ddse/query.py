@@ -1,12 +1,13 @@
 """SQL-ish statement surface over encrypted tables.
 
-Exactly four statement shapes are understood, one per protocol
-operation; anything else is a syntax error with a position:
+Four operations (search, join, insert, delete) in five statement
+shapes, one per ``_SHAPES`` entry and in its order; anything else is a
+syntax error naming the offending token's position:
 
     SELECT DISTINCT T.y FROM T WHERE T.x = w            distinct search
-    SELECT T.y FROM T WHERE T.x = w                     keyword search
     SELECT T2.y FROM T1 JOIN T2 ON T1.z = T2.z
         WHERE T1.x = w                                  two-stage join
+    SELECT T.y FROM T WHERE T.x = w                     keyword search
     INSERT INTO T (T.x, T.y) VALUE (w, v)               add
     DELETE FROM T WHERE T.x = w AND T.y = v             delete all copies
 
@@ -106,56 +107,6 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, want: str):
-        tok = self.peek()
-        got = repr(tok.text) if tok.kind != "end" else "end of statement"
-        raise StatementError(f"expected {want}, got {got}", tok.position)
-
-    def keyword(self, *words: str) -> str:
-        tok = self.peek()
-        if tok.kind == "kw" and tok.text.lower() in words:
-            self.next()
-            return tok.text.lower()
-        self.fail("/".join(w.upper() for w in words))
-
-    def ident(self) -> str:
-        tok = self.peek()
-        if tok.kind == "ident":
-            return self.next().text
-        self.fail("an identifier")
-
-    def literal(self) -> bytes:
-        tok = self.peek()
-        if tok.kind == "lit":
-            return self.next().value
-        self.fail("a literal (quoted string or integer)")
-
-    def sym(self, ch: str):
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == ch:
-            self.next()
-            return
-        self.fail(repr(ch))
-
-    def end(self):
-        if self.peek().kind != "end":
-            self.fail("end of statement")
-
-
 @dataclass(frozen=True)
 class QueryPlan:
     """(syn, m) pair: operation name plus its argument shape."""
@@ -164,88 +115,72 @@ class QueryPlan:
     m: tuple
 
 
+def _element(word: str) -> tuple[str, frozenset | None, str]:
+    """A pattern word as (token kind, accepted texts or None for any
+    text, what an error message calls it)."""
+    if word == "I":
+        return "ident", None, "an identifier"
+    if word == "L":
+        return "lit", None, "a literal (quoted string or integer)"
+    if word.islower():
+        return "kw", frozenset(word.split("|")), word.upper().replace("|", "/")
+    return "sym", frozenset([word]), repr(word)
+
+
+_END = ("end", None, "end of statement")
+
+# The grammar: one (syn, pattern, build) entry per statement shape,
+# tried in order.  In a pattern a lowercase word is a keyword (``a|b``
+# accepts either), ``I`` an identifier, ``L`` a literal and anything
+# else that symbol; ``build`` maps the captured identifiers and
+# literals, in statement order, to the plan's ``m``.
+_SHAPES = tuple(
+    (syn, (*map(_element, pattern.split()), _END), build)
+    for syn, pattern, build in (
+        (SYN_DSRCH, "select distinct I from I where I = L",
+         lambda out, t, kw, w: (t, (kw, w, out))),
+        (SYN_JOIN, "select I from I join I on I = I where I = L",
+         lambda out, t1, t2, left, right, kw, w:
+             (t1, t2, (kw, w, left), (right, b"0", out))),
+        (SYN_SRCH, "select I from I where I = L",
+         lambda out, t, kw, w: (t, (kw, w, out))),
+        (SYN_INS, "insert into I ( I , I ) value|values ( L , L )",
+         lambda t, kw, val, w, v: (t, (kw, w, val, v))),
+        (SYN_DEL, "delete from I where I = L and I = L",
+         lambda t, kw, w, val, v: (t, (kw, w, val, v))),
+    ))
+
+
 def plan(statement: str) -> QueryPlan:
-    p = _Parser(statement)
-    head = p.peek()
-    if head.kind != "kw":
-        p.fail("SELECT, INSERT or DELETE")
-    word = head.text.lower()
-    if word == "select":
-        return _plan_select(p)
-    if word == "insert":
-        return _plan_insert(p)
-    if word == "delete":
-        return _plan_delete(p)
-    p.fail("SELECT, INSERT or DELETE")
+    """The plan of the first shape ``statement`` spells to its end.
 
-
-def _plan_select(p: _Parser) -> QueryPlan:
-    p.keyword("select")
-    distinct = False
-    if p.peek().kind == "kw" and p.peek().text.lower() == "distinct":
-        p.next()
-        distinct = True
-    out_col = p.ident()
-    p.keyword("from")
-    table = p.ident()
-    if not distinct and p.peek().kind == "kw" \
-            and p.peek().text.lower() == "join":
-        p.next()
-        table2 = p.ident()
-        p.keyword("on")
-        left = p.ident()
-        p.sym("=")
-        right = p.ident()
-        p.keyword("where")
-        kw_col = p.ident()
-        p.sym("=")
-        w = p.literal()
-        p.end()
-        return QueryPlan(SYN_JOIN, (table, table2,
-                                    (kw_col, w, left),
-                                    (right, b"0", out_col)))
-    p.keyword("where")
-    kw_col = p.ident()
-    p.sym("=")
-    w = p.literal()
-    p.end()
-    syn = SYN_DSRCH if distinct else SYN_SRCH
-    return QueryPlan(syn, (table, (kw_col, w, out_col)))
-
-
-def _plan_insert(p: _Parser) -> QueryPlan:
-    p.keyword("insert")
-    p.keyword("into")
-    table = p.ident()
-    p.sym("(")
-    kw_col = p.ident()
-    p.sym(",")
-    val_col = p.ident()
-    p.sym(")")
-    p.keyword("value", "values")
-    p.sym("(")
-    w = p.literal()
-    p.sym(",")
-    v = p.literal()
-    p.sym(")")
-    p.end()
-    return QueryPlan(SYN_INS, (table, (kw_col, w, val_col, v)))
-
-
-def _plan_delete(p: _Parser) -> QueryPlan:
-    p.keyword("delete")
-    p.keyword("from")
-    table = p.ident()
-    p.keyword("where")
-    kw_col = p.ident()
-    p.sym("=")
-    w = p.literal()
-    p.keyword("and")
-    val_col = p.ident()
-    p.sym("=")
-    v = p.literal()
-    p.end()
-    return QueryPlan(SYN_DEL, (table, (kw_col, w, val_col, v)))
+    Failing all of them, the error points at the token where the
+    longest partial matches stopped and names what they expected there.
+    """
+    tokens = _tokenize(statement)
+    stop, expected = 0, []
+    for syn, elements, build in _SHAPES:
+        captured = []
+        for i, (kind, texts, what) in enumerate(elements):
+            tok = tokens[i]
+            if tok.kind != kind or (texts is not None
+                                    and tok.text.lower() not in texts):
+                break
+            if kind == "ident":
+                captured.append(tok.text)
+            elif kind == "lit":
+                captured.append(tok.value)
+        else:
+            return QueryPlan(syn, build(*captured))
+        if i > stop:
+            stop, expected = i, []
+        if i == stop and what not in expected:
+            expected.append(what)
+    want = expected[-1] if len(expected) == 1 else \
+        f"{', '.join(expected[:-1])} or {expected[-1]}"
+    tok = tokens[stop]
+    got = repr(tok.text) if tok.kind != "end" else "end of statement"
+    raise StatementError(f"expected {want}, got {got}", tok.position)
 
 
 # -- registry and execution -------------------------------------------------

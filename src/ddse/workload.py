@@ -45,9 +45,13 @@ def keyword_name(i: int) -> bytes:
     return f"keyword-{i:06d}".encode()
 
 
-def _value(i: int, ctr: int, value_len: int) -> bytes:
+def value_bytes(i: int, ctr: int, value_len: int) -> bytes:
+    """The ``ctr``-th value of keyword ``i``, padded to ``value_len``."""
     return (i.to_bytes(4, "big") + ctr.to_bytes(4, "big")).ljust(
         value_len, b"\0")
+
+
+_value = value_bytes  # the name tests/test_acceptance.py uses
 
 
 def generate(spec: WorkloadSpec) -> list[tuple]:
@@ -75,7 +79,7 @@ def generate(spec: WorkloadSpec) -> list[tuple]:
             v = rng.choice(live[i])
         else:
             # monotone counter: fresh values never collide with deleted ones
-            v = _value(i, counters[i], spec.value_len)
+            v = value_bytes(i, counters[i], spec.value_len)
             counters[i] += 1
             live[i].append(v)
         ops.append(("add", keyword_name(i), v))

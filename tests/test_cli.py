@@ -3,6 +3,7 @@
 import fcntl
 import hashlib
 import os
+import socket
 import stat
 import subprocess
 import sys
@@ -150,6 +151,13 @@ def register(db, table="T", kw="T.x", val="T.y"):
                    "--bf-n", "2000", "--bf-p", "1e-4", "--d-max", "16")
 
 
+def files_under(db) -> dict:
+    """Every file of a database directory but its lock, with its bytes."""
+    return {str(p.relative_to(db)): p.read_bytes()
+            for p in Path(db).rglob("*")
+            if p.is_file() and p.name != "state.lock"}
+
+
 def test_setup_refuses_overwrite_without_force(db, capsys):
     assert run_cli(db, "setup") == 1
     assert "already exists" in capsys.readouterr().err
@@ -210,8 +218,11 @@ def test_duplicate_registration_fails(db, capsys):
 
 def test_statement_syntax_error_is_reported(db, capsys):
     assert register(db) == 0
+    before = files_under(db)
     assert run_cli(db, "exec", "DROP TABLE T") == 1
-    assert "error:" in capsys.readouterr().err
+    assert "error: expected SELECT, INSERT or DELETE, got 'DROP' " \
+        "(at position 0)" in capsys.readouterr().err
+    assert files_under(db) == before  # not even the store was opened
 
 
 def test_commands_wait_for_the_state_lock(db, capsys):
@@ -247,6 +258,53 @@ def test_ingest_csv_skips_bad_rows(db, tmp_path, capsys, caplog):
     assert run_cli(db, "exec", "SELECT DISTINCT People.mail FROM People "
                                "WHERE People.name = 'alice'") == 0
     assert "a@x.org" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("header, keyword_column, fragment", [
+    ("People.nam,People.mail", "People.name", "has no column People.name"),
+    ("People.name,People.mail", "People.nam", "no index registered"),
+], ids=["header", "flag"])
+def test_ingest_refuses_a_misspelled_column_before_sending(
+        db, tmp_path, capsys, header, keyword_column, fragment):
+    assert register(db, "People", "People.name", "People.mail") == 0
+    assert run_cli(db, "exec", "INSERT INTO People (People.name, People.mail)"
+                               " VALUE ('alice', 'a@x.org')") == 0
+    csv_path = tmp_path / "people.csv"
+    csv_path.write_text(f"{header}\nbob,b@x.org\n")
+    before = files_under(db)
+    capsys.readouterr()
+    assert run_cli(db, "ingest", str(csv_path), "--table", "People",
+                   "--keyword-column", keyword_column,
+                   "--value-column", "People.mail") == 1
+    captured = capsys.readouterr()
+    assert fragment in captured.err and captured.out == ""
+    assert files_under(db) == before
+
+
+@pytest.mark.parametrize("body", ["", "People.name,People.mail\n"],
+                         ids=["empty", "header-only"])
+def test_ingest_refuses_an_unregistered_table(db, tmp_path, capsys, body):
+    assert register(db, "People", "People.name", "People.mail") == 0
+    csv_path = tmp_path / "people.csv"
+    csv_path.write_text(body)
+    before = files_under(db)
+    assert run_cli(db, "ingest", str(csv_path), "--table", "Peeple",
+                   "--keyword-column", "People.name",
+                   "--value-column", "People.mail") == 1
+    assert "no index registered" in capsys.readouterr().err
+    assert files_under(db) == before
+
+
+def test_exec_reports_an_unreachable_server(db, capsys):
+    assert register(db) == 0
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        hostport = "127.0.0.1:%d" % sock.getsockname()[1]
+    before = files_under(db)
+    assert run_cli(db, "exec", "INSERT INTO T (T.x, T.y) VALUE ('w', 'v')",
+                   "--server", hostport) == 1
+    assert f"error: cannot reach {hostport}: " in capsys.readouterr().err
+    assert files_under(db) == before
 
 
 def test_audit_command_passes_on_real_transport(db, capsys):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddse import query as q
 from ddse.edb import EncryptedDatabase
@@ -80,6 +81,67 @@ def test_error_position_points_at_offending_token():
     with pytest.raises(StatementError) as err:
         plan(text)
     assert text[err.value.position:].startswith("extra")
+
+
+# -- the grammar, property-tested --------------------------------------------
+
+identifiers = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]{0,8}", fullmatch=True) \
+    .filter(lambda word: word.lower() not in q._KEYWORDS)
+literals = st.one_of(
+    st.text(st.characters(blacklist_characters="'"), max_size=6)
+    .map(lambda text: (f"'{text}'", text.encode())),
+    st.integers(0, 10 ** 12).map(lambda n: (str(n), str(n).encode())))
+
+
+@st.composite
+def statements(draw):
+    """(tokens, plan): one of the five shapes, rendered token by token
+    with random identifiers, literals and keyword case."""
+    def kw(word):
+        upper = draw(st.integers(0, 2 ** len(word) - 1))
+        return "".join(ch.upper() if upper >> i & 1 else ch
+                       for i, ch in enumerate(word))
+
+    a, b, c, d, e, f = (draw(identifiers) for _ in range(6))
+    (w_text, w), (v_text, v) = draw(literals), draw(literals)
+    shape = draw(st.sampled_from(["dsrch", "join", "srch", "ins", "del"]))
+    if shape == "dsrch":
+        tokens = [kw("select"), kw("distinct"), a, kw("from"), b,
+                  kw("where"), c, "=", w_text]
+        want = QueryPlan(q.SYN_DSRCH, (b, (c, w, a)))
+    elif shape == "join":
+        tokens = [kw("select"), a, kw("from"), b, kw("join"), c, kw("on"),
+                  d, "=", e, kw("where"), f, "=", w_text]
+        want = QueryPlan(q.SYN_JOIN, (b, c, (f, w, d), (e, b"0", a)))
+    elif shape == "srch":
+        tokens = [kw("select"), a, kw("from"), b, kw("where"), c, "=",
+                  w_text]
+        want = QueryPlan(q.SYN_SRCH, (b, (c, w, a)))
+    elif shape == "ins":
+        tokens = [kw("insert"), kw("into"), a, "(", b, ",", c, ")",
+                  kw(draw(st.sampled_from(["value", "values"]))),
+                  "(", w_text, ",", v_text, ")"]
+        want = QueryPlan(q.SYN_INS, (a, (b, w, c, v)))
+    else:
+        tokens = [kw("delete"), kw("from"), a, kw("where"), b, "=", w_text,
+                  kw("and"), c, "=", v_text]
+        want = QueryPlan(q.SYN_DEL, (a, (b, w, c, v)))
+    gaps = draw(st.lists(st.text(" \t\n", min_size=1, max_size=3),
+                         min_size=len(tokens), max_size=len(tokens)))
+    return [gap + tok for gap, tok in zip(gaps, tokens)], want
+
+
+@settings(max_examples=300, deadline=None)
+@given(statements())
+def test_every_shape_plans_and_every_prefix_fails_at_its_end(case):
+    tokens, want = case
+    assert plan("".join(tokens) + " ") == want
+    for cut in range(len(tokens)):
+        prefix = "".join(tokens[:cut])
+        with pytest.raises(StatementError) as err:
+            plan(prefix)
+        assert err.value.position == len(prefix)
+        assert "got end of statement" in str(err.value)
 
 
 SYN_OF = {
