@@ -8,7 +8,8 @@ two concurrent commands run one after the other instead of the later
 save undoing the earlier one.  The passphrase sealing the client
 bundle comes from DDSE_PASSPHRASE; the default directory from
 DDSE_STORE.  With ``--server HOST:PORT`` the server half is remote and
-only the client bundle is touched locally.
+only the client bundle is touched locally; without it, a store that
+``ddse serve`` has open is locked, and the command exits 1.
 
     ddse setup --db ./demo
     ddse register-table People People.name People.mail
@@ -35,7 +36,7 @@ from . import statefile
 from . import workload as wl
 from .client import ClientConfig, ProtocolError
 from .netclient import RemoteEdb
-from .store import PersistentStore
+from .store import PersistentStore, StoreInUse
 
 log = logging.getLogger("ddse")
 
@@ -100,7 +101,10 @@ def _open_edb(args, db) -> RemoteEdb | PersistentStore:
             return RemoteEdb(host, int(port))
         except OSError as exc:
             raise CliError(f"cannot reach {args.server}: {exc}") from exc
-    return PersistentStore(_store_path(db))
+    try:
+        return PersistentStore(_store_path(db))
+    except StoreInUse as exc:  # e.g. by `ddse serve`
+        raise CliError(f"{exc}; pass --server") from exc
 
 
 def _show(value: bytes) -> str:
@@ -296,7 +300,8 @@ def main(argv=None) -> int:
     try:
         return args.run(args)
     except (CliError, statefile.StateFileError, q.QueryError,
-            q.StatementError, ProtocolError, FileNotFoundError) as exc:
+            q.StatementError, ProtocolError, StoreInUse,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,7 +24,14 @@ moving parts fit together like this:
   revoked, folds in the cached results of earlier epochs, and returns
   one retrieval per distinct live value.  The client then rotates the
   epoch: fresh revocable key with an empty filter, next label, no
-  entries placed.
+  entries placed.  The rotation is what keeps later adds unlinkable
+  once a key has been revealed, so an *empty* epoch (nothing placed
+  since the keyword's last search) is not rotated: its search sends
+  the cache token alone, the server answers from the cache, and the
+  epoch's keys never leave the client.  Deletes made in a kept epoch
+  can only name pairs already surfaced, which the rule below makes
+  no-ops; they stay in its filter, and count against ``d_max``, until
+  the next full search.
 
 Deletion visibility rule: a delete takes effect through revocation of
 the current epoch's ciphertext.  Once a value's retrieval has entered
@@ -205,16 +212,20 @@ def update(state: ClientState, op: str, keyword: bytes, value: bytes,
 
 
 def search_client_token(state: ClientState, keyword: bytes) -> SearchRequest:
-    """Build the search request and rotate the keyword's epoch.
+    """Build the search request and, unless the epoch is empty, rotate
+    the keyword's epoch.
 
     Raises UnknownKeywordError for a keyword with no update history.
     """
     record = state.keywords.get(keyword)
     if record is None:
         raise UnknownKeywordError(keyword)
+    tkn = state.cache_token(keyword)
+    if not record.placed:
+        return SearchRequest(tkn)  # the epoch's keys stay unrevealed
     msk = record.msk
     request = SearchRequest(
-        tkn=state.cache_token(keyword),
+        tkn=tkn,
         revoked_key=sre.ck_rev(msk.sk, msk.D),
         sigma_token=state.sigma.search_token(
             state.label_for(keyword, record.epoch), record.placed),

@@ -6,15 +6,17 @@ retrievals already surfaced by earlier searches so re-encrypted history
 never has to be replayed.  Search executes entirely on delegated key
 material: the request carries a punctured revocable-encryption key, the
 filter snapshot defining tag positions, and a range-constrained
-placement token.  ``ddse.store`` logs each change and replays its log
-through these same operations.  Nothing in this module touches client
-master keys -- it must stay importable by server code.
+placement token -- or none of these when the keyword placed nothing
+since its last search, so the cache slot is the whole answer.
+``ddse.store`` logs each change and replays its log through these same
+operations.  Nothing in this module touches client master keys -- it
+must stay importable by server code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol
+from typing import Iterable, Optional, Protocol
 
 from . import sre
 from .crypto import TAG_LEN, TOKEN_LEN
@@ -30,15 +32,18 @@ class PlacementToken(Protocol):
 
 @dataclass(frozen=True)
 class SearchRequest:
-    """What the client hands the server for one keyword search."""
+    """What the client hands the server for one keyword search: the
+    cache token alone when nothing was placed since the last search."""
 
     tkn: bytes                   # cache slot, PRF(K_s, w)
-    revoked_key: sre.RevokedKey
-    sigma_token: "PlacementToken"
+    revoked_key: Optional[sre.RevokedKey] = None
+    sigma_token: Optional["PlacementToken"] = None
 
     def __post_init__(self):
         if len(self.tkn) != TOKEN_LEN:
             raise ValueError(f"tkn must be {TOKEN_LEN} bytes")
+        if (self.revoked_key is None) != (self.sigma_token is None):
+            raise ValueError("a search carries both keys or neither")
 
 
 @dataclass
@@ -79,8 +84,11 @@ class EncryptedDatabase:
         New valid retrievals come first in placement order, then the
         cached ones (see ``fold_fresh``).  ``sre.dec`` finds a revoked
         entry in the filter alone, so key work is paid only for the
-        entries that survive: one leaf evaluation each.
+        entries that survive: one leaf evaluation each.  A token-only
+        request is answered from the cache slot alone.
         """
+        if request.revoked_key is None:
+            return SearchOutcome(self.fold_fresh(request.tkn, []))
         fresh: list[bytes] = []
         purged: list[bytes] = []
         for address in request.sigma_token.addresses():

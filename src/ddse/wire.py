@@ -8,7 +8,9 @@ sides.  Body layouts:
     payload = [0][h:1][nonce:12] h x [wrap:16] [body][tag:16], where each
               wrap is the entry's data key under one Bloom position's
               leaf key and body = [magic:8][retrieval] under the data key
-* SEARCH:  [tkn:32][revoked key][revocation filter][placement token]
+* SEARCH:  [tkn:32] alone, for a keyword that placed nothing since its
+           last search (the server answers from the cache slot), or
+           [tkn:32][revoked key][revocation filter][placement token]
     revoked key       = [0][depth:1][count:4] count x [seed:16]
     revocation filter = [b:8][h:1][seed:16][n] n x [gap], where gap
                         counts the clear bits before each set bit
@@ -44,7 +46,7 @@ _TYPE_NAMES = {HELLO: "HELLO", UPDATE: "UPDATE", SEARCH: "SEARCH",
                RESULT: "RESULT", ERROR: "ERROR", BYE: "BYE"}
 
 MAX_FRAME = 64 * 1024 * 1024
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 ADDRESS_LEN = 32
 
@@ -107,11 +109,22 @@ def decode_update_body(body: bytes) -> tuple[bytes, bytes]:
 
 
 def encode_search_body(request: SearchRequest) -> bytes:
+    if request.revoked_key is None:
+        return request.tkn
     return (request.tkn + request.revoked_key.encode()
             + request.sigma_token.encode())
 
 
+def decode_search(body: bytes) -> SearchRequest:
+    """Either SEARCH form, told apart by length: no full body is as
+    short as a token."""
+    if len(body) == TOKEN_LEN:
+        return SearchRequest(bytes(body))
+    return decode_search_body(body)
+
+
 def decode_search_body(body: bytes) -> SearchRequest:
+    """The full SEARCH form only."""
     if len(body) < TOKEN_LEN:
         raise FrameError("search body too short")
     tkn = bytes(body[:TOKEN_LEN])

@@ -41,6 +41,21 @@ def test_search_on_unknown_keyword_emits_no_traffic():
     assert patterns[0].time_dts == frozenset()
 
 
+def test_search_of_an_empty_epoch_sends_its_token_alone():
+    ops = adds(b"keyword-A", [b"value-00", b"value-01"]) + [
+        ("search", b"keyword-A"), ("search", b"keyword-A"),
+        ("add", b"keyword-A", b"value-02"), ("search", b"keyword-A")]
+    t = record(ops)
+    first, again, after_add = t.searches()
+    assert len(again.frame) == 5 + 32
+    assert again.frame[5:] == first.frame[5:37]
+    assert again.response == first.response
+    assert len(after_add.frame) > 5 + 32
+    assert after_add.frame[5:37] == first.frame[5:37]
+    assert after_add.note["results"] == 3
+    assert fp_check(t).ok
+
+
 def test_response_size_depends_only_on_distinct_volume():
     spec = wl.WorkloadSpec(keywords=6, updates=150, seed=2,
                            delete_fraction=0.1, duplicate_ratio=0.5)

@@ -353,6 +353,35 @@ def test_serve_and_remote_exec(db, tmp_path, monkeypatch):
             proc.terminate()
 
 
+def test_exec_without_server_refuses_a_served_store(db, capsys):
+    env = dict(os.environ, DDSE_PASSPHRASE="test-passphrase")
+    assert register(db) == 0
+    with subprocess.Popen(
+            [sys.executable, "-m", "ddse.cli", "--db", db,
+             "serve", "--listen", "127.0.0.1:0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            env=env, text=True) as proc:
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("listening on "), line
+            hostport = line.split()[-1]
+            assert run_cli(db, "exec",
+                           "INSERT INTO T (T.x, T.y) VALUE ('w', 'a')",
+                           "--server", hostport) == 0
+            before = files_under(db)
+            capsys.readouterr()
+            assert run_cli(db, "exec",
+                           "INSERT INTO T (T.x, T.y) VALUE ('w', 'b')") == 1
+            assert "store in use; pass --server" in capsys.readouterr().err
+            assert files_under(db) == before  # the log and the state
+            assert run_cli(db, "exec",
+                           "SELECT DISTINCT T.y FROM T WHERE T.x = 'w'",
+                           "--server", hostport) == 0
+            assert capsys.readouterr().out.split() == ["a"]
+        finally:
+            proc.terminate()
+
+
 def test_remote_select_output(db, tmp_path, capsys):
     # same round as above but assert on the printed values
     from ddse.server import Server

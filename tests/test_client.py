@@ -1,14 +1,22 @@
 """End-to-end scheme behavior against a plaintext oracle."""
 
+import contextlib
 import logging
+import os
 import pickle
 import random
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddse import client as cl
+from ddse import ggm, sre
 from ddse.client import (ADD, DELETE, ClientConfig, ProtocolError,
                          UnknownKeywordError)
+from ddse.edb import EncryptedDatabase
+from ddse.store import PersistentStore
 
 
 def small_config(**kw) -> ClientConfig:
@@ -342,3 +350,98 @@ def test_matches_oracle_with_interleaved_searches():
     # a false revocation is rare; more than one lost value in a run
     # means deletes revoke tags they should not
     assert sum(len(gone) for gone in lost.values()) <= 1, lost
+
+
+@contextlib.contextmanager
+def token_only_search():
+    """Revealing, puncturing or replacing a key, or an fsync, raises
+    inside."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("key or disk work in a token-only search")
+    with mock.patch.object(sre, "ck_rev", refuse), \
+            mock.patch.object(sre, "kgen", refuse), \
+            mock.patch.object(ggm.GgmRoot, "puncture", refuse), \
+            mock.patch.object(os, "fsync", refuse):
+        yield
+
+
+def run_script(script, reopen):
+    """Play ``script`` through ``reopen(None)``, and through
+    ``reopen(edb)`` at each "reopen", against the oracle; returns the
+    last transport."""
+    state, _ = fresh()
+    edb = reopen(None)
+    oracle = Oracle()
+    surfaced: dict[bytes, set[bytes]] = {}
+    lost: dict[bytes, set[bytes]] = {}
+    placed = set()  # keywords that placed an entry since their last search
+    for kind, k, j in script:
+        w = b"w%d" % k
+        live = sorted(oracle.live.get(w, ()))
+        fresh_pairs = [v for v in live if v not in surfaced.get(w, ())]
+        if kind == "reopen":
+            edb = reopen(edb)
+            continue
+        if kind == "search":
+            if w not in state.keywords:
+                continue
+            token_only = w not in placed
+            record = state.keywords[w]
+            kept = (record.msk, record.epoch, record.placed)
+            gone = lost.setdefault(w, set())
+            if not token_only:  # lost to a false revocation, as above
+                gone |= {v for v in fresh_pairs
+                         if record.msk.D.check(state.real_tag(w, v))}
+            log = getattr(edb, "log_path", None)
+            size = log.stat().st_size if log else None
+            guard = token_only_search if token_only else contextlib.nullcontext
+            with guard():
+                request = cl.search_client_token(state, w)
+                outcome = edb.execute_search(request)
+            assert (request.revoked_key is None) == token_only
+            if token_only:
+                assert (record.msk, record.epoch, record.placed) == kept
+                assert (log.stat().st_size if log else None) == size
+            got = cl.search_finalize(state, outcome.results)
+            assert got == oracle.type_db(w) - gone
+            surfaced.setdefault(w, set()).update(got)
+            placed.discard(w)
+            continue
+        if kind == "add":
+            v = b"v%d" % j
+            if v in oracle.dead.get(w, ()):
+                continue  # a deleted pair is never re-added
+            op = ADD
+        elif kind == "duplicate" and live:
+            op, v = ADD, live[j % len(live)]
+        elif kind == "delete" and fresh_pairs:
+            op, v = DELETE, fresh_pairs[j % len(fresh_pairs)]
+        else:
+            continue
+        oracle.apply(op, w, v)
+        cl.update(state, op, w, v, edb)
+        if op == ADD:
+            placed.add(w)
+    return edb
+
+
+SCRIPT = st.lists(st.tuples(
+    st.sampled_from(["add", "duplicate", "delete", "search", "reopen"]),
+    st.integers(0, 2), st.integers(0, 5)), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SCRIPT)
+def test_search_is_token_only_exactly_when_nothing_was_placed(script):
+    # two rounds of searches of every keyword after a reopen: the second
+    # round is token-only throughout
+    script = script + [("reopen", 0, 0)] + [
+        ("search", k, 0) for k in (0, 1, 2, 0, 1, 2)]
+    memory = EncryptedDatabase()
+    run_script(script, lambda old: memory)
+    with tempfile.TemporaryDirectory() as root:
+        def reopen(old):
+            if old is not None:
+                old.close()
+            return PersistentStore(root)
+        run_script(script, reopen).close()

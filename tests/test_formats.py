@@ -171,9 +171,9 @@ def search_request(msk, sigma) -> edb.SearchRequest:
 
 
 def test_frame_headers():
-    assert wire.PROTOCOL_VERSION == 3
+    assert wire.PROTOCOL_VERSION == 4
     hello = wire.pack_frame(wire.HELLO, bytes([wire.PROTOCOL_VERSION]))
-    assert hello == h("00000002 01 03")
+    assert hello == h("00000002 01 04")
     assert wire.pack_frame(wire.UPDATE, UPDATE_BODY)[:5] == h("0000006f 02")
     assert wire.pack_frame(wire.SEARCH, SEARCH_BODY)[:5] == h("000000c6 03")
     assert wire.pack_frame(wire.RESULT) == h("00000001 04")
@@ -204,6 +204,24 @@ def test_search_body(scenario):
     assert wire.encode_search_body(back) == SEARCH_BODY
     assert list(back.sigma_token.addresses()) == [ADDRESS_KEPT, ADDRESS_GONE]
     assert back.revoked_key.filter.set_bits() == [9, 15]
+
+
+def test_token_only_search_body():
+    # a keyword that placed nothing since its last search sends its
+    # cache token alone
+    request = edb.SearchRequest(TKN)
+    assert wire.encode_search_body(request) == TKN
+    assert wire.pack_frame(wire.SEARCH, TKN) == h("00000021 03") + TKN
+    assert wire.decode_search(TKN) == request
+    # the full form is told apart by its length alone
+    back = wire.decode_search(SEARCH_BODY)
+    assert wire.encode_search_body(back) == SEARCH_BODY
+
+
+@pytest.mark.parametrize("end", [*range(len(TKN)), len(TKN) + 1])
+def test_search_body_of_no_form_rejected(end):
+    with pytest.raises(wire.FrameError):
+        wire.decode_search(SEARCH_BODY[:end])
 
 
 def test_search_body_v1_rejected():

@@ -40,8 +40,8 @@ def test_hello_echoes_version(running_server):
 
 
 def test_hello_of_another_version_gets_error_and_close(running_server):
-    assert wire.PROTOCOL_VERSION == 3
-    for version in (1, 2, 4):
+    assert wire.PROTOCOL_VERSION == 4
+    for version in (1, 2, 3, 5):
         with socket.create_connection(running_server.address) as sock:
             stream = sock.makefile("rwb")
             stream.write(wire.pack_frame(wire.HELLO, bytes([version])))
@@ -75,15 +75,19 @@ def test_refused_hello_closes_the_client_socket():
     assert seen == [b""], refused.value
 
 
-def test_full_protocol_round_over_socket(running_server):
+def test_full_protocol_round_over_socket(running_server, tmp_path):
     state, _ = small_state()
+    log = tmp_path / "db" / "log"
     with RemoteEdb(*running_server.address) as remote:
         for i in range(6):
             cl.update(state, cl.ADD, b"w", b"v%d" % i, remote)
         cl.update(state, cl.DELETE, b"w", b"v0", remote)
         assert cl.search(state, b"w", remote) == {b"v%d" % i for i in range(1, 6)}
-        # cache round
+        # cache round: the token alone, answered without a log record
+        size = log.stat().st_size
+        assert cl.search_client_token(state, b"w").revoked_key is None
         assert cl.search(state, b"w", remote) == {b"v%d" % i for i in range(1, 6)}
+        assert log.stat().st_size == size
 
 
 def test_result_bodies_identical_in_process_and_remote(running_server):

@@ -14,7 +14,7 @@ import pytest
 from ddse import client as cl
 from ddse.client import ClientConfig
 from ddse.edb import AddressCollision
-from ddse.store import PersistentStore
+from ddse.store import PersistentStore, StoreInUse
 
 
 def small_state():
@@ -362,3 +362,31 @@ def test_del_of_absent_address_is_refused(tmp_path):
     with pytest.raises(ValueError, match=f"byte {at}.*absent address"):
         PersistentStore(root)
     assert log.read_bytes() == raw
+
+
+def test_an_open_store_refuses_a_second_opener(tmp_path):
+    root = tmp_path / "db"
+    store = PersistentStore(root)
+    store.apply_update(bytes(32), b"payload")
+    log = (root / "log").read_bytes()
+    with pytest.raises(StoreInUse, match="store in use"):
+        PersistentStore(root)
+    assert (root / "log").read_bytes() == log
+    assert sorted(os.listdir(root)) == ["log"]
+    store.close()  # releases the lock
+    with PersistentStore(root) as back:
+        assert back.edb.main == {bytes(32): b"payload"}
+
+
+def test_a_dropped_or_refused_store_releases_its_lock(tmp_path):
+    root = tmp_path / "db"
+    dropped = PersistentStore(root)
+    dropped._log.close()  # leave the lock alone to the collector
+    del dropped  # as criterion 7 drops its store
+    (root / "snapshot").write_bytes(b"")
+    with pytest.raises(ValueError) as refused:
+        PersistentStore(root)
+    # ``refused`` keeps the half-built store alive through its traceback
+    (root / "snapshot").unlink()
+    PersistentStore(root).close()
+    assert "snapshot" in str(refused.value)
