@@ -26,12 +26,12 @@ moving parts fit together like this:
   epoch: fresh revocable key with an empty filter, next label, no
   entries placed.  The rotation is what keeps later adds unlinkable
   once a key has been revealed, so an *empty* epoch (nothing placed
-  since the keyword's last search) is not rotated: its search sends
-  the cache token alone, the server answers from the cache, and the
-  epoch's keys never leave the client.  Deletes made in a kept epoch
-  can only name pairs already surfaced, which the rule below makes
-  no-ops; they stay in its filter, and count against ``d_max``, until
-  the next full search.
+  and nothing revoked since the keyword's last search) is not
+  rotated: its search sends the cache token alone, the server answers
+  from the cache, and the epoch's keys never leave the client.  An
+  epoch with a revocation is never kept, even with nothing placed: a
+  later add of the revoked pair (say, after a delete of a pair never
+  added) would be encrypted under a filter that already revokes it.
 
 Deletion visibility rule: a delete takes effect through revocation of
 the current epoch's ciphertext.  Once a value's retrieval has entered
@@ -221,9 +221,9 @@ def search_client_token(state: ClientState, keyword: bytes) -> SearchRequest:
     if record is None:
         raise UnknownKeywordError(keyword)
     tkn = state.cache_token(keyword)
-    if not record.placed:
-        return SearchRequest(tkn)  # the epoch's keys stay unrevealed
     msk = record.msk
+    if not record.placed and not msk.D.inserted:
+        return SearchRequest(tkn)  # the epoch's keys stay unrevealed
     request = SearchRequest(
         tkn=tkn,
         revoked_key=sre.ck_rev(msk.sk, msk.D),

@@ -6,8 +6,8 @@ retrievals already surfaced by earlier searches so re-encrypted history
 never has to be replayed.  Search executes entirely on delegated key
 material: the request carries a punctured revocable-encryption key, the
 filter snapshot defining tag positions, and a range-constrained
-placement token -- or none of these when the keyword placed nothing
-since its last search, so the cache slot is the whole answer.
+placement token -- or, when the keyword's epoch is empty, none of
+these (``UNSENT``), so the cache slot is the whole answer.
 ``ddse.store`` logs each change and replays its log through these same
 operations.  Nothing in this module touches client master keys -- it
 must stay importable by server code.
@@ -16,7 +16,7 @@ must stay importable by server code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Protocol
+from typing import Iterable, Protocol
 
 from . import sre
 from .crypto import TAG_LEN, TOKEN_LEN
@@ -30,20 +30,54 @@ class PlacementToken(Protocol):
     def addresses(self) -> Iterable[bytes]: ...
 
 
+class Unsent:
+    """The key parts a token-only search leaves out.
+
+    It stands in for both the revoked key and the placement token, with
+    every attribute the real parts have at its empty value: it encodes
+    to no bytes, has no cover nodes and covers no placed entry.  So
+    ``execute_search``, the SEARCH encoder and code that measures a
+    request's parts take both forms down one path.
+    """
+
+    nodes = ()
+    encoded_size = count = 0
+    label_id = b""
+
+    @property
+    def key(self) -> "Unsent":
+        return self
+
+    filter = key
+
+    def addresses(self) -> Iterable[bytes]:
+        return ()
+
+    def encode(self) -> bytes:
+        return b""
+
+
+UNSENT = Unsent()
+
+
 @dataclass(frozen=True)
 class SearchRequest:
     """What the client hands the server for one keyword search: the
-    cache token alone when nothing was placed since the last search."""
+    cache token alone (both parts ``UNSENT``) when the epoch is empty."""
 
     tkn: bytes                   # cache slot, PRF(K_s, w)
-    revoked_key: Optional[sre.RevokedKey] = None
-    sigma_token: Optional["PlacementToken"] = None
+    revoked_key: sre.RevokedKey | Unsent = UNSENT
+    sigma_token: "PlacementToken | Unsent" = UNSENT
 
     def __post_init__(self):
         if len(self.tkn) != TOKEN_LEN:
             raise ValueError(f"tkn must be {TOKEN_LEN} bytes")
-        if (self.revoked_key is None) != (self.sigma_token is None):
+        if (self.revoked_key is UNSENT) != (self.sigma_token is UNSENT):
             raise ValueError("a search carries both keys or neither")
+
+    @property
+    def token_only(self) -> bool:
+        return self.revoked_key is UNSENT
 
 
 @dataclass
@@ -85,10 +119,8 @@ class EncryptedDatabase:
         cached ones (see ``fold_fresh``).  ``sre.dec`` finds a revoked
         entry in the filter alone, so key work is paid only for the
         entries that survive: one leaf evaluation each.  A token-only
-        request is answered from the cache slot alone.
+        request places no address, so the cache slot is its answer.
         """
-        if request.revoked_key is None:
-            return SearchOutcome(self.fold_fresh(request.tkn, []))
         fresh: list[bytes] = []
         purged: list[bytes] = []
         for address in request.sigma_token.addresses():

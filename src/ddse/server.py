@@ -119,7 +119,7 @@ class Server(socketserver.ThreadingTCPServer):
             self._locked(self.store.apply_update, address, payload)
             self._send(stream, wire.RESULT, b"")
         elif ftype == wire.SEARCH:
-            request = wire.decode_search(body)
+            request = wire.decode_search_body(body, token_only=True)
             outcome = self._locked(self.store.execute_search, request)
             self._send(stream, wire.RESULT,
                        wire.encode_result_body(outcome.results))

@@ -205,11 +205,6 @@ class PersistentStore:
         self.edb.apply_update(address, payload)
 
     def execute_search(self, request: SearchRequest) -> SearchOutcome:
-        # a token-only search logs nothing; it stays out of
-        # edb.execute_search, whose benchmark wrapper reads the placement
-        # token
-        if request.revoked_key is None:
-            return SearchOutcome(self.edb.fold_fresh(request.tkn, []))
         outcome = self.edb.execute_search(request)
         records = [_record(REC_DEL, a) for a in outcome.purged]
         if outcome.fresh:

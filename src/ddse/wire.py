@@ -8,8 +8,9 @@ sides.  Body layouts:
     payload = [0][h:1][nonce:12] h x [wrap:16] [body][tag:16], where each
               wrap is the entry's data key under one Bloom position's
               leaf key and body = [magic:8][retrieval] under the data key
-* SEARCH:  [tkn:32] alone, for a keyword that placed nothing since its
-           last search (the server answers from the cache slot), or
+* SEARCH:  [tkn:32] alone, for a keyword whose epoch is empty (nothing
+           placed or revoked since its last search; the server answers
+           from the cache slot), or
            [tkn:32][revoked key][revocation filter][placement token]
     revoked key       = [0][depth:1][count:4] count x [seed:16]
     revocation filter = [b:8][h:1][seed:16][n] n x [gap], where gap
@@ -109,25 +110,22 @@ def decode_update_body(body: bytes) -> tuple[bytes, bytes]:
 
 
 def encode_search_body(request: SearchRequest) -> bytes:
-    if request.revoked_key is None:
-        return request.tkn
+    # a token-only request's parts are UNSENT, which encode to nothing
     return (request.tkn + request.revoked_key.encode()
             + request.sigma_token.encode())
 
 
-def decode_search(body: bytes) -> SearchRequest:
-    """Either SEARCH form, told apart by length: no full body is as
-    short as a token."""
-    if len(body) == TOKEN_LEN:
-        return SearchRequest(bytes(body))
-    return decode_search_body(body)
-
-
-def decode_search_body(body: bytes) -> SearchRequest:
-    """The full SEARCH form only."""
+def decode_search_body(body: bytes, token_only: bool = False
+                       ) -> SearchRequest:
+    """A full SEARCH body or, if ``token_only`` admits it, the token
+    alone, told apart by length: no full body is as short as a token.
+    Left out, a body of the token alone is refused as a truncated full
+    one, so every proper prefix of a full body stays invalid."""
     if len(body) < TOKEN_LEN:
         raise FrameError("search body too short")
     tkn = bytes(body[:TOKEN_LEN])
+    if token_only and len(body) == TOKEN_LEN:
+        return SearchRequest(tkn)
     try:
         revoked_key, pos = sre.decode_revoked_key(body, TOKEN_LEN)
         sigma_token, pos = fpdse.decode_sigma_token(body, pos)

@@ -118,6 +118,24 @@ def test_delete_of_never_added_pair_logs(caplog):
     assert state.keywords[b"w"].updates == 2
 
 
+def test_add_after_a_searched_delete_of_a_never_added_pair_surfaces():
+    # the search after the delete must not keep the epoch whose filter
+    # revokes the pair, or the add below would be revoked on arrival
+    state, edb = fresh()
+    cl.update(state, ADD, b"w", b"a", edb)
+    assert cl.search(state, b"w", edb) == {b"a"}
+    cl.update(state, DELETE, b"w", b"ghost", edb)
+    assert not cl.search_client_token(state, b"w").token_only
+    cl.update(state, ADD, b"w", b"ghost", edb)
+    assert cl.search(state, b"w", edb) == {b"a", b"ghost"}
+    # a first search of a keyword whose only update is such a delete
+    state, edb = fresh()
+    cl.update(state, DELETE, b"w", b"ghost", edb)
+    assert cl.search(state, b"w", edb) == set()
+    cl.update(state, ADD, b"w", b"ghost", edb)
+    assert cl.search(state, b"w", edb) == {b"ghost"}
+
+
 def test_readd_after_delete_is_unrecoverable_by_default():
     state, edb = fresh()
     cl.update(state, ADD, b"w", b"v", edb)
@@ -374,7 +392,9 @@ def run_script(script, reopen):
     oracle = Oracle()
     surfaced: dict[bytes, set[bytes]] = {}
     lost: dict[bytes, set[bytes]] = {}
-    placed = set()  # keywords that placed an entry since their last search
+    # per keyword with a non-empty epoch: the never-added values deleted
+    # since its last search (an entry placed leaves an empty set)
+    pending: dict[bytes, set[bytes]] = {}
     for kind, k, j in script:
         w = b"w%d" % k
         live = sorted(oracle.live.get(w, ()))
@@ -385,7 +405,7 @@ def run_script(script, reopen):
         if kind == "search":
             if w not in state.keywords:
                 continue
-            token_only = w not in placed
+            token_only = w not in pending
             record = state.keywords[w]
             kept = (record.msk, record.epoch, record.placed)
             gone = lost.setdefault(w, set())
@@ -398,19 +418,30 @@ def run_script(script, reopen):
             with guard():
                 request = cl.search_client_token(state, w)
                 outcome = edb.execute_search(request)
-            assert (request.revoked_key is None) == token_only
+            assert request.token_only == token_only
             if token_only:
                 assert (record.msk, record.epoch, record.placed) == kept
                 assert (log.stat().st_size if log else None) == size
             got = cl.search_finalize(state, outcome.results)
             assert got == oracle.type_db(w) - gone
             surfaced.setdefault(w, set()).update(got)
-            placed.discard(w)
+            pending.pop(w, None)
             continue
-        if kind == "add":
-            v = b"v%d" % j
+        ghost = b"g%d" % j
+        if kind == "ghost":
+            if ghost in live or ghost in oracle.dead.get(w, ()):
+                continue  # only a never-added pair is a ghost
+            # a delete of a never-added pair changes no answer, but it
+            # revokes: the search after it must be a full one
+            cl.update(state, DELETE, w, ghost, edb)
+            pending.setdefault(w, set()).add(ghost)
+            continue
+        if kind in ("add", "ghost_add"):
+            v = b"v%d" % j if kind == "add" else ghost
             if v in oracle.dead.get(w, ()):
                 continue  # a deleted pair is never re-added
+            if v in pending.get(w, ()):
+                continue  # revoked in this epoch: it would never surface
             op = ADD
         elif kind == "duplicate" and live:
             op, v = ADD, live[j % len(live)]
@@ -420,19 +451,19 @@ def run_script(script, reopen):
             continue
         oracle.apply(op, w, v)
         cl.update(state, op, w, v, edb)
-        if op == ADD:
-            placed.add(w)
+        pending.setdefault(w, set())
     return edb
 
 
 SCRIPT = st.lists(st.tuples(
-    st.sampled_from(["add", "duplicate", "delete", "search", "reopen"]),
+    st.sampled_from(["add", "duplicate", "delete", "ghost", "ghost_add",
+                     "search", "reopen"]),
     st.integers(0, 2), st.integers(0, 5)), max_size=40)
 
 
 @settings(max_examples=200, deadline=None)
 @given(SCRIPT)
-def test_search_is_token_only_exactly_when_nothing_was_placed(script):
+def test_search_is_token_only_exactly_when_the_epoch_is_empty(script):
     # two rounds of searches of every keyword after a reopen: the second
     # round is token-only throughout
     script = script + [("reopen", 0, 0)] + [

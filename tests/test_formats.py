@@ -207,21 +207,22 @@ def test_search_body(scenario):
 
 
 def test_token_only_search_body():
-    # a keyword that placed nothing since its last search sends its
-    # cache token alone
+    # a keyword whose epoch is empty sends its cache token alone
     request = edb.SearchRequest(TKN)
+    assert request.token_only
     assert wire.encode_search_body(request) == TKN
     assert wire.pack_frame(wire.SEARCH, TKN) == h("00000021 03") + TKN
-    assert wire.decode_search(TKN) == request
+    assert wire.decode_search_body(TKN, token_only=True) == request
     # the full form is told apart by its length alone
-    back = wire.decode_search(SEARCH_BODY)
+    back = wire.decode_search_body(SEARCH_BODY, token_only=True)
+    assert not back.token_only
     assert wire.encode_search_body(back) == SEARCH_BODY
 
 
 @pytest.mark.parametrize("end", [*range(len(TKN)), len(TKN) + 1])
 def test_search_body_of_no_form_rejected(end):
     with pytest.raises(wire.FrameError):
-        wire.decode_search(SEARCH_BODY[:end])
+        wire.decode_search_body(SEARCH_BODY[:end], token_only=True)
 
 
 def test_search_body_v1_rejected():
