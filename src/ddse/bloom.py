@@ -23,7 +23,8 @@ import math
 import re
 import struct
 from array import array
-from itertools import chain
+from itertools import accumulate, chain
+from operator import sub
 from typing import Sequence
 
 from .crypto import INDEX_TYPE, KEY_LEN, decode_varint, encode_varint
@@ -37,6 +38,12 @@ HEADER_LEN = 8 + 1 + _SEED_LEN
 # p = 1e-3; a key at that budget (half the bits set, a cover node of 16
 # bytes per three leaves) would already overflow a 64 MiB frame.
 MAX_DECODED_BITS = 1 << 24
+
+# The gap codec's tables: a gap below 0x80 is its own one-byte varint,
+# and a run of them becomes steps between set bits by one translate.
+_ONE_BYTE = [bytes((gap,)) for gap in range(0x80)]
+_PLUS_ONE = bytes(range(1, 0x81)) + bytes(0x80)
+_CONTINUATION = re.compile(b"[\x80-\xff]")
 
 
 def size_for(n: int, p: float) -> tuple[int, int]:
@@ -101,6 +108,20 @@ class BloomFilter:
         self.inserted += 1
         return self
 
+    def insert(self, x: bytes) -> bool:
+        """``upd`` that reports whether it set a clear bit, i.e. whether
+        ``check(x)`` was false; only such an insertion counts."""
+        bits = self.bits
+        fresh = False
+        for pos in self.positions(x):
+            mask = 0x80 >> (pos & 7)
+            if not bits[pos >> 3] & mask:
+                bits[pos >> 3] |= mask
+                fresh = True
+        if fresh:
+            self.inserted += 1
+        return fresh
+
     def check(self, x: bytes) -> bool:
         bits = self.bits
         for pos in self.positions(x):
@@ -137,9 +158,11 @@ class BloomFilter:
         if ones is None:
             ones = self.set_bits()
         return (self.b.to_bytes(8, "big") + bytes([self.h]) + self.seed
-                + encode_varint(len(ones)) + b"".join(
-                    encode_varint(pos - prev - 1)
-                    for prev, pos in zip(chain((-1,), ones), ones)))
+                + encode_varint(len(ones)) + b"".join([
+                    _ONE_BYTE[gap] if gap < 0x80 else encode_varint(gap)
+                    # gap = pos - (previous pos + 1)
+                    for gap in map(sub, ones,
+                                   chain((0,), map((1).__add__, ones)))]))
 
     @property
     def encoded_size(self) -> int:
@@ -157,16 +180,34 @@ def decode_filter(data: bytes, offset: int = 0
         raise ValueError(f"bloom filter of {b} bits is too large to decode")
     filt = BloomFilter(b, data[offset + 8],
                        bytes(data[offset + 9:offset + HEADER_LEN]))
-    bits = filt.bits
     count, pos = decode_varint(data, offset + HEADER_LEN)
-    # a set bit costs one wire byte; an array holds it in 4, a list in ~36
-    ones = array(INDEX_TYPE)
-    ix = -1
-    for _ in range(count):
-        gap, pos = decode_varint(data, pos)
-        ix += gap + 1
-        if ix >= b:
+    # steps[k] = ones[k] - ones[k-1] = gap + 1.  A run of one-byte gaps
+    # is taken from the body whole, up to the next continuation byte or
+    # the end of the body; the varint there is read alone, and raises if
+    # the body ends first.  Nothing is sized by ``count``.
+    steps = array(INDEX_TYPE)
+    left = count
+    while left:
+        end = pos + left
+        multi = _CONTINUATION.search(data, pos, end)
+        stop = multi.start() if multi else min(end, len(data))
+        steps.extend(data[pos:stop].translate(_PLUS_ONE))
+        left -= stop - pos
+        pos = stop
+        if left:
+            gap, pos = decode_varint(data, pos)
+            if gap >= b:
+                raise ValueError("set bit beyond the end of the bloom filter")
+            steps.append(gap + 1)
+            left -= 1
+    if steps:
+        steps[0] -= 1
+        if sum(steps) >= b:
             raise ValueError("set bit beyond the end of the bloom filter")
+    # a set bit costs at least one wire byte; an array holds it in 4
+    ones = array(INDEX_TYPE, accumulate(steps))
+    del steps
+    bits = filt.bits
+    for ix in ones:
         bits[ix >> 3] |= 0x80 >> (ix & 7)
-        ones.append(ix)
     return filt, ones, pos

@@ -91,14 +91,21 @@ def _save_registry(db: str, registry: q.Registry,
                    key)
 
 
+def _host_port(value: str, flag: str, lowest: int = 1) -> tuple[str, int]:
+    """HOST and PORT of ``flag``'s value, the port in lowest..65535."""
+    host, _, port = value.rpartition(":")
+    if (not host or not (port.isascii() and port.isdigit())
+            or not lowest <= int(port) <= 0xFFFF):
+        raise CliError(f"{flag} needs HOST:PORT")
+    return host, int(port)
+
+
 def _open_edb(args, db) -> RemoteEdb | PersistentStore:
     """The remote store of ``--server``, else the local one."""
     if getattr(args, "server", None):
-        host, _, port = args.server.rpartition(":")
-        if not host:
-            raise CliError("--server needs HOST:PORT")
+        host, port = _host_port(args.server, "--server")
         try:
-            return RemoteEdb(host, int(port))
+            return RemoteEdb(host, port)
         except OSError as exc:
             raise CliError(f"cannot reach {args.server}: {exc}") from exc
     try:
@@ -219,11 +226,10 @@ def cmd_audit(args) -> int:
 def cmd_serve(args) -> int:
     from .server import Server
     db = _db_dir(args)
-    host, _, port = args.listen.rpartition(":")
-    if not host:
-        raise CliError("--listen needs HOST:PORT")
+    # port 0 listens on any free port, which the banner reports
+    host, port = _host_port(args.listen, "--listen", lowest=0)
     store = PersistentStore(_store_path(db))
-    server = Server(store, host, int(port))
+    server = Server(store, host, port)
     print(f"listening on {server.address[0]}:{server.address[1]}",
           flush=True)
     try:

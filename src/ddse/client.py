@@ -184,9 +184,8 @@ def update(state: ClientState, op: str, keyword: bytes, value: bytes,
     real = state.real_tag(keyword, value)
 
     if op == ADD:
-        first_occurrence = not state.distinct_filter.check(real)
+        first_occurrence = state.distinct_filter.insert(real)
         if first_occurrence:
-            state.distinct_filter.upd(real)
             if state.distinct_filter.inserted == state.config.bf_n + 1:
                 logger.warning(
                     "distinct-state filter past design capacity (%d pairs); "

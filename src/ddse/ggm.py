@@ -14,10 +14,15 @@ protocols need:
 
 Both shapes are canonical covers of leaf runs (``cover``), so a key is
 held, and travels, as its hole list or its bound plus one blob of node
-seeds in ascending leaf order.  No node shape is stored: evaluating a
-leaf bisects into the holes and finds its node within that run by
-arithmetic (``_block``), so a receiver pays only for the leaves it
-evaluates.  ``DelegatedKey.nodes`` rebuilds the shapes as a view.
+seeds in ascending leaf order.  ``puncture`` finds that cover by
+bisecting the tree only while a subtree holds two or more holes; below
+a subtree with one hole, the cover is the off-path child of each level
+of that hole's path, so one loop down the path emits it.
+
+No node shape is stored: evaluating a leaf bisects into the holes and
+finds its node within that run by arithmetic (``_block``), so a
+receiver pays only for the leaves it evaluates.  ``DelegatedKey.nodes``
+rebuilds the shapes as a view.
 
 Keys and roots are immutable; every operation is deterministic, so the
 same revocation set always serializes to the same bytes.
@@ -26,7 +31,7 @@ same revocation set always serializes to the same bytes.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from hashlib import sha256
@@ -121,6 +126,46 @@ def _block(start: int, end: int, index: int) -> tuple[int, int, int]:
             mid + (above << (height + 1)), height)
 
 
+# puncture's helpers are module functions taking ``holes`` and ``out``:
+# a nested function that calls itself would be a closure cycle, and keep
+# each call's seeds alive until the cyclic collector runs.
+
+def _punctured_seeds(seed: bytes, height: int, base: int,
+                     holes: Sequence[int], lo: int, hi: int,
+                     out: list[bytes]) -> None:
+    """Append, ascending, the cover seeds of the subtree of ``height``
+    levels whose first leaf is ``base``, minus holes[lo:hi] (all inside
+    it): bisect while it holds two or more holes."""
+    if hi - lo > 1:
+        height -= 1
+        mid = base + (1 << height)
+        split = bisect_left(holes, mid, lo, hi)
+        digest = sha256(seed).digest()
+        _punctured_seeds(digest[:16], height, base, holes, lo, split, out)
+        _punctured_seeds(digest[16:], height, mid, holes, split, hi, out)
+    elif hi > lo:
+        _lone_hole_seeds(seed, height, holes[lo] - base, out)
+    else:
+        out.append(seed)
+
+
+def _lone_hole_seeds(seed: bytes, height: int, path: int,
+                     out: list[bytes]) -> None:
+    """Append the cover of a subtree minus its one leaf ``path``: the
+    off-path child of each level, left ones as met, right ones after."""
+    right = []
+    for i in range(height - 1, -1, -1):
+        digest = sha256(seed).digest()
+        if (path >> i) & 1:
+            out.append(digest[:16])
+            seed = digest[16:]
+        else:
+            right.append(digest[16:])
+            seed = digest[:16]
+    right.reverse()
+    out += right
+
+
 class KeyNode(NamedTuple):
     """Internal-node seed delegating one aligned subtree.
 
@@ -161,32 +206,18 @@ class GgmRoot:
 
         An empty set yields the full-coverage single-node key.  The cover
         is the canonical minimal prefix-free one, so equal revocation sets
-        produce byte-identical keys.
+        produce byte-identical keys.  It costs one PRG call per tree node
+        on a path to a hole: a subtree with two or more holes is split in
+        half, and one with a single hole is walked down its path.
         """
         holes = sorted(set(indices))
         if holes:
             self._check_index(holes[0])
             self._check_index(holes[-1])
-        depth = self.depth
         seeds: list[bytes] = []
-        append = seeds.append
-        # depth-first over (subtree, hole slice); right child pushed first
-        # so the seeds come out in ascending leaf order
-        stack = [(self.seed, 0, 0, 0, len(holes))]
-        while stack:
-            seed, prefix, plen, lo, hi = stack.pop()
-            if lo == hi:
-                append(seed)
-                continue
-            if plen == depth:
-                continue  # punctured leaf: contribute nothing
-            height = depth - plen
-            mid = (prefix << height) + (1 << (height - 1))
-            split = bisect_right(holes, mid - 1, lo, hi)
-            out = sha256(seed).digest()
-            stack.append((out[16:], (prefix << 1) | 1, plen + 1, split, hi))
-            stack.append((out[:16], prefix << 1, plen + 1, lo, split))
-        return DelegatedKey(PUNCTURED, depth, array(INDEX_TYPE, holes),
+        _punctured_seeds(self.seed, self.depth, 0, holes, 0, len(holes),
+                         seeds)
+        return DelegatedKey(PUNCTURED, self.depth, array(INDEX_TYPE, holes),
                             b"".join(seeds))
 
     def constrain_range(self, count: int) -> "DelegatedKey":

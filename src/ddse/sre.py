@@ -73,9 +73,10 @@ def decode_ciphertext(data: bytes) -> SreCiphertext:
     wraps_end = _HEAD + KEY_LEN * h
     if h < 1 or len(data) < wraps_end + len(MAGIC):
         raise ValueError("truncated ciphertext")
-    wraps = tuple(bytes(data[i:i + KEY_LEN])
-                  for i in range(_HEAD, wraps_end, KEY_LEN))
-    return SreCiphertext(bytes(data[2:_HEAD]), wraps, bytes(data[wraps_end:]))
+    data = bytes(data)  # no copy of bytes: its slices are the fields
+    wraps = tuple([data[i:i + KEY_LEN]
+                   for i in range(_HEAD, wraps_end, KEY_LEN)])
+    return SreCiphertext(data[2:_HEAD], wraps, data[wraps_end:])
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@
 
 import math
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddse.bloom import MAX_DECODED_BITS, BloomFilter, decode_filter, size_for
+from ddse.crypto import encode_varint
 
 SEED = bytes(range(16, 32))
 
@@ -56,11 +58,18 @@ def test_completeness_always_found_after_upd():
 @given(st.lists(st.binary(min_size=0, max_size=40), max_size=30))
 def test_completeness_property(items):
     bf = BloomFilter.gen(64, 4, SEED)
+    # insert is check-then-upd in one probe; it counts first insertions
+    probed, first = BloomFilter.gen(64, 4, SEED), 0
     for x in items:
         bf.upd(x)
         assert bf.check(x)
+        fresh = not probed.check(x)
+        first += fresh
+        assert probed.insert(x) == fresh
+        assert probed.bits == bf.bits
     for x in items:
         assert bf.check(x)
+    assert probed.inserted == first
 
 
 def test_upd_idempotent_and_monotone():
@@ -164,6 +173,28 @@ def test_encode_decode_roundtrip():
     assert back.positions(b"q") == bf.positions(b"q")
 
 
+@pytest.mark.parametrize("gaps", [
+    [], [0], [0, 0, 0], [127], [128], [16383], [0, 127, 128, 16383, 0],
+    [1, 2, 3, 300, 4, 5, 6],          # a two-byte gap between runs
+    [200, 16384, 128],                # no one-byte gap at all
+], ids=["empty", "0", "run-of-0", "127", "128", "16383", "mixed",
+        "multi-byte-between-runs", "all-multi-byte"])
+def test_encode_decode_roundtrip_at_varint_edges(gaps):
+    ones = [pos - 1 for pos in accumulate(gap + 1 for gap in gaps)]
+    bf = BloomFilter.gen(1 << 16, 3, SEED)
+    for pos in ones:
+        bf.bits[pos >> 3] |= 0x80 >> (pos & 7)
+    blob = bf.encode()
+    # one LEB128 varint per gap, as the format has always been written
+    assert blob[8 + 1 + 16:] == encode_varint(len(gaps)) + b"".join(
+        map(encode_varint, gaps))
+    assert bf.encode(ones) == blob
+    back, back_ones, consumed = decode_filter(blob + b"tail")
+    assert consumed == len(blob)
+    assert back == bf and list(back_ones) == ones
+    assert back.encode(back_ones) == blob
+
+
 def test_decode_rejects_truncation():
     blob = BloomFilter.gen(64, 2, SEED).encode()
     with pytest.raises(ValueError):
@@ -176,9 +207,14 @@ def test_decode_rejects_bits_outside_the_filter():
     header = BloomFilter.gen(64, 2, SEED).encode()[:-1]
     back, ones, _ = decode_filter(header + b"\x01\x3f")
     assert back.set_bits() == list(ones) == [63]
-    for tail in (b"\x01\x40", b"\x02\x3f\x00", b"\x01\xc0\x00"):
+    for tail in (b"\x01\x40", b"\x02\x3f\x00", b"\x01\xc0\x00",
+                 b"\x03\x01\x80\x00\x01",   # overlong varint in a run
+                 b"\x03\x01\x01\x80",       # truncated inside a varint
+                 b"\x01\x80\x01",            # a two-byte gap past b
+                 b"\x01\x80\x80\x80\x80\x80\x01",  # a gap past 2^32
+                 b"\x7f\x01\x01"):           # a count beyond the body
         with pytest.raises(ValueError):
-            decode_filter(header + tail)  # bit 64, bit 64, overlong varint
+            decode_filter(header + tail)
     for b in (MAX_DECODED_BITS + 1, 1 << 29, 1 << 40):
         huge = b.to_bytes(8, "big") + header[8:]
         with pytest.raises(ValueError):

@@ -307,6 +307,28 @@ def test_exec_reports_an_unreachable_server(db, capsys):
     assert files_under(db) == before
 
 
+@pytest.mark.parametrize("port", ["abc", "", "0", "65536", "-1", "+80"])
+def test_exec_refuses_a_bad_server_port(db, capsys, port):
+    assert register(db) == 0
+    before = files_under(db)
+    capsys.readouterr()
+    assert run_cli(db, "exec", "INSERT INTO T (T.x, T.y) VALUE ('w', 'v')",
+                   "--server", f"127.0.0.1:{port}") == 1
+    assert capsys.readouterr().err == "error: --server needs HOST:PORT\n"
+    assert files_under(db) == before
+
+
+@pytest.mark.parametrize("value", ["127.0.0.1:xyz", "127.0.0.1:65536",
+                                   "127.0.0.1:", ":7070", "7070"])
+def test_serve_refuses_a_bad_listen_address(db, capsys, value):
+    assert register(db) == 0
+    before = files_under(db)
+    capsys.readouterr()
+    assert run_cli(db, "serve", "--listen", value) == 1
+    assert capsys.readouterr().err == "error: --listen needs HOST:PORT\n"
+    assert files_under(db) == before  # no store/log either
+
+
 def test_audit_command_passes_on_real_transport(db, capsys):
     assert run_cli(db, "audit", "--keywords", "4", "--updates", "40",
                    "--dump") == 0

@@ -243,8 +243,12 @@ def test_every_truncated_search_body_rejected():
     search_body(holes=h("02 09 06")),                   # hole 16 == b
     search_body(holes=h("02 09 07")),                   # hole 17 > b
     search_body(holes=h("01 10")),                      # hole 16 == b
+    search_body(holes=h("02 80 00")),                   # overlong varint
+    search_body(holes=h("03 00 81 00 02")),             # overlong in a run
+    search_body(holes=h("7f 09 05")),                   # count > body
 ], ids=["appended-byte", "count-minus-one", "count-plus-one",
-        "hole-at-b", "hole-beyond-b", "first-hole-at-b"])
+        "hole-at-b", "hole-beyond-b", "first-hole-at-b", "overlong-varint",
+        "overlong-in-run", "count-beyond-body"])
 def test_malformed_search_body_rejected(body):
     with pytest.raises(wire.FrameError):
         wire.decode_search_body(body)

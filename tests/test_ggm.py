@@ -1,6 +1,8 @@
 """Tree-PRF delegation checked against a brute-force tree expansion."""
 
+import gc
 import hashlib
+import random
 from array import array
 
 import pytest
@@ -348,6 +350,24 @@ def test_punctured_key_matches_root_and_cover(case):
         depth, gaps(sorted(holes), 1 << depth))
     assert dict(key.iter_leaves()) == {
         i: root.eval(i) for i in range(1 << depth) if i not in holes}
+
+
+@pytest.mark.parametrize("holes", [
+    [], [5000], sorted(random.Random(0).sample(range(1 << 14), 700)),
+    list(range(0, 1 << 14, 2)),
+], ids=["none", "one", "700-random", "every-other-leaf"])
+def test_puncture_at_benchmark_depth_matches_walked_cover(holes):
+    """The search_revoked workload's tree depth, byte for byte; and
+    puncture leaves no reference cycle for the collector to find."""
+    root = gen_root(SEED, 14)
+    gc.collect()
+    gc.disable()
+    try:
+        key = root.puncture(holes)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert list(key.nodes) == walked_nodes(14, gaps(holes, 1 << 14))
 
 
 @settings(max_examples=60, deadline=None)
