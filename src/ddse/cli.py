@@ -195,7 +195,12 @@ def cmd_ingest(args) -> int:
                     args.table,
                     (args.keyword_column, w.encode(),
                      args.value_column, v.encode())))
-                q.execute(registry, plan, edb)
+                try:
+                    q.execute(registry, plan, edb)
+                except q.QueryError as exc:  # a re-add of a deleted pair
+                    log.warning("line %d: %s, skipped", lineno, exc)
+                    skipped += 1
+                    continue
                 done += 1
     _save_registry(db, registry, key)
     print(f"ingested {done} rows ({skipped} skipped)")

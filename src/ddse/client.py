@@ -40,7 +40,7 @@ delete cannot claw it back out; deletes are only reliable for pairs
 whose first add has not yet been consumed by a search.  Re-adding a
 deleted pair is likewise unsupported: the distinct-state filter still
 remembers the pair, so the re-add is classified as a duplicate and
-revoked on arrival.
+revoked on arrival; ``ddse.query`` refuses such an INSERT.
 """
 
 from __future__ import annotations

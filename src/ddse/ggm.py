@@ -17,12 +17,17 @@ held, and travels, as its hole list or its bound plus one blob of node
 seeds in ascending leaf order.  ``puncture`` finds that cover by
 bisecting the tree only while a subtree holds two or more holes; below
 a subtree with one hole, the cover is the off-path child of each level
-of that hole's path, so one loop down the path emits it.
+of that hole's path, so one loop down the path emits it.  The cover of
+``[0, count)`` is the left half of that loop for the hole ``count``, so
+``constrain_range`` takes it from the same walk.
 
-No node shape is stored: evaluating a leaf bisects into the holes and
-finds its node within that run by arithmetic (``_block``), so a
-receiver pays only for the leaves it evaluates.  ``DelegatedKey.nodes``
-rebuilds the shapes as a view.
+Each tree operation has one implementation: a single leaf is ``_walk``,
+a subtree expansion ``DelegatedKey.iter_leaves``, a cover the two
+puncture walkers.  No node shape is stored: evaluating a leaf bisects
+into the holes and finds its node within that run by arithmetic
+(``_block``), so a receiver pays only for the leaves it evaluates.
+``cover`` rebuilds the shapes, for ``DelegatedKey.nodes`` and
+``iter_leaves``.
 
 Keys and roots are immutable; every operation is deterministic, so the
 same revocation set always serializes to the same bytes.
@@ -64,8 +69,9 @@ def cover(runs: Iterable[tuple[int, int]], depth: int) -> list[tuple[int, int]]:
 
     Each run is split greedily into the largest aligned blocks, in
     ascending order; those are exactly the maximal subtrees inside the
-    run.  The gaps between holes give ``puncture``'s shapes, the single
-    run ``[0, count)`` gives ``constrain_range``'s.
+    run.  The gaps between holes give a punctured key's shapes, the
+    single run ``[0, count)`` a range key's.  It names shapes only: no
+    key is built from it, the walkers emit the seeds in this order.
     """
     out = []
     append = out.append
@@ -224,13 +230,18 @@ class GgmRoot:
         """Delegated key covering exactly leaves [0, count).
 
         0 <= count <= 2^depth; count == 2^depth yields the single root
-        node, count == 0 the empty key.  One node per set bit of ``count``.
+        node, count == 0 the empty key.  One node per set bit of ``count``:
+        the left sibling at each level where leaf ``count``'s path turns
+        right, which are the first seeds ``_lone_hole_seeds`` emits.
         """
         if not 0 <= count <= self.leaves:
             raise ValueError(f"count {count} outside [0, 2^{self.depth}]")
-        return DelegatedKey(RANGE, self.depth, count, b"".join(
-            _walk(self.seed, prefix, plen)
-            for prefix, plen in cover([(0, count)], self.depth)))
+        if count == self.leaves:
+            return DelegatedKey(RANGE, self.depth, count, self.seed)
+        seeds: list[bytes] = []
+        _lone_hole_seeds(self.seed, self.depth, count, seeds)
+        return DelegatedKey(RANGE, self.depth, count,
+                            b"".join(seeds[:count.bit_count()]))
 
 
 def gen_root(seed: bytes, depth: int) -> GgmRoot:
@@ -290,9 +301,9 @@ class DelegatedKey:
     def _seed(self, node: int) -> bytes:
         return self.seeds[node * KEY_LEN:(node + 1) * KEY_LEN]
 
-    def _locate(self, index: int) -> Optional[tuple[int, int, int]]:
-        """(node number, node height, offset of ``index`` in the node), or
-        None when ``index`` is a hole or outside the delegation."""
+    def eval(self, index: int) -> Optional[bytes]:
+        """Leaf value, or None when ``index`` is a hole or outside the
+        delegation: one walk from the node of the cover that holds it."""
         if not 0 <= index < self._limit:
             return None
         holes = self._holes
@@ -305,15 +316,8 @@ class DelegatedKey:
             end = self._limit
         start = holes[run - 1] + 1 if run else 0
         rank, first, height = _block(start, end, index)
-        return self._ranks[run] + rank, height, index - first
-
-    def eval(self, index: int) -> Optional[bytes]:
-        """Leaf value, or None when ``index`` is outside the delegation."""
-        hit = self._locate(index)
-        if hit is None:
-            return None
-        node, height, offset = hit
-        return _walk(self._seed(node), offset, height)
+        return _walk(self._seed(self._ranks[run] + rank), index - first,
+                     height)
 
     def _cover(self) -> list[tuple[int, int]]:
         return cover(gaps(self._holes, self._limit), self.depth)
@@ -403,34 +407,14 @@ def decode_range_key(data: bytes, offset: int = 0) -> tuple[DelegatedKey, int]:
 
 
 class PathCache:
-    """Leaf evaluator that reuses the PRG path shared with the previous
-    index; sequential counters cost ~2 PRG calls per step instead of
-    ``depth``.
-
-    No production path uses it: placement re-derives each leaf with
-    ``GgmRoot.eval``.  The benchmark's tracer wraps ``leaf`` by name.
+    """``GgmRoot.eval`` under another name: the benchmark's tracer wraps
+    ``ggm.PathCache.leaf`` by name (``ddsebench/tracing.py``), so
+    deleting the class crashes a traced run.  It goes when the tracer
+    skips a name that is gone.  No production path uses it.
     """
 
     def __init__(self, root: GgmRoot):
         self._root = root
-        self._index = -1
-        self._path: list[bytes] = []  # seed after consuming k+1 path bits
 
     def leaf(self, index: int) -> bytes:
-        root = self._root
-        root._check_index(index)
-        d = root.depth
-        if index == self._index:
-            return self._path[-1]
-        if self._index < 0:
-            keep = 0
-        else:
-            keep = d - (index ^ self._index).bit_length()
-        del self._path[keep:]
-        seed = self._path[keep - 1] if keep else root.seed
-        for i in range(d - keep - 1, -1, -1):
-            out = sha256(seed).digest()
-            seed = out[16:] if (index >> i) & 1 else out[:16]
-            self._path.append(seed)
-        self._index = index
-        return seed
+        return self._root.eval(index)

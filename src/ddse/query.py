@@ -17,7 +17,10 @@ live copy-count of every value.  Distinct queries come from the index
 alone; plain keyword queries re-expand the distinct set through the
 quantity vector (order and multiplicity never leave the client); joins
 run the keyword query twice, feeding stage-one values into stage two.
-Deleting a pair removes every copy, matching the delete protocol.
+Deleting a pair removes every copy, matching the delete protocol.  A
+deleted pair cannot be inserted again: the client's distinct state
+still holds it, so the add would be revoked on arrival.  Such an
+INSERT raises ``QueryError`` before anything is sent.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ class StatementError(ValueError):
 
 
 class QueryError(RuntimeError):
-    """Semantic failure: unknown table/columns, bad value for the order."""
+    """Semantic failure: unknown table/columns, bad value for the order,
+    re-add of a deleted pair."""
 
 
 class IntegrityError(QueryError):
@@ -281,7 +285,14 @@ def execute(registry: Registry, query: QueryPlan, edb):
     if query.syn == SYN_INS:
         table, (kw_col, w, val_col, v) = query.m
         instance = registry.instance_for(table, kw_col, val_col)
-        cl.update(instance.state, cl.ADD, w, v, edb)
+        state = instance.state
+        if (v not in instance.qvec.get(w, ())
+                and state.distinct_filter.check(state.real_tag(w, v))):
+            # the add would count as a duplicate and be revoked on arrival
+            raise QueryError(
+                f"cannot re-add deleted pair {w!r}/{v!r}: the distinct "
+                f"state still holds it; nothing was sent")
+        cl.update(state, cl.ADD, w, v, edb)
         counts = instance.qvec.setdefault(w, {})
         counts[v] = counts.get(v, 0) + 1
         return None

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from hashlib import sha256
 from typing import Optional
 
 from . import bloom, ggm
@@ -145,53 +144,18 @@ def ck_rev(sk: ggm.GgmRoot, D: bloom.BloomFilter) -> RevokedKey:
 
 
 class SubkeyStore:
-    """Greedy reuse of tree seeds across a batch of decryptions.
-
-    Last-in-first-out store of unexpanded node seeds: each lookup pops
-    the most recent covering candidate instead of re-deriving from the
-    punctured key, then pushes the siblings passed on the way down.
-    Bounded; eviction drops the oldest entries.
-
-    No production path uses it: ``EncryptedDatabase.execute_search``
-    calls plain ``dec``, which measured faster.  It stays only because
-    the benchmark's tracer wraps ``leaf`` by name.
+    """``DelegatedKey.eval`` under another name: the benchmark's tracer
+    wraps ``sre.SubkeyStore.leaf`` by name (``ddsebench/tracing.py``),
+    so deleting the class crashes a traced run.  It goes when the tracer
+    skips a name that is gone.  No production path uses it:
+    ``EncryptedDatabase.execute_search`` calls ``dec``.
     """
 
-    def __init__(self, key: ggm.DelegatedKey, max_entries: int = 512):
+    def __init__(self, key: ggm.DelegatedKey):
         self._key = key
-        self._stack: list[tuple[int, int, bytes]] = []  # (start, height, seed)
-        self._max = max_entries
 
     def leaf(self, index: int) -> Optional[bytes]:
-        stack = self._stack
-        start = height = seed = None
-        for j in range(len(stack) - 1, -1, -1):
-            s, h, sd = stack[j]
-            if s <= index < s + (1 << h):
-                start, height, seed = s, h, sd
-                del stack[j]
-                break
-        if seed is None:
-            located = self._key._locate(index)
-            if located is None:
-                return None
-            node, height, offset = located
-            start = index - offset
-            seed = self._key._seed(node)
-        while height > 0:
-            out = sha256(seed).digest()
-            height -= 1
-            half = 1 << height
-            if index < start + half:
-                stack.append((start + half, height, out[16:]))
-                seed = out[:16]
-            else:
-                stack.append((start, height, out[:16]))
-                seed = out[16:]
-                start += half
-        if len(stack) > self._max:
-            del stack[:len(stack) - self._max]
-        return seed
+        return self._key.eval(index)
 
 
 def dec(rk: RevokedKey, ct: SreCiphertext, tag: bytes) -> Optional[bytes]:

@@ -260,6 +260,33 @@ def test_ingest_csv_skips_bad_rows(db, tmp_path, capsys, caplog):
     assert "a@x.org" in capsys.readouterr().out
 
 
+def test_ingest_skips_the_readd_of_a_deleted_pair(db, tmp_path, capsys,
+                                                  caplog):
+    assert register(db, "People", "People.name", "People.mail") == 0
+    csv_path = tmp_path / "people.csv"
+    csv_path.write_text("People.name,People.mail\nalice,a@x.org\n")
+    ingest = ("ingest", str(csv_path), "--table", "People",
+              "--keyword-column", "People.name",
+              "--value-column", "People.mail")
+    assert run_cli(db, *ingest) == 0
+    assert run_cli(db, "exec", "DELETE FROM People WHERE People.name = "
+                               "'alice' AND People.mail = 'a@x.org'") == 0
+    csv_path.write_text("People.name,People.mail\n"
+                        "alice,a@x.org\n"
+                        "alice,b@x.org\n")
+    capsys.readouterr()
+    assert run_cli(db, *ingest) == 0
+    assert "ingested 1 rows (1 skipped)" in capsys.readouterr().out
+    assert "line 2: cannot re-add deleted pair" in caplog.text
+    # the rows after the skip were saved: the keyword is not wedged
+    assert run_cli(db, "exec", "INSERT INTO People (People.name, People.mail)"
+                               " VALUE ('alice', 'c@x.org')") == 0
+    capsys.readouterr()
+    assert run_cli(db, "exec", "SELECT People.mail FROM People "
+                               "WHERE People.name = 'alice'") == 0
+    assert capsys.readouterr().out.split() == ["b@x.org", "c@x.org"]
+
+
 @pytest.mark.parametrize("header, keyword_column, fragment", [
     ("People.nam,People.mail", "People.name", "has no column People.name"),
     ("People.name,People.mail", "People.nam", "no index registered"),

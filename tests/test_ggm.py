@@ -6,7 +6,7 @@ import random
 from array import array
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ddse import ggm
 from ddse.crypto import INDEX_TYPE
@@ -396,3 +396,16 @@ def test_range_keys_at_every_count(depth):
             expect[:count] + [None] * ((1 << depth) - count))
         back, _ = decode_range_key(key.encode())
         assert back == key
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=st.integers(0, 1 << 20))
+@example(count=0)
+@example(count=1)
+@example(count=(1 << 20) - 1)
+@example(count=1 << 20)
+def test_range_keys_at_placement_depth_match_walked_cover(count):
+    """ClientConfig's sigma_depth: a range key is the left half of the
+    lone-hole walk to leaf ``count``, byte for byte."""
+    key = gen_root(SEED, 20).constrain_range(count)
+    assert list(key.nodes) == walked_nodes(20, [(0, count)])

@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from ddse import query as q
 from ddse.edb import EncryptedDatabase
+from ddse.netclient import RemoteEdb
 from ddse.query import (IntegrityError, QueryError, QueryPlan, Registry,
                         StatementError, TableConfig, exec_statement, plan)
+from ddse.server import serve
+from ddse.store import PersistentStore
 
 
 # -- parsing ----------------------------------------------------------------
@@ -377,3 +380,84 @@ def test_join_searches_each_distinct_link_once():
     assert got == [b"p", b"p", b"p", b"q"]
     assert len(counting.tokens) == 3  # stage one, za, zb
     assert len(set(counting.tokens)) == 3
+
+
+# -- re-adding a deleted pair -------------------------------------------------
+
+@pytest.fixture(params=["memory", "tcp"])
+def transport(request, tmp_path):
+    """An empty database, in process or behind a socket server."""
+    if request.param == "memory":
+        yield EncryptedDatabase()
+        return
+    store = PersistentStore(tmp_path / "db")
+    server = serve(store)
+    try:
+        with RemoteEdb(*server.address) as remote:
+            yield remote
+    finally:
+        server.stop()
+        store.close()
+
+
+class CountingUpdates:
+    """Forwards to ``edb``, counting the updates that reach it."""
+
+    def __init__(self, edb):
+        self.edb = edb
+        self.updates = 0
+
+    def apply_update(self, address, payload):
+        self.updates += 1
+        self.edb.apply_update(address, payload)
+
+    def execute_search(self, request):
+        return self.edb.execute_search(request)
+
+
+def refused_readd(reg, edb, statement):
+    counting = CountingUpdates(edb)
+    with pytest.raises(QueryError, match="cannot re-add deleted pair"):
+        run(reg, counting, statement)
+    assert counting.updates == 0
+
+
+def test_readd_of_a_deleted_pair_is_refused_before_sending(transport):
+    reg, _ = fresh()
+    run(reg, transport, "INSERT INTO T (T.x, T.y) VALUE ('w', 'v1')")
+    run(reg, transport, "INSERT INTO T (T.x, T.y) VALUE ('w', 'v2')")
+    run(reg, transport, "INSERT INTO T (T.x, T.y) VALUE ('w', 'v2')")
+    run(reg, transport, "DELETE FROM T WHERE T.x = 'w' AND T.y = 'v1'")
+    refused_readd(reg, transport, "INSERT INTO T (T.x, T.y) VALUE ('w', 'v1')")
+    # the oracle's answers: v1 stays deleted, nothing reports tampering
+    assert run(reg, transport, "SELECT DISTINCT T.y FROM T WHERE T.x = 'w'") \
+        == {b"v2"}
+    assert run(reg, transport, "SELECT T.y FROM T WHERE T.x = 'w'") \
+        == [b"v2", b"v2"]
+    # a live pair, and a new one, are still accepted after the refusal
+    run(reg, transport, "INSERT INTO T (T.x, T.y) VALUE ('w', 'v2')")
+    run(reg, transport, "INSERT INTO T (T.x, T.y) VALUE ('w', 'v3')")
+    assert run(reg, transport, "SELECT T.y FROM T WHERE T.x = 'w'") \
+        == [b"v2", b"v2", b"v2", b"v3"]
+
+
+def test_join_after_a_refused_readd_matches_nested_loop(transport):
+    reg, _ = join_tables()
+    rows1 = [(b"w", b"za"), (b"w", b"zb"), (b"w", b"zb")]
+    rows2 = [(b"za", b"p"), (b"zb", b"q"), (b"zb", b"r")]
+    for x, z in rows1:
+        run(reg, transport, f"INSERT INTO T1 (T1.x, T1.z) "
+                            f"VALUE ('{x.decode()}', '{z.decode()}')")
+    for z, y in rows2:
+        run(reg, transport, f"INSERT INTO T2 (T2.z, T2.y) "
+                            f"VALUE ('{z.decode()}', '{y.decode()}')")
+    run(reg, transport, "DELETE FROM T1 WHERE T1.x = 'w' AND T1.z = 'za'")
+    run(reg, transport, "DELETE FROM T2 WHERE T2.z = 'zb' AND T2.y = 'q'")
+    refused_readd(reg, transport, "INSERT INTO T1 (T1.x, T1.z) VALUE ('w', 'za')")
+    refused_readd(reg, transport, "INSERT INTO T2 (T2.z, T2.y) VALUE ('zb', 'q')")
+    rows1.remove((b"w", b"za"))
+    rows2.remove((b"zb", b"q"))
+    got = run(reg, transport, "SELECT T2.y FROM T1 JOIN T2 ON T1.z = T2.z "
+                              "WHERE T1.x = 'w'")
+    assert sorted(got) == sorted(nested_loop_join(rows1, rows2, b"w")) \
+        == [b"r", b"r"]

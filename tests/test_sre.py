@@ -245,23 +245,12 @@ def test_greedy_store_matches_plain_dec():
     for t in tags[:30]:
         D = sre.comp(D, t)
     rk = sre.ck_rev(msk.sk, D)
-    store = sre.SubkeyStore(rk.key, max_entries=64)
+    store = sre.SubkeyStore(rk.key)
     rng = random.Random(5)
     for _ in range(2000):
         tag = rng.choice(tags) if rng.random() < 0.7 else rng.randbytes(12)
         for pos in D.positions(tag):
             assert store.leaf(pos) == rk.key.eval(pos)
-
-
-def test_store_bound_is_enforced():
-    msk = make_key(4096, 5)
-    rk = sre.ck_rev(msk.sk, msk.D)
-    store = sre.SubkeyStore(rk.key, max_entries=16)
-    rng = random.Random(6)
-    for _ in range(300):
-        for pos in msk.D.positions(rng.randbytes(8)):
-            store.leaf(pos)
-        assert len(store._stack) <= 16
 
 
 def reference_dec(rk, ct, tag):
