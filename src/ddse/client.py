@@ -100,6 +100,12 @@ class KeywordState:
                         # reset, so no pair's dummy tag repeats across epochs
     placed: int = 0     # entries under this epoch's label
 
+    @property
+    def empty_epoch(self) -> bool:
+        """Nothing placed or revoked since the keyword's last search: its
+        search sends the cache token alone and rotates nothing."""
+        return not self.placed and not self.msk.D.inserted
+
 
 @dataclass
 class ClientState:
@@ -220,9 +226,9 @@ def search_client_token(state: ClientState, keyword: bytes) -> SearchRequest:
     if record is None:
         raise UnknownKeywordError(keyword)
     tkn = state.cache_token(keyword)
-    msk = record.msk
-    if not record.placed and not msk.D.inserted:
+    if record.empty_epoch:
         return SearchRequest(tkn)  # the epoch's keys stay unrevealed
+    msk = record.msk
     request = SearchRequest(
         tkn=tkn,
         revoked_key=sre.ck_rev(msk.sk, msk.D),

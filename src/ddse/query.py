@@ -17,10 +17,14 @@ live copy-count of every value.  Distinct queries come from the index
 alone; plain keyword queries re-expand the distinct set through the
 quantity vector (order and multiplicity never leave the client); joins
 run the keyword query twice, feeding stage-one values into stage two.
-Deleting a pair removes every copy, matching the delete protocol.  A
-deleted pair cannot be inserted again: the client's distinct state
-still holds it, so the add would be revoked on arrival.  Such an
-INSERT raises ``QueryError`` before anything is sent.
+Stage two searches each distinct link once and is pipelined: every
+link's search is sent before any reply is read, except that a search
+which rotates its epoch waits for the replies before it (see
+``_search_all``).  Deleting a pair removes every copy, matching the
+delete protocol; deleting a pair that is not live is a no-op that sends
+and revokes nothing.  A deleted pair cannot be inserted again: the
+client's distinct state still holds it, so the add would be revoked on
+arrival.  Such an INSERT raises ``QueryError`` before anything is sent.
 """
 
 from __future__ import annotations
@@ -267,8 +271,10 @@ def _distinct(instance: TableInstance, keyword: bytes, edb) -> set[bytes]:
         return set()
 
 
-def _expanded(instance: TableInstance, keyword: bytes, edb) -> list[bytes]:
-    distinct = _distinct(instance, keyword, edb)
+def _expand(instance: TableInstance, keyword: bytes,
+            distinct: set[bytes]) -> list[bytes]:
+    """The keyword's values with multiplicity, once the index's distinct
+    set is checked against the quantity vector."""
     counts = instance.qvec.get(keyword, {})
     if set(counts) != distinct:
         raise IntegrityError(
@@ -278,6 +284,37 @@ def _expanded(instance: TableInstance, keyword: bytes, edb) -> list[bytes]:
     for v in instance.ordered(counts):
         out.extend([v] * counts[v])
     return out
+
+
+def _expanded(instance: TableInstance, keyword: bytes, edb) -> list[bytes]:
+    return _expand(instance, keyword, _distinct(instance, keyword, edb))
+
+
+def _search_all(instance: TableInstance, keywords: list[bytes], edb) -> list:
+    """One search per keyword, each sent without waiting for the replies
+    before it; the outcomes, None for a keyword with no update history.
+
+    A search that rotates its epoch is built only once every earlier
+    reply has been read, so a lost reply leaves no more epochs rotated
+    but unanswered than searching one at a time would.  Token-only
+    searches rotate nothing and go out freely.
+    """
+    state = instance.state
+    outcomes = []
+    unread = []
+    for keyword in keywords:
+        record = state.keywords.get(keyword)
+        if record is None:
+            outcomes.append(None)
+            continue
+        if not record.empty_epoch:
+            for outcome in unread:
+                outcome.results  # waits for its reply
+            unread.clear()
+        outcome = edb.execute_search(cl.search_client_token(state, keyword))
+        outcomes.append(outcome)
+        unread.append(outcome)
+    return outcomes
 
 
 def execute(registry: Registry, query: QueryPlan, edb):
@@ -299,10 +336,10 @@ def execute(registry: Registry, query: QueryPlan, edb):
     if query.syn == SYN_DEL:
         table, (kw_col, w, val_col, v) = query.m
         instance = registry.instance_for(table, kw_col, val_col)
-        cl.update(instance.state, cl.DELETE, w, v, edb)
-        counts = instance.qvec.get(w)
-        if counts is not None:
-            counts.pop(v, None)
+        counts = instance.qvec.get(w, {})
+        if v in counts:  # a pair that is not live has nothing to revoke
+            cl.update(instance.state, cl.DELETE, w, v, edb)
+            del counts[v]
         return None
     if query.syn == SYN_DSRCH:
         table, (kw_col, w, val_col) = query.m
@@ -313,16 +350,16 @@ def execute(registry: Registry, query: QueryPlan, edb):
     if query.syn == SYN_JOIN:
         t1, t2, (kw_col, w, join_col), (join_col2, _, val_col) = query.m
         stage1 = _expanded(registry.instance_for(t1, kw_col, join_col), w, edb)
-        stage2_instance = registry.instance_for(t2, join_col2, val_col)
+        instance = registry.instance_for(t2, join_col2, val_col)
         # one search per distinct link: searching a link once per copy
         # would show the server its multiplicity through a repeated token
+        links = list(dict.fromkeys(stage1))
         rows: dict[bytes, list[bytes]] = {}
-        out: list[bytes] = []
-        for link in stage1:
-            if link not in rows:
-                rows[link] = _expanded(stage2_instance, link, edb)
-            out.extend(rows[link])
-        return out
+        for link, outcome in zip(links, _search_all(instance, links, edb)):
+            distinct = set() if outcome is None else \
+                cl.search_finalize(instance.state, outcome.results)
+            rows[link] = _expand(instance, link, distinct)
+        return [v for link in stage1 for v in rows[link]]
     raise ValueError(f"unknown plan kind {query.syn!r}")
 
 

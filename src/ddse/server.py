@@ -31,6 +31,9 @@ class Connection(socketserver.StreamRequestHandler):
     """One client connection: frames in, replies out, until BYE."""
 
     timeout = 300  # idle seconds before the server drops the connection
+    # replies to pipelined searches go out back to back; Nagle would hold
+    # each one until the client's delayed ACK of the one before
+    disable_nagle_algorithm = True
 
     def handle(self) -> None:
         while True:

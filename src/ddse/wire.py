@@ -25,6 +25,10 @@ sides.  Body layouts:
            any other version
 * ERROR:   utf-8 message
 * BYE:     empty
+
+The server answers each frame in the order it arrived.  A client may
+send several SEARCH frames before reading any reply; their RESULTs come
+back in the order the searches were sent.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 """Statement parsing and encrypted execution against plaintext oracles."""
 
+import copy
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddse import query as q
+from ddse import wire
+from ddse.client import ProtocolError
 from ddse.edb import EncryptedDatabase
 from ddse.netclient import RemoteEdb
 from ddse.query import (IntegrityError, QueryError, QueryPlan, Registry,
@@ -384,20 +387,25 @@ def test_join_searches_each_distinct_link_once():
 
 # -- re-adding a deleted pair -------------------------------------------------
 
-@pytest.fixture(params=["memory", "tcp"])
-def transport(request, tmp_path):
-    """An empty database, in process or behind a socket server."""
-    if request.param == "memory":
-        yield EncryptedDatabase()
-        return
+@pytest.fixture()
+def served(tmp_path):
+    """A socket server over an empty store, and a client connected to it."""
     store = PersistentStore(tmp_path / "db")
     server = serve(store)
     try:
         with RemoteEdb(*server.address) as remote:
-            yield remote
+            yield server, remote
     finally:
         server.stop()
         store.close()
+
+
+@pytest.fixture(params=["memory", "tcp"])
+def transport(request):
+    """An empty database, in process or behind a socket server."""
+    if request.param == "memory":
+        return EncryptedDatabase()
+    return request.getfixturevalue("served")[1]
 
 
 class CountingUpdates:
@@ -461,3 +469,137 @@ def test_join_after_a_refused_readd_matches_nested_loop(transport):
                               "WHERE T1.x = 'w'")
     assert sorted(got) == sorted(nested_loop_join(rows1, rows2, b"w")) \
         == [b"r", b"r"]
+
+
+# -- deleting a pair that is not live -----------------------------------------
+
+def test_delete_of_a_pair_that_is_not_live_is_a_no_op(transport):
+    reg, _ = join_tables()
+    t2 = reg.instance_for("T2", "T2.z", "T2.y")
+    run(reg, transport, "INSERT INTO T1 (T1.x, T1.z) VALUE ('w', 'za')")
+    run(reg, transport, "INSERT INTO T1 (T1.x, T1.z) VALUE ('w', 'zb')")
+    run(reg, transport, "INSERT INTO T2 (T2.z, T2.y) VALUE ('zb', 'q')")
+    run(reg, transport, "INSERT INTO T2 (T2.z, T2.y) VALUE ('zb', 'r')")
+    run(reg, transport, "DELETE FROM T2 WHERE T2.z = 'zb' AND T2.y = 'r'")
+    zb = t2.state.keywords[b"zb"]
+    revoked, updates = zb.msk.D.inserted, zb.updates
+    counting = CountingUpdates(transport)
+    # never inserted, under a keyword with no history and under one with
+    # some, and deleted a second time: nothing is sent or revoked
+    for statement in ("DELETE FROM T2 WHERE T2.z = 'za' AND T2.y = 'p'",
+                      "DELETE FROM T2 WHERE T2.z = 'zb' AND T2.y = 's'",
+                      "DELETE FROM T2 WHERE T2.z = 'zb' AND T2.y = 'r'"):
+        run(reg, counting, statement)
+    assert counting.updates == 0
+    assert b"za" not in t2.state.keywords
+    assert (zb.msk.D.inserted, zb.updates) == (revoked, updates)
+    # a pair deleted before it was ever inserted is found once inserted
+    run(reg, transport, "INSERT INTO T2 (T2.z, T2.y) VALUE ('za', 'p')")
+    run(reg, transport, "INSERT INTO T2 (T2.z, T2.y) VALUE ('zb', 's')")
+    assert run(reg, transport, "SELECT DISTINCT T2.y FROM T2 WHERE T2.z = 'za'") \
+        == {b"p"}
+    assert run(reg, transport, "SELECT T2.y FROM T2 WHERE T2.z = 'zb'") \
+        == [b"q", b"s"]
+    got = run(reg, transport, "SELECT T2.y FROM T1 JOIN T2 ON T1.z = T2.z "
+                              "WHERE T1.x = 'w'")
+    rows1 = [(b"w", b"za"), (b"w", b"zb")]
+    rows2 = [(b"zb", b"q"), (b"za", b"p"), (b"zb", b"s")]
+    assert got == nested_loop_join(rows1, rows2, b"w") == [b"p", b"q", b"s"]
+
+
+# -- pipelined stage two ------------------------------------------------------
+
+JOIN_W = "SELECT T2.y FROM T1 JOIN T2 ON T1.z = T2.z WHERE T1.x = 'w'"
+
+
+def insert(reg, edb, table, rows):
+    kw, val = {"T1": ("T1.x", "T1.z"), "T2": ("T2.z", "T2.y")}[table]
+    for k, v in rows:
+        run(reg, edb, f"INSERT INTO {table} ({kw}, {val}) "
+                      f"VALUE ('{k.decode()}', '{v.decode()}')")
+
+
+def linked(reg, edb, links):
+    """Inserts rows whose stage one under 'w' yields ``links`` distinct
+    links z0.., some more than once, plus 'orphan', which has no T2 row."""
+    rows1 = [(b"w", b"z%d" % i) for i in range(links) for _ in range(1 + i % 3)]
+    rows1 += [(b"w", b"orphan"), (b"other", b"z0")]
+    rows2 = [(b"z%d" % i, y) for i in range(links)
+             for y in (b"y%d" % i, b"y%d" % (i % 4))]
+    insert(reg, edb, "T1", rows1)
+    insert(reg, edb, "T2", rows2)
+    return rows1, rows2
+
+
+class SearchBodies:
+    """Records the body of every SEARCH frame ``server`` dispatches and,
+    if asked, fails the ``fail_at``-th with an ERROR reply."""
+
+    def __init__(self, server, fail_at=None):
+        self.bodies = []
+        dispatch = server._dispatch
+
+        def recording(stream, ftype, body):
+            if ftype == wire.SEARCH:
+                self.bodies.append(body)
+                if len(self.bodies) == fail_at:
+                    raise wire.FrameError("injected failure")
+            return dispatch(stream, ftype, body)
+
+        server._dispatch = recording
+
+
+class RecordingEdb:
+    """In-process store that records every SEARCH body it is given."""
+
+    def __init__(self, edb):
+        self.edb = edb
+        self.bodies = []
+
+    def execute_search(self, request):
+        self.bodies.append(wire.encode_search_body(request))
+        return self.edb.execute_search(request)
+
+
+def test_pipelined_join_sends_the_sequential_frames(served):
+    server, remote = served
+    reg, _ = join_tables()
+    rows1, rows2 = linked(reg, remote, 9)
+    run(reg, remote, JOIN_W)  # every link searched
+    # adds since that search on some links, one of them deleted again
+    added = [(b"z1", b"n1"), (b"z4", b"n4"), (b"z7", b"n7"), (b"z5", b"gone")]
+    insert(reg, remote, "T2", added)
+    run(reg, remote, "DELETE FROM T2 WHERE T2.z = 'z5' AND T2.y = 'gone'")
+    rows2 += added[:3]
+    with server._lock:  # no request is in flight
+        twin = copy.deepcopy(reg)
+        local = RecordingEdb(copy.deepcopy(server.store.edb))
+    recorded = SearchBodies(server)
+    got = run(reg, remote, JOIN_W)
+    assert sorted(got) == sorted(nested_loop_join(rows1, rows2, b"w"))
+    assert got == run(twin, local, JOIN_W)
+    assert recorded.bodies == local.bodies
+    # stage one, then z0..z8 in order ('orphan' has no history): full
+    # searches where something changed, the token alone elsewhere
+    assert [len(b) > 32 for b in recorded.bodies[1:]] == \
+        [i in (1, 4, 5, 7) for i in range(9)]
+
+
+@pytest.mark.parametrize("failing", [2, 4, 6])
+def test_failed_stage2_search_leaves_later_epochs_unrotated(served, failing):
+    server, remote = served
+    reg, _ = join_tables()
+    linked(reg, remote, 8)
+    run(reg, remote, JOIN_W)
+    # z0, z3 and z6 stay empty: their searches are token-only
+    insert(reg, remote, "T2", [(b"z%d" % i, b"n%d" % i) for i in (1, 2, 4, 5, 7)])
+    keywords = reg.instance_for("T2", "T2.z", "T2.y").state.keywords
+    before = {i: (keywords[b"z%d" % i].epoch, keywords[b"z%d" % i].placed)
+              for i in range(8)}
+    SearchBodies(server, fail_at=1 + failing)  # after stage one's search
+    with pytest.raises(ProtocolError, match="injected failure"):
+        run(reg, remote, JOIN_W)
+    # the failed search was z{failing - 1}'s; no later epoch was rotated
+    for i in range(failing, 8):
+        record = keywords[b"z%d" % i]
+        assert (record.epoch, record.placed) == before[i]

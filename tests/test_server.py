@@ -1,5 +1,5 @@
 """Socket server: handshake, remote protocol rounds, fault handling,
-stopping, and compaction between requests."""
+stopping, compaction between requests, and pipelined searches."""
 
 import io
 import socket
@@ -10,7 +10,7 @@ import time
 import pytest
 
 from ddse import client as cl
-from ddse import wire
+from ddse import netclient, wire
 from ddse.client import ClientConfig, ProtocolError
 from ddse.edb import EncryptedDatabase
 from ddse.netclient import RemoteEdb
@@ -299,3 +299,58 @@ def test_compaction_behind_a_live_server(tmp_path):
         server.stop()
         store.close()
         twin.close()
+
+
+# -- pipelined searches -------------------------------------------------------
+
+def test_updates_and_reads_between_pipelined_searches(running_server):
+    state, _ = small_state()
+    with RemoteEdb(*running_server.address) as remote:
+        cl.update(state, cl.ADD, b"a", b"1", remote)
+        cl.update(state, cl.ADD, b"b", b"2", remote)
+        first = remote.execute_search(cl.search_client_token(state, b"a"))
+        second = remote.execute_search(cl.search_client_token(state, b"b"))
+        cl.update(state, cl.ADD, b"a", b"3", remote)  # reads both replies
+        assert cl.search_finalize(state, second.results) == {b"2"}
+        assert cl.search_finalize(state, first.results) == {b"1"}
+        assert cl.search(state, b"a", remote) == {b"1", b"3"}
+
+
+def test_unanswered_searches_stay_inside_the_window(running_server):
+    state, _ = small_state()
+    with RemoteEdb(*running_server.address) as remote:
+        cl.update(state, cl.ADD, b"w", b"v", remote)
+        assert cl.search(state, b"w", remote) == {b"v"}
+        request = cl.search_client_token(state, b"w")
+        assert request.token_only
+        outcomes = []
+        for _ in range(3 * netclient._WINDOW // 37):  # 37-byte frames
+            outcomes.append(remote.execute_search(request))
+            assert remote._unanswered <= netclient._WINDOW
+        assert all(cl.search_finalize(state, o.results) == {b"v"}
+                   for o in outcomes)
+
+
+def test_close_with_unread_outcomes_returns(running_server):
+    state, _ = small_state()
+    remote = RemoteEdb(*running_server.address)
+    for w in (b"a", b"b", b"c"):
+        cl.update(state, cl.ADD, w, w + b"-v", remote)
+    outcomes = [remote.execute_search(cl.search_client_token(state, w))
+                for w in (b"a", b"b", b"c", b"a")]
+    closer = threading.Thread(target=remote.close)
+    closer.start()
+    closer.join(timeout=10)
+    assert not closer.is_alive()
+    # each outcome kept its own reply
+    assert [cl.search_finalize(state, o.results) for o in outcomes] == \
+        [{b"a-v"}, {b"b-v"}, {b"c-v"}, {b"a-v"}]
+
+
+def test_both_ends_disable_nagle(running_server):
+    with RemoteEdb(*running_server.address) as remote:
+        assert remote._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        with running_server._lock:
+            accepted = list(running_server._connections)
+        assert len(accepted) == 1
+        assert accepted[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
