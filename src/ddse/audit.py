@@ -38,7 +38,7 @@ from typing import Iterable, Optional, Sequence
 from . import client as cl
 from . import wire
 from . import workload as wl
-from .client import ClientConfig, UnknownKeywordError
+from .client import ClientConfig
 from .edb import EncryptedDatabase
 
 OP_ADD = "add"
@@ -157,11 +157,8 @@ def record(ops: Iterable[tuple], mutant: bool = False,
             _, w = op
             transcript.ops.append((OP_SEARCH, None, w))
             edb.context = {"op": OP_SEARCH, "keyword": w}
-            try:
-                found = cl.search(state, w, edb)
-            except UnknownKeywordError:
-                pass
-            else:
+            (found,) = cl.search_many(state, [w], edb)
+            if found is not None:
                 transcript.events[-1].note["distinct"] = len(found)
         else:
             raise ValueError(f"unknown workload op {kind!r}")

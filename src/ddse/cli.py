@@ -70,10 +70,16 @@ def _store_path(db: str) -> str:
 
 def _state_locked(command):
     """Run ``command`` holding the client state's lock, a file of its
-    own because ``statefile.save`` replaces ``state.ddse`` by rename."""
+    own because ``statefile.save`` replaces ``state.ddse`` by rename.
+    A directory without ``state.ddse`` is refused before the lock is
+    made, so a command on one never set up creates nothing."""
     @functools.wraps(command)
     def locked(args) -> int:
-        with open(os.path.join(_db_dir(args), "state.lock"), "ab") as fh:
+        db = _db_dir(args)
+        if not os.path.exists(_state_path(db)):
+            raise CliError(
+                f"no client state at {_state_path(db)}; run ddse setup")
+        with open(os.path.join(db, "state.lock"), "ab") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
             return command(args)
     return locked

@@ -18,7 +18,7 @@ moving parts fit together like this:
   often a value repeats -- the volume-hiding property.
 
 * Uploads are placed through the forward-private layer under an
-  epoch label ``KeyedHash(w || epoch)``.  A search sends the punctured
+  epoch label ``PRF(w || epoch)``.  A search sends the punctured
   key for the current epoch plus the placement token; the server
   decrypts the epoch's list, throws away (and purges) everything
   revoked, folds in the cached results of earlier epochs, and returns
@@ -32,6 +32,12 @@ moving parts fit together like this:
   epoch with a revocation is never kept, even with nothing placed: a
   later add of the revoked pair (say, after a delete of a pair never
   added) would be encrypted under a filter that already revokes it.
+
+* ``search_many`` builds, sends and reads every search.  Over a
+  pipelining transport its searches go out back to back, but a full
+  search rotates its epoch before its reply arrives, so it is built
+  only once every earlier reply has been read: a lost reply strands
+  no more epochs than searching one keyword at a time.
 
 Deletion visibility rule: a delete takes effect through revocation of
 the current epoch's ciphertext.  Once a value's retrieval has entered
@@ -54,7 +60,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import bloom, sre
 from .crypto import (GCM_TAG_LEN, KEY_LEN, NONCE_LEN, TAG_LEN, TOKEN_LEN,
-                     encode_parts, fresh_key, fresh_nonce, keyed_hash, prf)
+                     encode_parts, fresh_key, fresh_nonce, prf)
 from .edb import EncryptedDatabase, SearchRequest, encode_entry
 from .fpdse import SigmaState
 
@@ -118,8 +124,8 @@ class ClientState:
     keywords: dict[bytes, KeywordState] = field(default_factory=dict)
 
     def label_for(self, keyword: bytes, epoch: int) -> bytes:
-        key = keyed_hash(self.k_search, b"epoch-label-key")
-        return keyed_hash(key, encode_parts(keyword) + epoch.to_bytes(8, "big"))
+        key = prf(self.k_search, b"epoch-label-key")
+        return prf(key, encode_parts(keyword) + epoch.to_bytes(8, "big"))
 
     def cache_token(self, keyword: bytes) -> bytes:
         return prf(self.k_search, encode_parts(keyword), TOKEN_LEN)
@@ -258,8 +264,35 @@ def search_finalize(state: ClientState, retrievals: Iterable[bytes]
     return values
 
 
+def search_many(state: ClientState, keywords: Iterable[bytes], edb
+                ) -> list[Optional[set[bytes]]]:
+    """Each keyword's distinct values, in order, searched through
+    ``edb.execute_search``; None, and nothing sent, for a keyword with
+    no update history.  A full search is built only once every earlier
+    reply has been read; token-only searches go out without waiting."""
+    outcomes = []
+    unread = []
+    for keyword in keywords:
+        record = state.keywords.get(keyword)
+        if record is None:
+            outcomes.append(None)
+            continue
+        if not record.empty_epoch:
+            for outcome in unread:
+                outcome.results  # waits for its reply
+            unread.clear()
+        outcome = edb.execute_search(search_client_token(state, keyword))
+        outcomes.append(outcome)
+        unread.append(outcome)
+    return [None if outcome is None
+            else search_finalize(state, outcome.results)
+            for outcome in outcomes]
+
+
 def search(state: ClientState, keyword: bytes, edb) -> set[bytes]:
-    """Full round against any transport exposing ``execute_search``."""
-    request = search_client_token(state, keyword)
-    outcome = edb.execute_search(request)
-    return search_finalize(state, outcome.results)
+    """``search_many`` of one keyword; raises UnknownKeywordError for a
+    keyword with no update history."""
+    (found,) = search_many(state, [keyword], edb)
+    if found is None:
+        raise UnknownKeywordError(keyword)
+    return found

@@ -40,11 +40,6 @@ def prf(key: bytes, msg: bytes, out_len: int = TOKEN_LEN) -> bytes:
     return hmac.digest(key, msg, "sha256")[:out_len]
 
 
-def keyed_hash(key: bytes, msg: bytes) -> bytes:
-    """Full-width keyed hash (32 bytes)."""
-    return hmac.digest(key, msg, "sha256")
-
-
 def encode_parts(*parts: bytes) -> bytes:
     """Length-framed concatenation, so PRF inputs cannot collide across
     different (part, part) splits of the same byte string."""

@@ -1,8 +1,8 @@
 """Forward-private append-only placement layer.
 
 Each label owns a chain of pseudorandom addresses: entry ``c`` lives at
-``KeyedHash(leaf_c, "addr")`` where ``leaf_c`` is leaf ``c`` of a
-per-label GGM tree, rooted at ``KeyedHash(key, "label-root" || label)``.
+``PRF(leaf_c, "addr")`` where ``leaf_c`` is leaf ``c`` of a
+per-label GGM tree, rooted at ``PRF(key, "label-root" || label)``.
 The layer stores nothing per label: the caller counts a label's entries,
 names each new entry by its counter, and searches with the count.  A
 search hands the server a range-constrained key covering exactly
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import ggm
-from .crypto import KEY_LEN, TOKEN_LEN, encode_parts, keyed_hash
+from .crypto import KEY_LEN, TOKEN_LEN, encode_parts, prf
 
 _ROOT_CTX = b"label-root"
 _ID_CTX = b"label-id"
@@ -34,7 +34,7 @@ class CounterExhausted(RuntimeError):
 
 
 def _address(leaf: bytes) -> bytes:
-    return keyed_hash(leaf, _ADDR_CTX)
+    return prf(leaf, _ADDR_CTX)
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class SigmaState:
     depth: int
 
     def _root(self, label: bytes) -> ggm.GgmRoot:
-        seed = keyed_hash(self.key, encode_parts(_ROOT_CTX, label))[:KEY_LEN]
+        seed = prf(self.key, encode_parts(_ROOT_CTX, label), KEY_LEN)
         return ggm.gen_root(seed, self.depth)
 
     def update(self, label: bytes, counter: int, payload: bytes,
@@ -102,6 +102,6 @@ class SigmaState:
 
     def search_token(self, label: bytes, count: int) -> SearchTokenSigma:
         """Token for the label's first ``count`` entries."""
-        label_id = keyed_hash(self.key, encode_parts(_ID_CTX, label))
+        label_id = prf(self.key, encode_parts(_ID_CTX, label))
         return SearchTokenSigma(
             label_id, self._root(label).constrain_range(count))

@@ -16,6 +16,7 @@ and replies are not held for the peer's delayed ACK.
 
 from __future__ import annotations
 
+import contextlib
 import socket
 from collections import deque
 
@@ -119,7 +120,10 @@ class RemoteEdb:
 
     def close(self) -> None:
         """Read the replies still owed (each outcome keeps its own), then
-        say BYE; an outcome left unread by a failure raises when read."""
+        say BYE; an outcome left unread by a failure raises when read.
+        Closing again does nothing."""
+        if self._stream.closed:
+            return
         try:
             while self._pending:
                 self._read_oldest()
@@ -133,7 +137,9 @@ class RemoteEdb:
                 pending._reply = ProtocolError(
                     "connection closed before the reply was read")
             self._pending.clear()
-            self._stream.close()
+            # closing flushes what a failed write left, and fails again
+            with contextlib.suppress(OSError):
+                self._stream.close()
             self._sock.close()
 
     def __enter__(self):

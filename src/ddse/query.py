@@ -17,14 +17,13 @@ live copy-count of every value.  Distinct queries come from the index
 alone; plain keyword queries re-expand the distinct set through the
 quantity vector (order and multiplicity never leave the client); joins
 run the keyword query twice, feeding stage-one values into stage two.
-Stage two searches each distinct link once and is pipelined: every
-link's search is sent before any reply is read, except that a search
-which rotates its epoch waits for the replies before it (see
-``_search_all``).  Deleting a pair removes every copy, matching the
-delete protocol; deleting a pair that is not live is a no-op that sends
-and revokes nothing.  A deleted pair cannot be inserted again: the
-client's distinct state still holds it, so the add would be revoked on
-arrival.  Such an INSERT raises ``QueryError`` before anything is sent.
+Every search goes through ``client.search_many``, and stage two is one
+such call over the distinct links, so its searches are pipelined.
+Deleting a pair removes every copy, matching the delete protocol;
+deleting a pair that is not live is a no-op that sends and revokes
+nothing.  A deleted pair cannot be inserted again: the client's
+distinct state still holds it, so the add would be revoked on arrival.
+Such an INSERT raises ``QueryError`` before anything is sent.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import client as cl
-from .client import ClientConfig, ClientState, UnknownKeywordError
+from .client import ClientConfig, ClientState
 
 SYN_INS = "ins"
 SYN_DEL = "del"
@@ -264,11 +263,11 @@ class Registry:
         return instance
 
 
-def _distinct(instance: TableInstance, keyword: bytes, edb) -> set[bytes]:
-    try:
-        return cl.search(instance.state, keyword, edb)
-    except UnknownKeywordError:
-        return set()
+def _searched(instance: TableInstance, keywords: list[bytes],
+              edb) -> list[set[bytes]]:
+    """Each keyword's distinct values; none for one with no history."""
+    return [set() if found is None else found
+            for found in cl.search_many(instance.state, keywords, edb)]
 
 
 def _expand(instance: TableInstance, keyword: bytes,
@@ -287,34 +286,7 @@ def _expand(instance: TableInstance, keyword: bytes,
 
 
 def _expanded(instance: TableInstance, keyword: bytes, edb) -> list[bytes]:
-    return _expand(instance, keyword, _distinct(instance, keyword, edb))
-
-
-def _search_all(instance: TableInstance, keywords: list[bytes], edb) -> list:
-    """One search per keyword, each sent without waiting for the replies
-    before it; the outcomes, None for a keyword with no update history.
-
-    A search that rotates its epoch is built only once every earlier
-    reply has been read, so a lost reply leaves no more epochs rotated
-    but unanswered than searching one at a time would.  Token-only
-    searches rotate nothing and go out freely.
-    """
-    state = instance.state
-    outcomes = []
-    unread = []
-    for keyword in keywords:
-        record = state.keywords.get(keyword)
-        if record is None:
-            outcomes.append(None)
-            continue
-        if not record.empty_epoch:
-            for outcome in unread:
-                outcome.results  # waits for its reply
-            unread.clear()
-        outcome = edb.execute_search(cl.search_client_token(state, keyword))
-        outcomes.append(outcome)
-        unread.append(outcome)
-    return outcomes
+    return _expand(instance, keyword, *_searched(instance, [keyword], edb))
 
 
 def execute(registry: Registry, query: QueryPlan, edb):
@@ -343,7 +315,8 @@ def execute(registry: Registry, query: QueryPlan, edb):
         return None
     if query.syn == SYN_DSRCH:
         table, (kw_col, w, val_col) = query.m
-        return _distinct(registry.instance_for(table, kw_col, val_col), w, edb)
+        instance = registry.instance_for(table, kw_col, val_col)
+        return _searched(instance, [w], edb)[0]
     if query.syn == SYN_SRCH:
         table, (kw_col, w, val_col) = query.m
         return _expanded(registry.instance_for(table, kw_col, val_col), w, edb)
@@ -354,11 +327,8 @@ def execute(registry: Registry, query: QueryPlan, edb):
         # one search per distinct link: searching a link once per copy
         # would show the server its multiplicity through a repeated token
         links = list(dict.fromkeys(stage1))
-        rows: dict[bytes, list[bytes]] = {}
-        for link, outcome in zip(links, _search_all(instance, links, edb)):
-            distinct = set() if outcome is None else \
-                cl.search_finalize(instance.state, outcome.results)
-            rows[link] = _expand(instance, link, distinct)
+        rows = {link: _expand(instance, link, found)
+                for link, found in zip(links, _searched(instance, links, edb))}
         return [v for link in stage1 for v in rows[link]]
     raise ValueError(f"unknown plan kind {query.syn!r}")
 

@@ -242,6 +242,27 @@ def test_commands_wait_for_the_state_lock(db, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "late"
 
 
+@pytest.mark.parametrize("argv", [
+    ["exec", "SELECT DISTINCT T.y FROM T WHERE T.x = 'w'"],
+    ["register-table", "T", "T.x", "T.y"],
+    ["ingest", "--table", "T", "--keyword-column", "T.x",
+     "--value-column", "T.y", "rows.csv"],
+])
+def test_commands_on_a_directory_never_set_up_create_nothing(
+        tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("DDSE_PASSPHRASE", "test-passphrase")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rows.csv").write_text("T.x,T.y\nw,v\n")
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    missing = tmp_path / "missing"
+    for db in (empty, missing):
+        assert main(["--db", str(db), *argv]) == 1
+        assert capsys.readouterr().err == \
+            f"error: no client state at {db / 'state.ddse'}; run ddse setup\n"
+    assert list(empty.iterdir()) == [] and not missing.exists()
+
+
 def test_ingest_csv_skips_bad_rows(db, tmp_path, capsys, caplog):
     assert register(db, "People", "People.name", "People.mail") == 0
     csv_path = tmp_path / "people.csv"

@@ -1,4 +1,5 @@
-"""Statement parsing and encrypted execution against plaintext oracles."""
+"""Statement parsing and encrypted execution against plaintext oracles,
+and ``client.search_many``, which sends every statement's searches."""
 
 import copy
 import random
@@ -6,9 +7,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ddse import client as cl
 from ddse import query as q
 from ddse import wire
-from ddse.client import ProtocolError
+from ddse.client import ClientConfig, ProtocolError
 from ddse.edb import EncryptedDatabase
 from ddse.netclient import RemoteEdb
 from ddse.query import (IntegrityError, QueryError, QueryPlan, Registry,
@@ -603,3 +605,101 @@ def test_failed_stage2_search_leaves_later_epochs_unrotated(served, failing):
     for i in range(failing, 8):
         record = keywords[b"z%d" % i]
         assert (record.epoch, record.placed) == before[i]
+
+
+# -- client.search_many -------------------------------------------------------
+
+class FailingEdb:
+    """In-process store whose ``fail_at``-th search raises ProtocolError."""
+
+    def __init__(self, edb, fail_at):
+        self.edb = edb
+        self.fail_at = fail_at
+        self.searches = 0
+
+    def execute_search(self, request):
+        self.searches += 1
+        if self.searches == self.fail_at:
+            raise ProtocolError("injected failure")
+        return self.edb.execute_search(request)
+
+
+@pytest.fixture(params=["memory", "tcp"])
+def backend(request):
+    """A transport, the in-process database behind it, and ``fail``:
+    ``fail(j)`` is the transport with its j-th search from now failed."""
+    if request.param == "memory":
+        edb = EncryptedDatabase()
+        return edb, edb, lambda j: FailingEdb(edb, j)
+    server, remote = request.getfixturevalue("served")
+
+    def fail(j):
+        SearchBodies(server, fail_at=j)  # the server replies ERROR
+        return remote
+
+    return remote, server.store.edb, fail
+
+
+def searched_keywords(edb):
+    """A client whose keywords k0..k7 were all searched once; since then
+    k1, k4 and k6 had an add, k2 a duplicate add and k5 the delete of
+    a pair never added."""
+    state, _ = cl.setup(ClientConfig(bf_n=2000, bf_p=1e-4, d_max=16,
+                                     revoke_p=1e-2, sigma_depth=12))
+    keywords = [b"k%d" % i for i in range(8)]
+    for w in keywords:
+        cl.update(state, cl.ADD, w, w + b"-v", edb)
+    assert cl.search_many(state, keywords, edb) == \
+        [{w + b"-v"} for w in keywords]
+    for w in (b"k1", b"k4", b"k6"):
+        cl.update(state, cl.ADD, w, w + b"-new", edb)
+    cl.update(state, cl.ADD, b"k2", b"k2-v", edb)
+    cl.update(state, cl.DELETE, b"k5", b"k5-gone", edb)
+    return state, keywords
+
+
+def test_search_many_sends_nothing_for_a_keyword_without_history(backend):
+    transport, _, _ = backend
+    state, keywords = searched_keywords(transport)
+    recording = RecordingEdb(transport)
+    assert cl.search_many(state, [b"never", b"k0", b"never"], recording) \
+        == [None, {b"k0-v"}, None]
+    assert cl.search_many(state, [b"never"], recording) == [None]
+    assert cl.search_many(state, [], recording) == []
+    assert len(recording.bodies) == 1  # k0's token
+    assert b"never" not in state.keywords
+
+
+def test_search_many_sends_the_frames_of_one_search_per_keyword(backend):
+    transport, edb, _ = backend
+    state, keywords = searched_keywords(transport)
+    # full and token-only searches, a keyword without history, and k1
+    # twice: its second search finds the epoch its first rotated to
+    asked = keywords + [b"never", b"k1", b"k3"]
+    twin = copy.deepcopy(state)
+    local = RecordingEdb(copy.deepcopy(edb))
+    recording = RecordingEdb(transport)
+    got = cl.search_many(state, asked, recording)
+    assert got == [cl.search(twin, w, local) if w in twin.keywords else None
+                   for w in asked]
+    assert got[1] == {b"k1-v", b"k1-new"} and got[5] == {b"k5-v"}
+    assert recording.bodies == local.bodies
+    assert [len(b) > 32 for b in recording.bodies] == \
+        [i in (1, 2, 4, 5, 6) for i in range(8)] + [False, False]
+    assert [(twin.keywords[w].epoch, twin.keywords[w].placed)
+            for w in keywords] == \
+        [(state.keywords[w].epoch, state.keywords[w].placed)
+         for w in keywords]
+
+
+@pytest.mark.parametrize("failing", [2, 3, 5, 8])
+def test_search_many_failure_leaves_later_epochs_unrotated(backend, failing):
+    transport, _, fail = backend
+    state, keywords = searched_keywords(transport)
+    before = [(state.keywords[w].epoch, state.keywords[w].placed)
+              for w in keywords]
+    with pytest.raises(ProtocolError, match="injected failure"):
+        cl.search_many(state, keywords + [b"never"], fail(failing))
+    # the failed search was k{failing - 1}'s; no later epoch was rotated
+    assert [(state.keywords[w].epoch, state.keywords[w].placed)
+            for w in keywords[failing:]] == before[failing:]

@@ -347,6 +347,43 @@ def test_close_with_unread_outcomes_returns(running_server):
         [{b"a-v"}, {b"b-v"}, {b"c-v"}, {b"a-v"}]
 
 
+def test_close_again_returns_and_unread_outcomes_still_raise(running_server):
+    state, _ = small_state()
+    dispatch = running_server._dispatch
+
+    def failing(stream, ftype, body):
+        if ftype == wire.SEARCH:
+            raise wire.FrameError("injected failure")
+        return dispatch(stream, ftype, body)
+
+    with RemoteEdb(*running_server.address) as remote:
+        cl.update(state, cl.ADD, b"w", b"v", remote)
+        running_server._dispatch = failing
+        outcomes = [remote.execute_search(cl.search_client_token(state, b"w"))
+                    for _ in range(3)]
+        remote.close()
+        remote.close()
+    # __exit__ closed it a third time; the first reply was the ERROR
+    with pytest.raises(ProtocolError, match="injected failure"):
+        outcomes[0].results
+    for outcome in outcomes[1:]:
+        with pytest.raises(ProtocolError, match="closed before the reply"):
+            outcome.results
+
+
+def test_close_after_a_failed_write_returns_and_frees_the_socket(
+        running_server):
+    state, _ = small_state()
+    remote = RemoteEdb(*running_server.address)
+    cl.update(state, cl.ADD, b"w", b"v", remote)
+    remote._sock.shutdown(socket.SHUT_WR)  # every later write fails
+    outcome = remote.execute_search(cl.search_client_token(state, b"w"))
+    remote.close()  # its flush fails with the SEARCH frame still buffered
+    assert remote._sock.fileno() == -1
+    with pytest.raises(ProtocolError, match="closed before the reply"):
+        outcome.results
+
+
 def test_both_ends_disable_nagle(running_server):
     with RemoteEdb(*running_server.address) as remote:
         assert remote._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
