@@ -32,6 +32,7 @@ the relocated entries.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -334,7 +335,11 @@ def fp_check(transcript: Transcript,
     updates = transcript.updates()
     seen: dict[bytes, int] = {}
     for i, e in enumerate(updates):
-        address, _ = wire.decode_update_body(e.frame[5:])
+        ftype, body = wire.read_frame(io.BytesIO(e.frame))
+        if ftype != wire.UPDATE:
+            problems.append(f"update {i} is a {wire.type_name(ftype)} frame")
+            continue
+        address, _ = wire.decode_update_body(body)
         if address in seen:
             problems.append(
                 f"update address reused by updates {seen[address]} and {i}")

@@ -240,7 +240,11 @@ def cmd_serve(args) -> int:
     # port 0 listens on any free port, which the banner reports
     host, port = _host_port(args.listen, "--listen", lowest=0)
     store = PersistentStore(_store_path(db))
-    server = Server(store, host, port)
+    try:
+        server = Server(store, host, port)
+    except OSError as exc:  # a busy port, or a host that does not resolve
+        store.close()
+        raise CliError(f"cannot listen on {args.listen}: {exc}") from exc
     print(f"listening on {server.address[0]}:{server.address[1]}",
           flush=True)
     try:

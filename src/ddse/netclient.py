@@ -4,13 +4,13 @@ A RemoteEdb quacks like the in-process store (apply_update /
 execute_search), so protocol code works against either without knowing
 where the database lives.
 
-Searches are pipelined: ``execute_search`` writes its SEARCH frame and
-returns at once, so a caller may send several before reading any.  The
-server answers frames in the order they arrive, so the replies are read
-in that order: the first read of an outcome's ``results`` flushes the
-stream and reads every reply still owed, oldest first, up to its own.
-HELLO and UPDATE are plain round trips, which first read every
-outstanding reply.  Both ends set TCP_NODELAY, so back-to-back frames
+One reply queue: ``_send`` writes each frame and queues a ``Pending``
+for its reply, and ``_read_oldest`` reads the replies in the order the
+frames went out, which is the order the server answers them.  A search
+returns its ``Pending`` unread, so several may be sent before any reply
+is read; HELLO, UPDATE and BYE read theirs at once.  An ERROR reply, a
+reply of the wrong type, a malformed frame or a failed socket becomes a
+``ProtocolError``.  Both ends set TCP_NODELAY, so back-to-back frames
 and replies are not held for the peer's delayed ACK.
 """
 
@@ -29,109 +29,104 @@ from .edb import SearchRequest
 # reading must never wait on a server that is itself waiting to write
 # replies the client has not read yet.
 _WINDOW = 32 * 1024
+_TIMEOUT = 30.0  # seconds a connect, a read or a write may take
 
 
-class PendingSearch:
-    """The reply to a SEARCH frame already written.
-
-    ``results`` reads it when first asked for; an ERROR reply, a
-    malformed one or a dropped connection raises there and on every
-    later read.
-    """
+class Pending:
+    """The reply owed to a frame already written: ``results`` reads it
+    when first asked for, and a failed read raises there and on every
+    later read.  A SEARCH's reply is its retrievals."""
 
     purged = ()  # a remote reply carries the retrievals alone
 
-    def __init__(self, remote: RemoteEdb, size: int):
+    def __init__(self, remote: RemoteEdb, ftype: int, size: int):
         self._remote = remote
+        self._ftype = ftype
         self._size = size  # frame bytes, for the send window
-        self._reply: list[bytes] | BaseException | None = None
+        self._reply: list[bytes] | bytes | ProtocolError | None = None
 
     @property
-    def results(self) -> list[bytes]:
+    def results(self) -> list[bytes] | bytes:
         while self._reply is None:
             self._remote._read_oldest()
-        if isinstance(self._reply, BaseException):
+        if isinstance(self._reply, ProtocolError):
             raise self._reply
         return self._reply
 
 
 class RemoteEdb:
-    def __init__(self, host: str, port: int, timeout: float = 30.0):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
+    def __init__(self, host: str, port: int):
+        self._sock = socket.create_connection((host, port), timeout=_TIMEOUT)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._stream = self._sock.makefile("rwb")
-        self._pending: deque[PendingSearch] = deque()
-        self._unanswered = 0  # bytes of the pending searches' frames
+        self._pending: deque[Pending] = deque()
+        self._unanswered = 0  # bytes of the frames whose reply is owed
         hello = bytes([wire.PROTOCOL_VERSION])
         try:
-            reply_type, body = self._roundtrip(wire.HELLO, hello)
-            if reply_type != wire.HELLO or body != hello:
+            if self._send(wire.HELLO, hello).results != hello:
                 raise ProtocolError("server did not echo the protocol version")
         except BaseException:
             self._stream.close()
             self._sock.close()
             raise
 
-    def _receive(self) -> tuple[int, bytes]:
-        reply_type, reply = wire.read_frame(self._stream)
-        if reply_type == wire.ERROR:
-            raise ProtocolError(f"server error: {reply.decode(errors='replace')}")
-        return reply_type, reply
-
-    def _read_oldest(self) -> None:
-        """Read the reply owed to the oldest pending search into it."""
-        self._stream.flush()
-        pending = self._pending.popleft()
-        self._unanswered -= pending._size
-        try:
-            reply_type, reply = self._receive()
-            if reply_type != wire.RESULT:
-                raise ProtocolError(
-                    f"expected RESULT, got {wire.type_name(reply_type)}")
-            pending._reply = wire.decode_result_body(reply)
-        except (ProtocolError, wire.FrameError, OSError) as exc:
-            pending._reply = exc
-            raise
-
-    def _roundtrip(self, ftype: int, body: bytes) -> tuple[int, bytes]:
-        while self._pending:
-            self._read_oldest()
-        self._stream.write(wire.pack_frame(ftype, body))
-        self._stream.flush()
-        return self._receive()
-
-    def apply_update(self, address: bytes, payload: bytes) -> None:
-        reply_type, reply = self._roundtrip(
-            wire.UPDATE, wire.encode_update_body(address, payload))
-        if reply_type != wire.RESULT or reply != b"":
-            raise ProtocolError(
-                f"expected empty RESULT ack, got {wire.type_name(reply_type)}")
-
-    def execute_search(self, request: SearchRequest) -> PendingSearch:
-        """Write the SEARCH frame; its reply is read through ``results``."""
-        frame = wire.pack_frame(wire.SEARCH, wire.encode_search_body(request))
+    def _send(self, ftype: int, body: bytes = b"") -> Pending:
+        """Write a frame inside the window; queue the reply it is owed."""
+        frame = wire.pack_frame(ftype, body)
         while self._pending and self._unanswered + len(frame) > _WINDOW:
             self._read_oldest()
-        self._stream.write(frame)
-        pending = PendingSearch(self, len(frame))
-        self._pending.append(pending)
+        try:
+            self._stream.write(frame)
+        except OSError as exc:
+            raise ProtocolError(f"transport failed: {exc}") from exc
+        self._pending.append(Pending(self, ftype, len(frame)))
         self._unanswered += len(frame)
-        return pending
+        return self._pending[-1]
+
+    def _read_oldest(self) -> None:
+        """Read the reply owed to the oldest frame into its ``Pending``."""
+        pending = None
+        try:
+            self._stream.flush()  # before the pop: if it fails, all stay owed
+            pending = self._pending.popleft()
+            self._unanswered -= pending._size
+            reply_type, body = wire.read_frame(self._stream)
+            expected = (pending._ftype  # HELLO and BYE are echoed
+                        if pending._ftype in (wire.HELLO, wire.BYE)
+                        else wire.RESULT)
+            if reply_type != expected:
+                pending._reply = ProtocolError(
+                    f"server error: {body.decode(errors='replace')}"
+                    if reply_type == wire.ERROR else
+                    f"expected {wire.type_name(expected)}, "
+                    f"got {wire.type_name(reply_type)}")
+                raise pending._reply
+            pending._reply = (wire.decode_result_body(body)
+                              if pending._ftype == wire.SEARCH else body)
+        except (wire.FrameError, OSError) as exc:
+            failure = ProtocolError(f"transport failed: {exc}")
+            if pending is not None:
+                pending._reply = failure
+            raise failure from exc
+
+    def apply_update(self, address: bytes, payload: bytes) -> None:
+        ack = self._send(wire.UPDATE,
+                         wire.encode_update_body(address, payload)).results
+        if ack:
+            raise ProtocolError(f"expected an empty ack, got {len(ack)} bytes")
+
+    def execute_search(self, request: SearchRequest) -> Pending:
+        """Write the SEARCH frame; its reply is read through ``results``."""
+        return self._send(wire.SEARCH, wire.encode_search_body(request))
 
     def close(self) -> None:
-        """Read the replies still owed (each outcome keeps its own), then
-        say BYE; an outcome left unread by a failure raises when read.
-        Closing again does nothing."""
+        """Say BYE after every reply still owed is read; a failure is
+        swallowed, and a reply it left unread raises when read."""
         if self._stream.closed:
             return
         try:
-            while self._pending:
-                self._read_oldest()
-            self._stream.write(wire.pack_frame(wire.BYE))
-            self._stream.flush()
-            wire.read_frame(self._stream)
-        except (ProtocolError, OSError, wire.FrameError):
-            pass
+            with contextlib.suppress(ProtocolError):
+                self._send(wire.BYE).results
         finally:
             for pending in self._pending:
                 pending._reply = ProtocolError(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ddse import audit, workload as wl
+from ddse import audit, wire, workload as wl
 from ddse.audit import (compute_patterns, dwvh_game, fp_check, record,
                         transcript_signature)
 
@@ -209,3 +209,11 @@ def test_fp_check_fails_on_address_reuse():
     res = fp_check(t)
     assert not res.ok
     assert any("address reused" in p for p in res.problems)
+
+
+def test_fp_check_names_an_update_that_is_not_an_update_frame():
+    t = record(fp_workload([b"keyword-A"]))
+    t.updates()[1].frame = wire.pack_frame(wire.SEARCH, bytes(40))
+    res = fp_check(t)
+    assert not res.ok
+    assert "update 1 is a SEARCH frame" in res.problems

@@ -12,11 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from ddse import statefile
+from ddse import statefile, wire
 from ddse.cli import main
 from ddse.edb import EncryptedDatabase
 from ddse.query import Registry, TableConfig, exec_statement
 from ddse.statefile import StateFileError
+from ddse.store import PersistentStore
 
 
 # -- statefile ----------------------------------------------------------------
@@ -375,6 +376,38 @@ def test_serve_refuses_a_bad_listen_address(db, capsys, value):
     assert run_cli(db, "serve", "--listen", value) == 1
     assert capsys.readouterr().err == "error: --listen needs HOST:PORT\n"
     assert files_under(db) == before  # no store/log either
+
+
+@pytest.mark.parametrize("host_port", ["busy", "::1:0", "[::1]:0"])
+def test_serve_that_cannot_listen_is_an_error_and_frees_the_store(
+        db, capsys, host_port):
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        if host_port == "busy":
+            host_port = "127.0.0.1:%d" % busy.getsockname()[1]
+        capsys.readouterr()
+        assert run_cli(db, "serve", "--listen", host_port) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot listen on {host_port}: "), err
+    PersistentStore(os.path.join(db, "store")).close()  # not left locked
+
+
+@pytest.mark.parametrize("command", ["exec", "ingest"])
+def test_a_server_hanging_up_after_hello_is_an_error(
+        db, tmp_path, capsys, fake_server, command):
+    assert register(db) == 0
+    csv_path = tmp_path / "rows.csv"
+    csv_path.write_text("T.x,T.y\nw,v\n")
+    args = {"exec": ["exec", "INSERT INTO T (T.x, T.y) VALUE ('w', 'v')"],
+            "ingest": ["ingest", str(csv_path), "--table", "T",
+                       "--keyword-column", "T.x", "--value-column", "T.y"]}
+    host, port = fake_server((wire.HELLO, bytes([wire.PROTOCOL_VERSION])))
+    before = files_under(db)
+    capsys.readouterr()
+    assert run_cli(db, *args[command], "--server", f"{host}:{port}") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: "), err
+    assert "Traceback" not in err
+    assert files_under(db) == before
 
 
 def test_audit_command_passes_on_real_transport(db, capsys):

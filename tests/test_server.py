@@ -391,3 +391,45 @@ def test_both_ends_disable_nagle(running_server):
             accepted = list(running_server._connections)
         assert len(accepted) == 1
         assert accepted[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+# -- one reply queue: every failure is a ProtocolError ------------------------
+
+ECHO = (wire.HELLO, bytes([wire.PROTOCOL_VERSION]))
+
+
+def test_a_stopped_server_fails_the_search_and_the_next_update(tmp_path):
+    state, _ = small_state()
+    store = PersistentStore(tmp_path / "db")
+    server = serve(store)
+    remote = RemoteEdb(*server.address)
+    try:
+        cl.update(state, cl.ADD, b"w", b"v", remote)
+        server.stop()
+        outcome = remote.execute_search(cl.search_client_token(state, b"w"))
+        for _ in range(2):  # stored, and raised again
+            with pytest.raises(ProtocolError, match="transport failed"):
+                outcome.results
+        with pytest.raises(ProtocolError, match="transport failed"):
+            remote.apply_update(bytes(32), b"x")
+    finally:
+        remote.close()
+        store.close()
+    assert remote._sock.fileno() == -1
+
+
+def test_hello_answered_by_another_type_names_both(fake_server):
+    address = fake_server((wire.RESULT, b""))
+    with pytest.raises(ProtocolError, match="expected HELLO, got RESULT"):
+        RemoteEdb(*address)
+
+
+@pytest.mark.parametrize("reply, message", [
+    ((wire.RESULT, bytes(4)), "expected an empty ack, got 4 bytes"),
+    (ECHO, "expected RESULT, got HELLO"),
+], ids=["non-empty-result", "hello"])
+def test_update_answered_by_anything_but_an_empty_result(fake_server, reply,
+                                                         message):
+    with RemoteEdb(*fake_server(ECHO, reply)) as remote:
+        with pytest.raises(ProtocolError, match=message):
+            remote.apply_update(bytes(32), b"x")
