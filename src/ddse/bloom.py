@@ -3,9 +3,12 @@
 Two roles in the scheme: the client's distinct-state (has this
 keyword/value pair been inserted before?) and the revocation set carried
 inside revocable-encryption keys.  Both need the same three operations
--- generate empty, set, probe -- plus a deterministic, serializable hash
-family, because the filter crosses the wire and the server must map tags
-to the same bit positions the client did.
+-- generate empty, insert, probe -- plus a deterministic, serializable
+hash family, because the filter crosses the wire and the server must map
+tags to the same bit positions the client did.  One ``insert`` serves
+both roles: it sets the element's bits and reports whether any was
+clear, and ``inserted`` counts only such insertions, so it measures the
+filter's load against its capacity in either role.
 
 Positions are read from a keyed expansion of the element,
 ``SHAKE128(seed || x)``, as 8-byte big-endian words mod ``b``; a word
@@ -82,7 +85,7 @@ class BloomFilter:
         elif len(bits) != nbytes:
             raise ValueError("bit array length does not match b")
         self.bits = bits
-        self.inserted = inserted  # upd() calls, for capacity warnings
+        self.inserted = inserted  # insertions that set a bit
 
     @classmethod
     def gen(cls, b: int, h: int, seed: bytes) -> "BloomFilter":
@@ -101,16 +104,9 @@ class BloomFilter:
                 return out[:h]
             words *= 2
 
-    def upd(self, x: bytes) -> "BloomFilter":
-        bits = self.bits
-        for pos in self.positions(x):
-            bits[pos >> 3] |= 0x80 >> (pos & 7)
-        self.inserted += 1
-        return self
-
     def insert(self, x: bytes) -> bool:
-        """``upd`` that reports whether it set a clear bit, i.e. whether
-        ``check(x)`` was false; only such an insertion counts."""
+        """Set ``x``'s bits; report whether one was clear, i.e. whether
+        ``check(x)`` was false.  Only such an insertion counts."""
         bits = self.bits
         fresh = False
         for pos in self.positions(x):

@@ -3,13 +3,15 @@
 A database directory holds ``state.ddse``, the encrypted client bundle
 (key material, distinct-state, quantity vectors), and ``store/``, the
 server-side encrypted store.  A command that changes the client bundle
-holds an exclusive lock on ``state.lock`` from its load to its save, so
-two concurrent commands run one after the other instead of the later
-save undoing the earlier one.  The passphrase sealing the client
-bundle comes from DDSE_PASSPHRASE; the default directory from
-DDSE_STORE.  With ``--server HOST:PORT`` the server half is remote and
-only the client bundle is touched locally; without it, a store that
-``ddse serve`` has open is locked, and the command exits 1.
+runs inside ``_registry``, which holds an exclusive lock on
+``state.lock`` from the bundle's load to its save, so two concurrent
+commands run one after the other instead of the later save undoing the
+earlier one; a command that fails saves nothing.  The passphrase
+sealing the client bundle comes from DDSE_PASSPHRASE; the default
+directory from DDSE_STORE.  With ``--server HOST:PORT`` the server half
+is remote and only the client bundle is touched locally; without it, a
+store that ``ddse serve`` has open is locked, and the command exits 1.
+An IPv6 host is written in brackets, as in ``--listen [::1]:7070``.
 
     ddse setup --db ./demo
     ddse register-table People People.name People.mail
@@ -23,12 +25,13 @@ only the client bundle is touched locally; without it, a store that
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import fcntl
-import functools
 import logging
 import os
 import sys
+from typing import Iterator
 
 from . import audit as audit_mod
 from . import query as q
@@ -68,45 +71,39 @@ def _store_path(db: str) -> str:
     return os.path.join(db, "store")
 
 
-def _state_locked(command):
-    """Run ``command`` holding the client state's lock, a file of its
-    own because ``statefile.save`` replaces ``state.ddse`` by rename.
-    A directory without ``state.ddse`` is refused before the lock is
-    made, so a command on one never set up creates nothing."""
-    @functools.wraps(command)
-    def locked(args) -> int:
-        db = _db_dir(args)
-        if not os.path.exists(_state_path(db)):
-            raise CliError(
-                f"no client state at {_state_path(db)}; run ddse setup")
-        with open(os.path.join(db, "state.lock"), "ab") as fh:
-            fcntl.flock(fh, fcntl.LOCK_EX)
-            return command(args)
-    return locked
-
-
-def _load_registry(db: str) -> tuple[q.Registry, tuple[bytes, bytes]]:
-    """The registry, and the state file's key for ``_save_registry``."""
-    bundle, key = statefile.load_with_key(_state_path(db), _passphrase())
-    return bundle["registry"], key
-
-
-def _save_registry(db: str, registry: q.Registry,
-                   key: tuple[bytes, bytes]) -> None:
-    statefile.save(_state_path(db), _passphrase(), {"registry": registry},
-                   key)
+@contextlib.contextmanager
+def _registry(args) -> Iterator[q.Registry]:
+    """The client registry, loaded under the lock on ``state.lock``, a
+    file of its own because ``statefile.save`` replaces ``state.ddse``
+    by rename.  A directory without ``state.ddse`` is refused before the
+    lock is made, so a command on one never set up creates nothing.
+    The registry is saved under the key it was loaded with when the
+    block ends without an error, reads included: a search rotates
+    epochs and an update advances counters."""
+    db = _db_dir(args)
+    path = _state_path(db)
+    if not os.path.exists(path):
+        raise CliError(f"no client state at {path}; run ddse setup")
+    with open(os.path.join(db, "state.lock"), "ab") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        bundle, key = statefile.load_with_key(path, _passphrase())
+        yield bundle["registry"]
+        statefile.save(path, _passphrase(), bundle, key)
 
 
 def _host_port(value: str, flag: str, lowest: int = 1) -> tuple[str, int]:
-    """HOST and PORT of ``flag``'s value, the port in lowest..65535."""
+    """HOST and PORT of ``flag``'s value, the port in lowest..65535; the
+    brackets of an IPv6 host (``[::1]:7070``) are dropped."""
     host, _, port = value.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
     if (not host or not (port.isascii() and port.isdigit())
             or not lowest <= int(port) <= 0xFFFF):
         raise CliError(f"{flag} needs HOST:PORT")
     return host, int(port)
 
 
-def _open_edb(args, db) -> RemoteEdb | PersistentStore:
+def _open_edb(args) -> RemoteEdb | PersistentStore:
     """The remote store of ``--server``, else the local one."""
     if getattr(args, "server", None):
         host, port = _host_port(args.server, "--server")
@@ -115,7 +112,7 @@ def _open_edb(args, db) -> RemoteEdb | PersistentStore:
         except OSError as exc:
             raise CliError(f"cannot reach {args.server}: {exc}") from exc
     try:
-        return PersistentStore(_store_path(db))
+        return PersistentStore(_store_path(_db_dir(args)))
     except StoreInUse as exc:  # e.g. by `ddse serve`
         raise CliError(f"{exc}; pass --server") from exc
 
@@ -143,28 +140,21 @@ def cmd_setup(args) -> int:
     return 0
 
 
-@_state_locked
 def cmd_register_table(args) -> int:
-    db = _db_dir(args)
-    registry, key = _load_registry(db)
-    config = q.TableConfig(args.table, args.keyword_column, args.value_column,
-                           args.order, bf_n=args.bf_n, bf_p=args.bf_p,
-                           d_max=args.d_max)
-    registry.register(config)
-    _save_registry(db, registry, key)
+    with _registry(args) as registry:
+        config = q.TableConfig(args.table, args.keyword_column,
+                               args.value_column, args.order, bf_n=args.bf_n,
+                               bf_p=args.bf_p, d_max=args.d_max)
+        registry.register(config)
     print(f"registered {config.manifest_line()}")
     return 0
 
 
-@_state_locked
 def cmd_exec(args) -> int:
-    db = _db_dir(args)
-    registry, key = _load_registry(db)
-    query = q.plan(args.statement)
-    with _open_edb(args, db) as edb:
-        result = q.execute(registry, query, edb)
-    # searches rotate epochs and updates advance counters: always persist
-    _save_registry(db, registry, key)
+    with _registry(args) as registry:
+        query = q.plan(args.statement)
+        with _open_edb(args) as edb:
+            result = q.execute(registry, query, edb)
     if result is None:
         print("ok")
     elif isinstance(result, set):
@@ -176,19 +166,18 @@ def cmd_exec(args) -> int:
     return 0
 
 
-@_state_locked
 def cmd_ingest(args) -> int:
-    db = _db_dir(args)
-    registry, key = _load_registry(db)
-    registry.instance_for(args.table, args.keyword_column, args.value_column)
     done = skipped = 0
-    with open(args.csv, newline="", encoding="utf-8") as fh:
+    with (_registry(args) as registry,
+          open(args.csv, newline="", encoding="utf-8") as fh):
+        registry.instance_for(args.table, args.keyword_column,
+                              args.value_column)
         reader = csv.DictReader(fh)
         missing = [c for c in (args.keyword_column, args.value_column)
                    if c not in (reader.fieldnames or ())]
         if missing:
             raise CliError(f"{args.csv} has no column {', '.join(missing)}")
-        with _open_edb(args, db) as edb:
+        with _open_edb(args) as edb:
             for lineno, row in enumerate(reader, start=2):
                 w = row.get(args.keyword_column)
                 v = row.get(args.value_column)
@@ -208,7 +197,6 @@ def cmd_ingest(args) -> int:
                     skipped += 1
                     continue
                 done += 1
-    _save_registry(db, registry, key)
     print(f"ingested {done} rows ({skipped} skipped)")
     return 0
 
@@ -245,7 +233,8 @@ def cmd_serve(args) -> int:
     except OSError as exc:  # a busy port, or a host that does not resolve
         store.close()
         raise CliError(f"cannot listen on {args.listen}: {exc}") from exc
-    print(f"listening on {server.address[0]}:{server.address[1]}",
+    host, port = server.address
+    print(f"listening on {f'[{host}]' if ':' in host else host}:{port}",
           flush=True)
     try:
         server.serve_forever()

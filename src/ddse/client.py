@@ -18,7 +18,9 @@ moving parts fit together like this:
   often a value repeats -- the volume-hiding property.
 
 * Uploads are placed through the forward-private layer under an
-  epoch label ``PRF(w || epoch)``.  A search sends the punctured
+  epoch label ``PRF(w || epoch)``: ``SigmaState.update`` derives the
+  entry's address, and ``update`` sends it with the entry, the one
+  place an UPDATE leaves the client.  A search sends the punctured
   key for the current epoch plus the placement token; the server
   decrypts the epoch's list, throws away (and purges) everything
   revoked, folds in the cached results of earlier epochs, and returns
@@ -33,7 +35,8 @@ moving parts fit together like this:
   later add of the revoked pair (say, after a delete of a pair never
   added) would be encrypted under a filter that already revokes it.
 
-* ``search_many`` builds, sends and reads every search.  Over a
+* ``search_many`` builds, sends and reads every search, the one place
+  a SEARCH leaves the client.  Over a
   pipelining transport its searches go out back to back, but a full
   search rotates its epoch before its reply arrives, so it is built
   only once every earlier reply has been read: a lost reply strands
@@ -166,10 +169,11 @@ def _keyword(state: ClientState, keyword: bytes) -> KeywordState:
 
 
 def _revoke(state: ClientState, keyword: bytes, tag: bytes):
-    revocation = state.keywords[keyword].msk.D.upd(tag)
+    revocation = state.keywords[keyword].msk.D
     # each epoch starts a fresh filter, so its insertion count is this
-    # epoch's revocations
-    if revocation.inserted == state.config.d_max + 1:
+    # epoch's revocations; warn once, as the count passes the budget
+    if (revocation.insert(tag)
+            and revocation.inserted == state.config.d_max + 1):
         logger.warning(
             "keyword %r exceeded its revocation budget (%d) this epoch; "
             "false-revocation rate degrades beyond the configured bound",
@@ -187,7 +191,8 @@ def update(state: ClientState, op: str, keyword: bytes, value: bytes,
            edb) -> None:
     """One add/delete.  ``edb`` needs only ``apply_update``.
 
-    Adds upload exactly one fixed-shape entry; deletes upload nothing.
+    Adds send exactly one fixed-shape entry, through one
+    ``edb.apply_update`` call; deletes send nothing.
     """
     if op not in (ADD, DELETE):
         raise ValueError(f"op must be {ADD!r} or {DELETE!r}, got {op!r}")
@@ -208,8 +213,9 @@ def update(state: ClientState, op: str, keyword: bytes, value: bytes,
             tag = state.dummy_tag(keyword, value, cnt)
         retrieval = encrypt_retrieval(state, value, cnt)
         ciphertext = sre.enc(record.msk, retrieval, tag)
-        state.sigma.update(state.label_for(keyword, record.epoch),
-                           record.placed, encode_entry(ciphertext, tag), edb)
+        address = state.sigma.update(state.label_for(keyword, record.epoch),
+                                     record.placed)
+        edb.apply_update(address, encode_entry(ciphertext, tag))
         record.placed += 1
         if not first_occurrence:
             _revoke(state, keyword, tag)   # dummy dies on arrival

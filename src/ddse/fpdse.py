@@ -7,10 +7,11 @@ The layer stores nothing per label: the caller counts a label's entries,
 names each new entry by its counter, and searches with the count.  A
 search hands the server a range-constrained key covering exactly
 ``[0, c)``, from which it re-derives every address of the label -- and
-nothing else.  Because an update token is a PRF output of (key, label,
-counter) alone, the server learns nothing linking it to previous updates
-or future searches: that is the forward-privacy contract the audit
-harness spot-checks.
+nothing else.  The update token is the entry's address, a PRF output of
+(key, label, counter) alone, so the server learns nothing linking it to
+previous updates or future searches: that is the forward-privacy
+contract the audit harness spot-checks.  This layer only derives
+addresses; ``client.update`` sends the entry.
 
 Counters cap at 2^depth entries per label; the client starts a fresh
 label at every epoch.
@@ -35,12 +36,6 @@ class CounterExhausted(RuntimeError):
 
 def _address(leaf: bytes) -> bytes:
     return prf(leaf, _ADDR_CTX)
-
-
-@dataclass(frozen=True)
-class UpdateToken:
-    address: bytes
-    payload: bytes
 
 
 @dataclass(frozen=True)
@@ -85,20 +80,14 @@ class SigmaState:
         seed = prf(self.key, encode_parts(_ROOT_CTX, label), KEY_LEN)
         return ggm.gen_root(seed, self.depth)
 
-    def update(self, label: bytes, counter: int, payload: bytes,
-               edb) -> UpdateToken:
-        """Place ``payload`` as entry ``counter`` of ``label`` via ``edb``.
-
-        ``edb`` only needs ``apply_update(address, payload)``, so the
-        token can be shipped over a wire transport transparently.  A
-        counter must not repeat under one label: it names the address.
-        """
+    def update(self, label: bytes, counter: int) -> bytes:
+        """The address of entry ``counter`` of ``label``: the update
+        token.  It depends on the key, label and counter alone, so a
+        counter must not repeat under one label."""
         if counter >= (1 << self.depth):
             raise CounterExhausted(
                 f"label chain full after {counter} updates")
-        token = UpdateToken(_address(self._root(label).eval(counter)), payload)
-        edb.apply_update(token.address, token.payload)
-        return token
+        return _address(self._root(label).eval(counter))
 
     def search_token(self, label: bytes, count: int) -> SearchTokenSigma:
         """Token for the label's first ``count`` entries."""

@@ -39,13 +39,11 @@ class Connection(socketserver.StreamRequestHandler):
         while True:
             try:
                 ftype, body = wire.read_frame(self.rfile)
+            except (wire.ConnectionClosed, OSError):
+                return  # hang-up, idle timeout or reset: nobody to tell
             except wire.FrameError as exc:
-                if "connection closed" not in str(exc):
-                    self.server._send(self.wfile, wire.ERROR,
-                                      str(exc).encode())
+                self.server._send(self.wfile, wire.ERROR, str(exc).encode())
                 return
-            except OSError:
-                return  # idle timeout or reset: the connection is over
             try:
                 if not self.server._dispatch(self.wfile, ftype, body):
                     return
@@ -63,6 +61,8 @@ class Server(socketserver.ThreadingTCPServer):
 
     def __init__(self, store: PersistentStore, host: str = "127.0.0.1",
                  port: int = 0):
+        if ":" in host:  # an IPv6 address
+            self.address_family = socket.AF_INET6
         super().__init__((host, port), Connection)
         self.store = store
         self._lock = threading.Lock()

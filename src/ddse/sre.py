@@ -130,7 +130,9 @@ def enc(msk: SreMasterKey, payload: bytes, tag: bytes) -> SreCiphertext:
 
 def comp(D: bloom.BloomFilter, tag: bytes) -> bloom.BloomFilter:
     """Revoke ``tag``: returns an updated copy, the input stays intact."""
-    return D.copy().upd(tag)
+    D = D.copy()
+    D.insert(tag)
+    return D
 
 
 def ck_rev(sk: ggm.GgmRoot, D: bloom.BloomFilter) -> RevokedKey:

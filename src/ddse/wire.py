@@ -29,6 +29,11 @@ sides.  Body layouts:
 The server answers each frame in the order it arrived.  A client may
 send several SEARCH frames before reading any reply; their RESULTs come
 back in the order the searches were sent.
+
+``read_frame`` raises ``ConnectionClosed``, a ``FrameError``, when the
+stream ends before a whole frame arrived, and a plain ``FrameError`` for
+a frame it refuses: a peer that hangs up is told nothing, one that sends
+a malformed frame is sent an ERROR.
 """
 
 from __future__ import annotations
@@ -60,6 +65,10 @@ class FrameError(RuntimeError):
     """Malformed, oversized, or truncated frame."""
 
 
+class ConnectionClosed(FrameError):
+    """The stream ended at or inside a frame."""
+
+
 def type_name(ftype: int) -> str:
     return _TYPE_NAMES.get(ftype, f"type-{ftype}")
 
@@ -73,27 +82,20 @@ def pack_frame(ftype: int, body: bytes = b"") -> bytes:
 
 
 def read_frame(stream: BinaryIO) -> tuple[int, bytes]:
-    """Read one frame from a blocking stream (e.g. socket.makefile)."""
-    header = _read_exact(stream, 4)
+    """Read one frame from a buffered stream (e.g. socket.makefile),
+    whose ``read(n)`` returns fewer than ``n`` bytes only at its end."""
+    header = stream.read(4)
+    if len(header) < 4:
+        raise ConnectionClosed("connection closed mid-frame")
     (length,) = struct.unpack(">I", header)
     if length < 1:
         raise FrameError("frame length must cover the type byte")
     if length > MAX_FRAME:
         raise FrameError(f"frame of {length} bytes exceeds 64 MiB cap")
-    rest = _read_exact(stream, length)
+    rest = stream.read(length)
+    if len(rest) < length:
+        raise ConnectionClosed("connection closed mid-frame")
     return rest[0], rest[1:]
-
-
-def _read_exact(stream: BinaryIO, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = stream.read(remaining)
-        if not chunk:
-            raise FrameError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
 
 
 def encode_update_body(address: bytes, payload: bytes) -> bytes:

@@ -50,7 +50,7 @@ def test_completeness_always_found_after_upd():
     bf = BloomFilter(*size_for(200, 1e-3), SEED)
     items = [f"item-{i}".encode() for i in range(200)]
     for x in items:
-        bf.upd(x)
+        bf.insert(x)
     assert all(bf.check(x) for x in items)
 
 
@@ -58,32 +58,33 @@ def test_completeness_always_found_after_upd():
 @given(st.lists(st.binary(min_size=0, max_size=40), max_size=30))
 def test_completeness_property(items):
     bf = BloomFilter.gen(64, 4, SEED)
-    # insert is check-then-upd in one probe; it counts first insertions
-    probed, first = BloomFilter.gen(64, 4, SEED), 0
+    # insert sets the element's positions and reports, in one probe,
+    # whether check() was false; it counts only those first insertions
+    bits, first = set(), 0
     for x in items:
-        bf.upd(x)
-        assert bf.check(x)
-        fresh = not probed.check(x)
+        fresh = not bf.check(x)
         first += fresh
-        assert probed.insert(x) == fresh
-        assert probed.bits == bf.bits
+        assert bf.insert(x) == fresh
+        assert bf.check(x)
+        bits.update(bf.positions(x))
+        assert bf.set_bits() == sorted(bits)
     for x in items:
         assert bf.check(x)
-    assert probed.inserted == first
+    assert bf.inserted == first
 
 
 def test_upd_idempotent_and_monotone():
     bf = BloomFilter.gen(512, 6, SEED)
     last = 0
     for i in range(50):
-        bf.upd(str(i).encode())
+        bf.insert(str(i).encode())
         pc = len(bf.set_bits())
         assert pc >= last
         assert pc <= 6 * (i + 1)
         last = pc
-    before = bytes(bf.bits)
-    bf.upd(b"17")  # already inserted
-    assert bytes(bf.bits) == before
+    before, inserted = bytes(bf.bits), bf.inserted
+    assert not bf.insert(b"17")  # already inserted
+    assert (bytes(bf.bits), bf.inserted) == (before, inserted)
 
 
 def test_positions_deterministic_and_in_range():
@@ -139,7 +140,7 @@ def test_false_positive_rate_at_design_load():
     bf = BloomFilter(*size_for(n, p), SEED)
     rng = random.Random(1234)
     for i in range(n):
-        bf.upd(b"member-%d" % i)
+        bf.insert(b"member-%d" % i)
     probes = 100_000
     hits = sum(bf.check(b"probe-%d" % rng.getrandbits(48)) for _ in range(probes))
     assert hits / probes <= 2 * p
@@ -147,9 +148,9 @@ def test_false_positive_rate_at_design_load():
 
 def test_copy_is_independent():
     a = BloomFilter.gen(128, 3, SEED)
-    a.upd(b"one")
+    a.insert(b"one")
     b = a.copy()
-    b.upd(b"two")
+    b.insert(b"two")
     assert a.check(b"one") and not a.check(b"two")
     assert b.check(b"one") and b.check(b"two")
     assert a != b
@@ -158,7 +159,7 @@ def test_copy_is_independent():
 def test_encode_decode_roundtrip():
     bf = BloomFilter.gen(1000, 5, SEED)
     for i in range(40):
-        bf.upd(str(i).encode())
+        bf.insert(str(i).encode())
     blob = bf.encode()
     # header, set-bit count, then one clear-bit gap per set bit: every
     # gap here fits one varint byte

@@ -378,7 +378,8 @@ def test_serve_refuses_a_bad_listen_address(db, capsys, value):
     assert files_under(db) == before  # no store/log either
 
 
-@pytest.mark.parametrize("host_port", ["busy", "::1:0", "[::1]:0"])
+@pytest.mark.parametrize("host_port", ["busy", "no-such-host.invalid:0",
+                                       "256.0.0.1:0"])
 def test_serve_that_cannot_listen_is_an_error_and_frees_the_store(
         db, capsys, host_port):
     with socket.create_server(("127.0.0.1", 0)) as busy:
@@ -432,26 +433,41 @@ def test_bench_subcommand_is_gone(db, capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
-def test_serve_and_remote_exec(db, tmp_path, monkeypatch):
+def binds_ipv6_loopback() -> bool:
+    try:
+        socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("listen", ["127.0.0.1:0", "[::1]:0"],
+                         ids=["ipv4", "ipv6"])
+def test_serve_and_remote_exec(db, tmp_path, capsys, listen):
+    if listen.startswith("[") and not binds_ipv6_loopback():
+        pytest.skip("::1 cannot be bound here")
     server_db = str(tmp_path / "server-db")
     env = dict(os.environ, DDSE_PASSPHRASE="test-passphrase")
     # leaving the block closes the pipe and waits for the server
     with subprocess.Popen(
             [sys.executable, "-m", "ddse.cli", "--db", server_db,
-             "serve", "--listen", "127.0.0.1:0"],
+             "serve", "--listen", listen],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             env=env, text=True) as proc:
         try:
             line = proc.stdout.readline()
             assert line.startswith("listening on "), line
             hostport = line.split()[-1]
+            assert hostport.startswith(listen[:-1]), hostport  # HOST:
             assert register(db) == 0
             assert run_cli(db, "exec",
                            "INSERT INTO T (T.x, T.y) VALUE ('w', 'remote')",
                            "--server", hostport) == 0
+            capsys.readouterr()
             assert run_cli(db, "exec",
                            "SELECT DISTINCT T.y FROM T WHERE T.x = 'w'",
                            "--server", hostport) == 0
+            assert capsys.readouterr().out.split() == ["remote"]
         finally:
             proc.terminate()
 

@@ -223,6 +223,25 @@ def test_budget_warning_fires_once_per_epoch(caplog):
         assert len(warnings()) == 2
 
 
+def test_each_add_sends_one_update_at_its_placement_address():
+    state, edb = fresh()
+    sent = []
+
+    class Recording:
+        def apply_update(self, address, payload):
+            sent.append(address)
+            edb.apply_update(address, payload)
+
+    for op, value in [(ADD, b"a"), (ADD, b"a"), (DELETE, b"b"), (ADD, b"c"),
+                      (DELETE, b"a")]:
+        cl.update(state, op, b"w", value, Recording())
+    label = state.label_for(b"w", 0)
+    assert sent == [state.sigma.update(label, i) for i in range(3)]
+    assert cl.search(state, b"w", edb) == {b"c"}
+    cl.update(state, ADD, b"w", b"d", Recording())  # the next epoch's first
+    assert sent[3:] == [state.sigma.update(state.label_for(b"w", 1), 0)]
+
+
 def test_update_validates_op():
     state, edb = fresh()
     with pytest.raises(ValueError):

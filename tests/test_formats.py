@@ -185,20 +185,15 @@ def test_entry_and_update_body(scenario):
     _, sigma, entries = scenario
     assert entries == [ENTRY_KEPT, ENTRY_GONE]
 
-    class Capture:
-        def apply_update(self, address, payload):
-            self.body = wire.encode_update_body(address, payload)
-
-    capture = Capture()
-    sigma.update(LABEL, 0, ENTRY_KEPT, capture)
-    assert capture.body == UPDATE_BODY
+    assert wire.encode_update_body(sigma.update(LABEL, 0),
+                                   ENTRY_KEPT) == UPDATE_BODY
     assert wire.decode_update_body(UPDATE_BODY) == (ADDRESS_KEPT, ENTRY_KEPT)
 
 
 def test_search_body(scenario):
     msk, sigma, _ = scenario
-    sigma.update(LABEL, 0, ENTRY_KEPT, edb.EncryptedDatabase())
-    sigma.update(LABEL, 1, ENTRY_GONE, edb.EncryptedDatabase())
+    assert [sigma.update(LABEL, 0), sigma.update(LABEL, 1)] == [
+        ADDRESS_KEPT, ADDRESS_GONE]
     assert wire.encode_search_body(search_request(msk, sigma)) == SEARCH_BODY
     back = wire.decode_search_body(SEARCH_BODY)
     assert wire.encode_search_body(back) == SEARCH_BODY
@@ -303,7 +298,7 @@ def test_log_records_and_compaction(scenario, tmp_path):
     log = tmp_path / "log"
     with PersistentStore(tmp_path) as store:
         for counter, entry in enumerate(entries):
-            sigma.update(LABEL, counter, entry, store)
+            store.apply_update(sigma.update(LABEL, counter), entry)
         assert log.read_bytes() == PUT_KEPT + PUT_GONE
         outcome = store.execute_search(search_request(msk, sigma))
         assert (outcome.results, outcome.purged) == ([b"kept"], [ADDRESS_GONE])
@@ -347,10 +342,9 @@ def test_golden_files_refused(tmp_path, name, content, match):
 
 def test_v2_entries_are_refused_not_purged(scenario, tmp_path):
     msk, sigma, _ = scenario
-    for counter, entry in enumerate((ENTRY_KEPT_V2, ENTRY_GONE_V2)):
+    for entry in (ENTRY_KEPT_V2, ENTRY_GONE_V2):
         with pytest.raises(ValueError):
             edb.decode_entry(entry)
-        sigma.update(LABEL, counter, entry, edb.EncryptedDatabase())
     log = PUT_KEPT_V2 + PUT_GONE_V2
     (tmp_path / "log").write_bytes(log)
     with PersistentStore(tmp_path) as store:

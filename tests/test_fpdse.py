@@ -16,9 +16,17 @@ def sigma_setup(depth=ClientConfig.sigma_depth):
     return EncryptedDatabase(), SigmaState(fresh_key(KEY_LEN), depth)
 
 
+def put(state, label, counter, payload, edb):
+    """Store ``payload`` as entry ``counter`` of ``label``, as
+    ``client.update`` does; returns its address."""
+    address = state.update(label, counter)
+    edb.apply_update(address, payload)
+    return address
+
+
 def place(state, label, payloads, edb):
     """Place ``payloads`` as entries 0, 1, ... of ``label``."""
-    return [state.update(label, i, p, edb) for i, p in enumerate(payloads)]
+    return [put(state, label, i, p, edb) for i, p in enumerate(payloads)]
 
 
 def sigma_search(state, label, count, edb):
@@ -56,8 +64,8 @@ def test_unknown_label_searches_empty():
 def test_labels_do_not_interfere():
     edb, state = sigma_setup(depth=8)
     for i in range(5):
-        state.update(b"A", i, b"a%d" % i, edb)
-        state.update(b"B", i, b"b%d" % i, edb)
+        put(state, b"A", i, b"a%d" % i, edb)
+        put(state, b"B", i, b"b%d" % i, edb)
     assert sigma_search(state, b"A", 5, edb) == [b"a%d" % i for i in range(5)]
     assert sigma_search(state, b"B", 5, edb) == [b"b%d" % i for i in range(5)]
 
@@ -65,7 +73,7 @@ def test_labels_do_not_interfere():
 def test_addresses_pairwise_distinct():
     edb, state = sigma_setup(depth=10)
     for i in range(200):
-        state.update(b"L%d" % (i % 7), i // 7, b"x", edb)
+        put(state, b"L%d" % (i % 7), i // 7, b"x", edb)
     assert len(edb.main) == 200
 
 
@@ -73,10 +81,17 @@ def test_update_token_independent_of_payload():
     e1, s1 = sigma_setup(depth=8)
     s2 = SigmaState(s1.key, 8)
     e2 = EncryptedDatabase()
-    t1 = [t.address for t in place(s1, b"L", [b"short"] * 6, e1)]
-    t2 = [t.address
-          for t in place(s2, b"L", [b"a much longer payload body"] * 6, e2)]
+    t1 = place(s1, b"L", [b"short"] * 6, e1)
+    t2 = place(s2, b"L", [b"a much longer payload body"] * 6, e2)
     assert t1 == t2
+
+
+def test_update_returns_the_address_and_sends_nothing():
+    state = SigmaState(KEY, 8)
+    address = state.update(b"L", 3)
+    assert len(address) == 32 and state.update(b"L", 3) == address
+    with pytest.raises(TypeError):  # no payload, no transport
+        state.update(b"L", 3, b"payload", EncryptedDatabase())
 
 
 def test_search_token_covers_exactly_the_chain():
@@ -106,14 +121,14 @@ def test_counter_cap_enforced():
     edb, state = sigma_setup(depth=2)
     place(state, b"L", [b"x"] * 4, edb)
     with pytest.raises(fpdse.CounterExhausted):
-        state.update(b"L", 4, b"overflow", edb)
+        state.update(b"L", 4)
 
 
 def test_address_collision_aborts():
     edb, state = sigma_setup(depth=8)
-    token = state.update(b"L", 0, b"x", edb)
+    address = put(state, b"L", 0, b"x", edb)
     with pytest.raises(AddressCollision):
-        edb.apply_update(token.address, b"y")
+        edb.apply_update(address, b"y")
 
 
 def test_sigma_token_roundtrip():
@@ -157,10 +172,10 @@ def test_chain_is_deterministic_per_key():
     edb2 = EncryptedDatabase()
     s2 = SigmaState(s1.key, 8)
     for i in range(5):
-        s1.update(b"L", i, b"p%d" % i, edb1)
-        s2.update(b"L", i, b"p%d" % i, edb2)
+        put(s1, b"L", i, b"p%d" % i, edb1)
+        put(s2, b"L", i, b"p%d" % i, edb2)
     assert list(edb1.main) == list(edb2.main)
     other = SigmaState(bytes(16), 8)
     e3 = EncryptedDatabase()
-    other.update(b"L", 0, b"p0", e3)
+    put(other, b"L", 0, b"p0", e3)
     assert list(e3.main) != list(edb1.main)[:1]

@@ -120,6 +120,20 @@ def test_malformed_frame_gets_error_and_close(running_server):
         assert stream.read(1) == b""  # server closed the connection
 
 
+@pytest.mark.parametrize("sent", [
+    b"", b"\x00\x00", (10).to_bytes(4, "big") + b"\x02abc",
+], ids=["boundary", "header", "body"])
+def test_a_client_hanging_up_mid_frame_gets_no_error(running_server, sent):
+    with socket.create_connection(running_server.address) as sock:
+        stream = sock.makefile("rwb")
+        stream.write(wire.pack_frame(wire.HELLO, bytes([wire.PROTOCOL_VERSION]))
+                     + sent)
+        stream.flush()
+        sock.shutdown(socket.SHUT_WR)
+        assert wire.read_frame(stream)[0] == wire.HELLO
+        assert stream.read() == b""  # closed, with no ERROR frame
+
+
 def test_oversize_frame_gets_error(running_server):
     with socket.create_connection(running_server.address) as sock:
         stream = sock.makefile("rwb")

@@ -34,17 +34,19 @@ def test_pack_rejects_unknown_type_and_oversize():
 
 def test_read_rejects_oversize_claim():
     buf = io.BytesIO((wire.MAX_FRAME + 1).to_bytes(4, "big") + b"\x02")
-    with pytest.raises(FrameError):
+    with pytest.raises(FrameError) as refused:
         wire.read_frame(buf)
+    assert not isinstance(refused.value, wire.ConnectionClosed)
 
 
 def test_read_rejects_zero_length_and_truncation():
-    with pytest.raises(FrameError):
+    with pytest.raises(FrameError) as refused:
         wire.read_frame(io.BytesIO((0).to_bytes(4, "big")))
-    with pytest.raises(FrameError):
-        wire.read_frame(io.BytesIO(b"\x00\x00"))
-    with pytest.raises(FrameError):
-        wire.read_frame(io.BytesIO((10).to_bytes(4, "big") + b"\x02abc"))
+    assert not isinstance(refused.value, wire.ConnectionClosed)
+    # the stream ends at a frame boundary, inside the header, inside the body
+    for data in (b"", b"\x00\x00", (10).to_bytes(4, "big") + b"\x02abc"):
+        with pytest.raises(wire.ConnectionClosed):
+            wire.read_frame(io.BytesIO(data))
 
 
 def test_update_body_roundtrip():
