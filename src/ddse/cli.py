@@ -39,7 +39,7 @@ from . import statefile
 from . import workload as wl
 from .client import ClientConfig, ProtocolError
 from .netclient import RemoteEdb
-from .store import PersistentStore, StoreInUse
+from .store import PersistentStore, StoreFailed, StoreInUse
 
 log = logging.getLogger("ddse")
 
@@ -310,7 +310,7 @@ def main(argv=None) -> int:
     try:
         return args.run(args)
     except (CliError, statefile.StateFileError, q.QueryError,
-            q.StatementError, ProtocolError, StoreInUse,
+            q.StatementError, ProtocolError, StoreInUse, StoreFailed,
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

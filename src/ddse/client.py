@@ -4,8 +4,8 @@ The client keeps three master keys (cache tokens, tags, value
 encryption), a placement key, a large distinct-state Bloom filter, and
 one ``KeywordState`` record per keyword: the epoch's revocable master
 key, whose filter is the epoch's revocation filter, the epoch number,
-the dummy-tag counter and the count of entries placed this epoch.  The
-moving parts fit together like this:
+the dummy-tag counter and the counts of entries placed and of tags
+revoked this epoch.  The moving parts fit together like this:
 
 * Every (keyword, value) pair owns a *real* tag ``F(K_t, w||v||0)``.
   The first add of a pair uploads a ciphertext under the real tag and
@@ -108,6 +108,9 @@ class KeywordState:
     updates: int = 1    # dummy-tag counter (0 is the real tag's); never
                         # reset, so no pair's dummy tag repeats across epochs
     placed: int = 0     # entries under this epoch's label
+    revoked: int = 0    # revocations this epoch, counted even when all
+                        # the tag's bits were set; a state saved without
+                        # the field reads this class default
 
     @property
     def empty_epoch(self) -> bool:
@@ -160,20 +163,11 @@ def setup(config: Optional[ClientConfig] = None
     return state, EncryptedDatabase()
 
 
-def _keyword(state: ClientState, keyword: bytes) -> KeywordState:
-    record = state.keywords.get(keyword)
-    if record is None:
-        record = KeywordState(sre.kgen(*state.config.sre_params()))
-        state.keywords[keyword] = record
-    return record
-
-
-def _revoke(state: ClientState, keyword: bytes, tag: bytes):
-    revocation = state.keywords[keyword].msk.D
-    # each epoch starts a fresh filter, so its insertion count is this
-    # epoch's revocations; warn once, as the count passes the budget
-    if (revocation.insert(tag)
-            and revocation.inserted == state.config.d_max + 1):
+def _revoke(state: ClientState, keyword: bytes, record: KeywordState,
+            tag: bytes):
+    record.msk.D.insert(tag)
+    record.revoked += 1
+    if record.revoked == state.config.d_max + 1:  # warn once per epoch
         logger.warning(
             "keyword %r exceeded its revocation budget (%d) this epoch; "
             "false-revocation rate degrades beyond the configured bound",
@@ -192,40 +186,43 @@ def update(state: ClientState, op: str, keyword: bytes, value: bytes,
     """One add/delete.  ``edb`` needs only ``apply_update``.
 
     Adds send exactly one fixed-shape entry, through one
-    ``edb.apply_update`` call; deletes send nothing.
+    ``edb.apply_update`` call; deletes send nothing.  The state changes
+    only once that call has returned: an add whose send raises leaves
+    the state as it was, so a retry is classified as the first try was.
     """
     if op not in (ADD, DELETE):
         raise ValueError(f"op must be {ADD!r} or {DELETE!r}, got {op!r}")
-    record = _keyword(state, keyword)
+    record = state.keywords.get(keyword) or KeywordState(
+        sre.kgen(*state.config.sre_params()))
     cnt = record.updates
     real = state.real_tag(keyword, value)
 
     if op == ADD:
-        first_occurrence = state.distinct_filter.insert(real)
-        if first_occurrence:
-            if state.distinct_filter.inserted == state.config.bf_n + 1:
-                logger.warning(
-                    "distinct-state filter past design capacity (%d pairs); "
-                    "duplicate misclassification rate degrades",
-                    state.config.bf_n)
-            tag = real
-        else:
-            tag = state.dummy_tag(keyword, value, cnt)
+        first_occurrence = not state.distinct_filter.check(real)
+        tag = real if first_occurrence else state.dummy_tag(keyword, value, cnt)
         retrieval = encrypt_retrieval(state, value, cnt)
         ciphertext = sre.enc(record.msk, retrieval, tag)
         address = state.sigma.update(state.label_for(keyword, record.epoch),
                                      record.placed)
         edb.apply_update(address, encode_entry(ciphertext, tag))
         record.placed += 1
-        if not first_occurrence:
-            _revoke(state, keyword, tag)   # dummy dies on arrival
+        if first_occurrence:
+            state.distinct_filter.insert(real)
+            if state.distinct_filter.inserted == state.config.bf_n + 1:
+                logger.warning(
+                    "distinct-state filter past design capacity (%d pairs); "
+                    "duplicate misclassification rate degrades",
+                    state.config.bf_n)
+        else:
+            _revoke(state, keyword, record, tag)   # dummy dies on arrival
     else:
         if not state.distinct_filter.check(real):
             logger.warning("delete of never-added pair under keyword %r",
                            keyword)
-        _revoke(state, keyword, real)
+        _revoke(state, keyword, record, real)
 
     record.updates = cnt + 1
+    state.keywords[keyword] = record
 
 
 def search_client_token(state: ClientState, keyword: bytes) -> SearchRequest:
@@ -250,6 +247,7 @@ def search_client_token(state: ClientState, keyword: bytes) -> SearchRequest:
     record.msk = sre.kgen(msk.b, msk.h)
     record.epoch += 1
     record.placed = 0
+    record.revoked = 0
     return request
 
 

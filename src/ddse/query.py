@@ -13,12 +13,15 @@ syntax error naming the offending token's position:
 
 Each registered (table, keyword column, value column) triple owns one
 encrypted index plus a client-side quantity vector: per keyword, the
-live copy-count of every value.  Distinct queries come from the index
-alone; plain keyword queries re-expand the distinct set through the
-quantity vector (order and multiplicity never leave the client); joins
-run the keyword query twice, feeding stage-one values into stage two.
-Every search goes through ``client.search_many``, and stage two is one
-such call over the distinct links, so its searches are pipelined.
+live copy-count of every value.  Every search goes through
+``client.search_many``, and each distinct set it returns must equal the
+keys of the keyword's quantity vector, or the statement raises
+``IntegrityError``: a short, foreign or stale answer is never returned.
+Distinct queries return that set; plain keyword queries expand it
+through the quantity vector (order and multiplicity never leave the
+client); joins run the keyword query twice, stage two as one
+``search_many`` call over the distinct links, so its searches are
+pipelined.
 Deleting a pair removes every copy, matching the delete protocol;
 deleting a pair that is not live is a no-op that sends and revokes
 nothing.  A deleted pair cannot be inserted again: the client's
@@ -263,30 +266,27 @@ class Registry:
         return instance
 
 
-def _searched(instance: TableInstance, keywords: list[bytes],
-              edb) -> list[set[bytes]]:
-    """Each keyword's distinct values; none for one with no history."""
-    return [set() if found is None else found
-            for found in cl.search_many(instance.state, keywords, edb)]
-
-
-def _expand(instance: TableInstance, keyword: bytes,
-            distinct: set[bytes]) -> list[bytes]:
-    """The keyword's values with multiplicity, once the index's distinct
-    set is checked against the quantity vector."""
-    counts = instance.qvec.get(keyword, {})
-    if set(counts) != distinct:
-        raise IntegrityError(
-            f"quantity vector disagrees with index for keyword {keyword!r}: "
-            f"{sorted(counts)} vs {sorted(distinct)}")
+def _checked(instance: TableInstance, keywords: list[bytes],
+             edb) -> list[dict[bytes, int]]:
+    """Each keyword's live counts, once ``client.search_many`` has found
+    the index's distinct set equal to the quantity vector's keys; a
+    keyword with no history answers the empty set."""
     out = []
-    for v in instance.ordered(counts):
-        out.extend([v] * counts[v])
+    for keyword, found in zip(
+            keywords, cl.search_many(instance.state, keywords, edb)):
+        counts = instance.qvec.get(keyword, {})
+        found = found or set()
+        if set(counts) != found:
+            raise IntegrityError(
+                f"quantity vector disagrees with index for keyword "
+                f"{keyword!r}: {sorted(counts)} vs {sorted(found)}")
+        out.append(counts)
     return out
 
 
-def _expanded(instance: TableInstance, keyword: bytes, edb) -> list[bytes]:
-    return _expand(instance, keyword, *_searched(instance, [keyword], edb))
+def _rows(instance: TableInstance, counts: dict[bytes, int]) -> list[bytes]:
+    """The values in the column's order, each as often as it is live."""
+    return [v for v in instance.ordered(counts) for _ in range(counts[v])]
 
 
 def execute(registry: Registry, query: QueryPlan, edb):
@@ -313,22 +313,21 @@ def execute(registry: Registry, query: QueryPlan, edb):
             cl.update(instance.state, cl.DELETE, w, v, edb)
             del counts[v]
         return None
-    if query.syn == SYN_DSRCH:
+    if query.syn in (SYN_DSRCH, SYN_SRCH):
         table, (kw_col, w, val_col) = query.m
         instance = registry.instance_for(table, kw_col, val_col)
-        return _searched(instance, [w], edb)[0]
-    if query.syn == SYN_SRCH:
-        table, (kw_col, w, val_col) = query.m
-        return _expanded(registry.instance_for(table, kw_col, val_col), w, edb)
+        (counts,) = _checked(instance, [w], edb)
+        return set(counts) if query.syn == SYN_DSRCH else _rows(instance, counts)
     if query.syn == SYN_JOIN:
         t1, t2, (kw_col, w, join_col), (join_col2, _, val_col) = query.m
-        stage1 = _expanded(registry.instance_for(t1, kw_col, join_col), w, edb)
+        first = registry.instance_for(t1, kw_col, join_col)
+        stage1 = _rows(first, *_checked(first, [w], edb))
         instance = registry.instance_for(t2, join_col2, val_col)
         # one search per distinct link: searching a link once per copy
         # would show the server its multiplicity through a repeated token
         links = list(dict.fromkeys(stage1))
-        rows = {link: _expand(instance, link, found)
-                for link, found in zip(links, _searched(instance, links, edb))}
+        rows = {link: _rows(instance, counts)
+                for link, counts in zip(links, _checked(instance, links, edb))}
         return [v for link in stage1 for v in rows[link]]
     raise ValueError(f"unknown plan kind {query.syn!r}")
 

@@ -18,7 +18,7 @@ import threading
 
 from . import wire
 from .edb import AddressCollision
-from .store import PersistentStore
+from .store import PersistentStore, StoreFailed
 
 logger = logging.getLogger(__name__)
 
@@ -49,7 +49,8 @@ class Connection(socketserver.StreamRequestHandler):
                     return
             except _Stopped:
                 return
-            except (wire.FrameError, AddressCollision, ValueError) as exc:
+            except (wire.FrameError, AddressCollision, StoreFailed,
+                    ValueError) as exc:
                 self.server._send(self.wfile, wire.ERROR, str(exc).encode())
                 return
 
@@ -122,7 +123,7 @@ class Server(socketserver.ThreadingTCPServer):
             self._locked(self.store.apply_update, address, payload)
             self._send(stream, wire.RESULT, b"")
         elif ftype == wire.SEARCH:
-            request = wire.decode_search_body(body, token_only=True)
+            request = wire.decode_search_body(body)
             outcome = self._locked(self.store.execute_search, request)
             self._send(stream, wire.RESULT,
                        wire.encode_result_body(outcome.results))

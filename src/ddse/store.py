@@ -24,6 +24,13 @@ record whose length and checksum hold but which does not decode or
 apply was written whole, so it is not a torn tail: recovery refuses
 it, naming the file and byte offset, and leaves the file untouched.
 
+A log append that fails stops the store: it may have left a torn record
+that a later append would land behind, and recovery truncates the log at
+the first torn record, acknowledged ones after it included.  So once an
+append has raised, every later ``apply_update``, ``execute_search`` and
+``compact`` raises ``StoreFailed`` until the store is reopened, and
+reopening replays the log up to the torn record.
+
 ``compact()`` rewrites the log as the live state alone: one PUT per
 entry, then one FRESH per cache slot, which folded into an absent slot
 gives exactly that slot.  It writes ``log.tmp`` and renames it over the
@@ -57,6 +64,10 @@ REC_FRESH = 4
 
 class StoreInUse(RuntimeError):
     """Another open ``PersistentStore`` holds the directory's lock."""
+
+
+class StoreFailed(RuntimeError):
+    """A log append failed; nothing is served until the store reopens."""
 
 
 def durable_replace(src: str | os.PathLike, dst: str | os.PathLike) -> None:
@@ -123,6 +134,7 @@ class PersistentStore:
         self._unlock = weakref.finalize(self, os.close, fd)
         self.log_path = self.root / "log"
         self.edb = EncryptedDatabase()
+        self._failure: OSError | None = None
         try:
             self._recover()
             self._log = open(self.log_path, "ab")
@@ -162,15 +174,26 @@ class PersistentStore:
 
     # -- durability -------------------------------------------------------
 
+    def _serving(self) -> None:
+        if self._failure is not None:
+            raise StoreFailed(f"{self.log_path}: an earlier log append "
+                              f"failed ({self._failure}); reopen the store")
+
     def _append(self, *records: bytes) -> None:
-        for record in records:
-            self._log.write(record)
-        self._log.flush()
-        os.fsync(self._log.fileno())
+        try:
+            for record in records:
+                self._log.write(record)
+            self._log.flush()
+            os.fsync(self._log.fileno())
+        except OSError as exc:
+            self._failure = exc
+            raise StoreFailed(f"{self.log_path}: log append failed ({exc}); "
+                              f"reopen the store") from exc
 
     def compact(self) -> None:
         """Rewrite the log as the live state alone.  Like a mutation, it
         must not overlap another: a server holds its mutation lock."""
+        self._serving()
         tmp = self.root / "log.tmp"
         with open(tmp, "wb") as fh:
             for address, payload in self.edb.main.items():
@@ -187,8 +210,10 @@ class PersistentStore:
             self._log = open(self.log_path, "ab")
 
     def close(self) -> None:
-        self._log.close()
-        self._unlock()
+        try:
+            self._log.close()  # after a failed append, its flush may raise
+        finally:
+            self._unlock()
 
     def __enter__(self):
         return self
@@ -199,12 +224,14 @@ class PersistentStore:
     # -- transport interface ----------------------------------------------
 
     def apply_update(self, address: bytes, payload: bytes) -> None:
+        self._serving()
         if address in self.edb.main:
             raise AddressCollision(f"address reused: {address.hex()}")
         self._append(_put_record(address, payload))
         self.edb.apply_update(address, payload)
 
     def execute_search(self, request: SearchRequest) -> SearchOutcome:
+        self._serving()  # a failed search may have changed memory unlogged
         outcome = self.edb.execute_search(request)
         records = [_record(REC_DEL, a) for a in outcome.purged]
         if outcome.fresh:

@@ -121,16 +121,14 @@ def encode_search_body(request: SearchRequest) -> bytes:
             + request.sigma_token.encode())
 
 
-def decode_search_body(body: bytes, token_only: bool = False
-                       ) -> SearchRequest:
-    """A full SEARCH body or, if ``token_only`` admits it, the token
-    alone, told apart by length: no full body is as short as a token.
-    Left out, a body of the token alone is refused as a truncated full
-    one, so every proper prefix of a full body stays invalid."""
+def decode_search_body(body: bytes) -> SearchRequest:
+    """A SEARCH body in either form, told apart by length: a body of
+    exactly the token is the token-only form, and no full body is that
+    short.  Every other proper prefix of a full body is refused."""
     if len(body) < TOKEN_LEN:
         raise FrameError("search body too short")
     tkn = bytes(body[:TOKEN_LEN])
-    if token_only and len(body) == TOKEN_LEN:
+    if len(body) == TOKEN_LEN:
         return SearchRequest(tkn)
     try:
         revoked_key, pos = sre.decode_revoked_key(body, TOKEN_LEN)

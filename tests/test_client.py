@@ -223,6 +223,28 @@ def test_budget_warning_fires_once_per_epoch(caplog):
         assert len(warnings()) == 2
 
 
+def test_a_revocation_counts_even_when_its_bits_are_all_set(caplog):
+    state, edb = fresh(d_max=2)
+    with caplog.at_level(logging.WARNING, logger="ddse.client"):
+        for _ in range(3):  # one tag, revoked three times
+            cl.update(state, DELETE, b"w", b"v", edb)
+    record = state.keywords[b"w"]
+    assert (record.msk.D.inserted, record.revoked) == (1, 3)
+    assert len([r for r in caplog.records
+                if "revocation budget" in r.message]) == 1
+    cl.search(state, b"w", edb)
+    assert state.keywords[b"w"].revoked == 0
+
+
+def test_a_state_saved_without_the_revocation_count_loads():
+    state, edb = fresh()
+    cl.update(state, DELETE, b"w", b"v", edb)
+    del state.keywords[b"w"].__dict__["revoked"]  # as saved before the field
+    record = pickle.loads(pickle.dumps(state)).keywords[b"w"]
+    assert record.revoked == 0
+    assert not record.empty_epoch  # its revocation still forces a full search
+
+
 def test_each_add_sends_one_update_at_its_placement_address():
     state, edb = fresh()
     sent = []

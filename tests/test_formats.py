@@ -207,9 +207,9 @@ def test_token_only_search_body():
     assert request.token_only
     assert wire.encode_search_body(request) == TKN
     assert wire.pack_frame(wire.SEARCH, TKN) == h("00000021 03") + TKN
-    assert wire.decode_search_body(TKN, token_only=True) == request
+    assert wire.decode_search_body(TKN) == request
     # the full form is told apart by its length alone
-    back = wire.decode_search_body(SEARCH_BODY, token_only=True)
+    back = wire.decode_search_body(SEARCH_BODY)
     assert not back.token_only
     assert wire.encode_search_body(back) == SEARCH_BODY
 
@@ -217,7 +217,7 @@ def test_token_only_search_body():
 @pytest.mark.parametrize("end", [*range(len(TKN)), len(TKN) + 1])
 def test_search_body_of_no_form_rejected(end):
     with pytest.raises(wire.FrameError):
-        wire.decode_search_body(SEARCH_BODY[:end], token_only=True)
+        wire.decode_search_body(SEARCH_BODY[:end])
 
 
 def test_search_body_v1_rejected():
@@ -226,9 +226,12 @@ def test_search_body_v1_rejected():
 
 
 def test_every_truncated_search_body_rejected():
+    # the token alone is the token-only form; every other prefix is refused
+    assert wire.decode_search_body(SEARCH_BODY[:len(TKN)]).token_only
     for end in range(len(SEARCH_BODY)):
-        with pytest.raises(wire.FrameError):
-            wire.decode_search_body(SEARCH_BODY[:end])
+        if end != len(TKN):
+            with pytest.raises(wire.FrameError):
+                wire.decode_search_body(SEARCH_BODY[:end])
 
 
 @pytest.mark.parametrize("body", [

@@ -2,6 +2,7 @@
 and ``client.search_many``, which sends every statement's searches."""
 
 import copy
+import pickle
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from ddse import client as cl
 from ddse import query as q
 from ddse import wire
 from ddse.client import ClientConfig, ProtocolError
-from ddse.edb import EncryptedDatabase
+from ddse.edb import EncryptedDatabase, SearchOutcome
 from ddse.netclient import RemoteEdb
 from ddse.query import (IntegrityError, QueryError, QueryPlan, Registry,
                         StatementError, TableConfig, exec_statement, plan)
@@ -451,6 +452,40 @@ def test_readd_of_a_deleted_pair_is_refused_before_sending(transport):
         == [b"v2", b"v2", b"v2", b"v3"]
 
 
+class FailingFirstUpdate(CountingUpdates):
+    """Forwards to ``edb``, but its first ``apply_update`` raises."""
+
+    def apply_update(self, address, payload):
+        self.updates += 1
+        if self.updates == 1:
+            raise ProtocolError("injected failure")
+        self.edb.apply_update(address, payload)
+
+
+@pytest.mark.parametrize("repeat", [False, True], ids=["first", "duplicate"])
+def test_a_failed_add_changes_no_client_state(transport, repeat):
+    state, _ = cl.setup(ClientConfig(bf_n=2000, bf_p=1e-4, d_max=16,
+                                     revoke_p=1e-2, sigma_depth=12))
+    if repeat:
+        cl.update(state, cl.ADD, b"w", b"v", transport)
+    before = pickle.dumps(state)
+    failing = FailingFirstUpdate(transport)
+    with pytest.raises(ProtocolError, match="injected failure"):
+        cl.update(state, cl.ADD, b"w", b"v", failing)
+    assert pickle.dumps(state) == before
+    cl.update(state, cl.ADD, b"w", b"v", failing)  # the retry
+    assert cl.search(state, b"w", transport) == {b"v"}
+
+
+def test_a_failed_insert_can_be_retried(transport):
+    reg, _ = fresh()
+    failing = FailingFirstUpdate(transport)
+    with pytest.raises(ProtocolError, match="injected failure"):
+        run(reg, failing, "INSERT INTO T (T.x, T.y) VALUE ('w', 'v')")
+    run(reg, failing, "INSERT INTO T (T.x, T.y) VALUE ('w', 'v')")
+    assert run(reg, transport, "SELECT T.y FROM T WHERE T.x = 'w'") == [b"v"]
+
+
 def test_join_after_a_refused_readd_matches_nested_loop(transport):
     reg, _ = join_tables()
     rows1 = [(b"w", b"za"), (b"w", b"zb"), (b"w", b"zb")]
@@ -703,3 +738,84 @@ def test_search_many_failure_leaves_later_epochs_unrotated(backend, failing):
     # the failed search was k{failing - 1}'s; no later epoch was rotated
     assert [(state.keywords[w].epoch, state.keywords[w].placed)
             for w in keywords[failing:]] == before[failing:]
+
+
+# -- an index that answers wrongly ---------------------------------------------
+
+def drop_one(cache, swap, tkn, before, results):
+    return results[1:]
+
+
+def foreign_slot(cache, swap, tkn, before, results):
+    return list(cache.get(swap[tkn], []))
+
+
+def stale_slot(cache, swap, tkn, before, results):
+    return before
+
+
+@pytest.fixture(params=["memory", "tcp"])
+def answering(request):
+    """A transport, the database that answers its searches, and that
+    database's cache slots."""
+    if request.param == "memory":
+        edb = EncryptedDatabase()
+        return edb, edb, edb.cache
+    server, remote = request.getfixturevalue("served")
+    return remote, server.store, server.store.edb.cache
+
+
+def misbehave(db, cache, mutant, swap):
+    """Makes ``db`` search honestly, so that its slots and log are the
+    honest ones, but answer what ``mutant`` makes of the honest reply."""
+    honest = db.execute_search
+
+    def execute_search(request):
+        before = list(cache.get(request.tkn, []))
+        outcome = honest(request)
+        return SearchOutcome(
+            mutant(cache, swap, request.tkn, before, outcome.results),
+            outcome.purged, outcome.fresh)
+
+    db.execute_search = execute_search
+
+
+WRONG_ANSWER_ROWS = {
+    "T1": [(b"w", b"za"), (b"w", b"za"), (b"w", b"zb"), (b"u", b"zc")],
+    "T2": [(b"za", b"p"), (b"za", b"q"), (b"zb", b"r"), (b"zc", b"s")]}
+# one new pair under every keyword, so that each next search folds
+WRONG_ANSWER_ADDED = {
+    "T1": [(b"w", b"zd"), (b"u", b"ze")],
+    "T2": [(b"za", b"t"), (b"zb", b"t2"), (b"zc", b"t3")]}
+
+
+@pytest.mark.parametrize("statement, want", [
+    ("SELECT T2.y FROM T2 WHERE T2.z = 'za'", [b"p", b"q", b"t"]),
+    ("SELECT DISTINCT T2.y FROM T2 WHERE T2.z = 'za'", {b"p", b"q", b"t"}),
+    (JOIN_W, [b"p", b"q", b"t"] * 2 + [b"r", b"t2"]),
+], ids=["select", "distinct", "join"])
+@pytest.mark.parametrize("mutant", [None, drop_one, foreign_slot, stale_slot],
+                         ids=["honest", "drop-one", "foreign-slot",
+                              "stale-slot"])
+def test_a_wrong_answer_from_the_index_raises(answering, mutant, statement,
+                                              want):
+    transport, db, cache = answering
+    reg, _ = join_tables()
+    swap = {}  # each keyword's slot -> the next keyword's, in one table
+    for table, columns in (("T1", ("T1.x", "T1.z")), ("T2", ("T2.z", "T2.y"))):
+        rows = WRONG_ANSWER_ROWS[table]
+        insert(reg, transport, table, rows)
+        state = reg.instance_for(table, *columns).state
+        tokens = [state.cache_token(w) for w in dict.fromkeys(w for w, _ in rows)]
+        swap.update(zip(tokens, tokens[1:] + tokens[:1]))
+        for w in dict.fromkeys(w for w, _ in rows):  # every slot filled
+            assert run(reg, transport, f"SELECT DISTINCT {columns[1]} FROM "
+                       f"{table} WHERE {columns[0]} = '{w.decode()}'") \
+                == {v for x, v in rows if x == w}
+        insert(reg, transport, table, WRONG_ANSWER_ADDED[table])
+    if mutant is None:
+        assert run(reg, transport, statement) == want
+        return
+    misbehave(db, cache, mutant, swap)
+    with pytest.raises((IntegrityError, ProtocolError)):
+        run(reg, transport, statement)

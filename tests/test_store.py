@@ -1,6 +1,8 @@
 """Write-ahead log: durability, torn tails, strict replay, compaction,
 purge persistence.  The log is the store's only file."""
 
+import copy
+import errno
 import logging
 import os
 import random
@@ -12,9 +14,11 @@ import zlib
 import pytest
 
 from ddse import client as cl
-from ddse.client import ClientConfig
-from ddse.edb import AddressCollision
-from ddse.store import PersistentStore, StoreInUse
+from ddse.client import ClientConfig, ProtocolError
+from ddse.edb import AddressCollision, SearchRequest
+from ddse.netclient import RemoteEdb
+from ddse.server import serve
+from ddse.store import PersistentStore, StoreFailed, StoreInUse
 
 
 def small_state():
@@ -194,6 +198,71 @@ def test_torn_tail_is_dropped_and_truncated(tmp_path, caplog):
             assert back.edb.main == expect
     assert log.stat().st_size == good_size
     assert any("torn" in r.message for r in caplog.records)
+
+
+class TornLog:
+    """A log handle whose next write lands half its bytes, then fails."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def write(self, data):
+        self.log.write(data[:len(data) // 2])
+        self.log.flush()
+        raise OSError(errno.EIO, "injected torn write")
+
+    def __getattr__(self, name):
+        return getattr(self.log, name)
+
+
+def test_a_failed_append_stops_the_store_until_reopened(tmp_path):
+    state, _ = small_state()
+    store = PersistentStore(tmp_path / "db")
+    for v in (b"a", b"b"):
+        cl.update(state, cl.ADD, b"w", v, store)
+    acked = copy.deepcopy(state)  # the client as of the last ack
+    log = tmp_path / "db" / "log"
+    acked_log = log.read_bytes()
+    store._log = TornLog(store._log)
+    with pytest.raises(StoreFailed, match="injected torn write"):
+        cl.search(state, b"w", store)  # half a FRESH record reaches the log
+    # the store has folded the slot in memory, but it serves nothing more
+    with pytest.raises(StoreFailed, match="reopen"):
+        cl.update(state, cl.ADD, b"w", b"c", store)
+    with pytest.raises(StoreFailed, match="reopen"):
+        store.execute_search(SearchRequest(state.cache_token(b"w")))
+    with pytest.raises(StoreFailed, match="reopen"):
+        store.compact()
+    assert log.read_bytes().startswith(acked_log)
+    store.close()
+    with PersistentStore(tmp_path / "db") as back:
+        assert log.read_bytes() == acked_log  # the torn record truncated
+        assert cl.search(acked, b"w", back) == {b"a", b"b"}
+
+
+def test_a_failed_append_behind_a_server_is_never_acknowledged(tmp_path):
+    state, _ = small_state()
+    store = PersistentStore(tmp_path / "db")
+    server = serve(store)
+    try:
+        with RemoteEdb(*server.address) as remote:
+            cl.update(state, cl.ADD, b"w", b"a", remote)
+            store._log = TornLog(store._log)
+            with pytest.raises(ProtocolError, match="injected torn write"):
+                cl.update(state, cl.ADD, b"w", b"b", remote)
+        # a new connection is refused every update and search
+        acked = copy.deepcopy(state)  # the failed add changed nothing
+        with RemoteEdb(*server.address) as remote:
+            with pytest.raises(ProtocolError, match="reopen"):
+                cl.update(state, cl.ADD, b"w", b"c", remote)
+        with RemoteEdb(*server.address) as remote:
+            with pytest.raises(ProtocolError, match="reopen"):
+                cl.search(state, b"w", remote)
+    finally:
+        server.stop()
+        store.close()
+    with PersistentStore(tmp_path / "db") as back:
+        assert cl.search(acked, b"w", back) == {b"a"}
 
 
 def test_corrupt_record_stops_replay(tmp_path):

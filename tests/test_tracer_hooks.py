@@ -46,9 +46,7 @@ def search_through_the_codec(state, keyword, edb, token_only):
     request = cl.search_client_token(state, keyword)
     assert request.token_only == token_only
     body = wire.encode_search_body(request)
-    outcome = edb.execute_search(
-        wire.decode_search_body(body, token_only=True) if token_only
-        else wire.decode_search_body(body))
+    outcome = edb.execute_search(wire.decode_search_body(body))
     return cl.search_finalize(state, outcome.results)
 
 
