@@ -46,6 +46,8 @@ OP_ADD = "add"
 OP_DEL = "del"
 OP_SEARCH = "search"
 
+DWVH_VALUE_LEN = 16  # bytes per challenge value
+
 
 @dataclass
 class TranscriptEvent:
@@ -233,15 +235,13 @@ class DwvhResult:
         return f"{'PASS' if self.ok else 'FAIL'}: {self.detail}"
 
 
-def _dwvh_workload(volumes: Sequence[tuple[int, int]],
-                   value_len: int) -> list[tuple]:
+def _dwvh_workload(volumes: Sequence[tuple[int, int]]) -> list[tuple]:
     ops = []
     for i, (distinct, total) in enumerate(volumes):
         w = f"kw-{i:06d}".encode()
-        for j in range(distinct):
-            ops.append((OP_ADD, w, wl.value_bytes(i, j, value_len)))
-        for k in range(total - distinct):
-            ops.append((OP_ADD, w, wl.value_bytes(i, k % distinct, value_len)))
+        # each distinct value once, then the duplicates round-robin
+        ops += [(OP_ADD, w, wl.value_bytes(i, k % distinct, DWVH_VALUE_LEN))
+                for k in range(total)]
     for i in range(len(volumes)):
         ops.append((OP_SEARCH, f"kw-{i:06d}".encode()))
     return ops
@@ -281,24 +281,22 @@ def _dwvh_config(volumes0, volumes1) -> ClientConfig:
 
 
 def dwvh_game(volumes0: Sequence[tuple[int, int]],
-              volumes1: Sequence[tuple[int, int]],
-              value_len: int = 16,
-              config: Optional[ClientConfig] = None) -> DwvhResult:
+              volumes1: Sequence[tuple[int, int]]) -> DwvhResult:
     """Play one round of the distinct-volume indistinguishability game.
 
     Each challenge is a list of per-keyword (distinct, total) volume
     pairs.  Inadmissible challenges (mismatched distinct volumes or
     update totals) raise ValueError; for admissible ones the verdict is
-    PASS when both runs are observably identical.
+    PASS when both runs are observably identical.  Values are
+    ``DWVH_VALUE_LEN`` bytes, and both runs share one client config
+    sized from the challenges.
     """
-    if value_len < 8:
-        raise ValueError("value_len must be at least 8")
     _dwvh_validate(volumes0, volumes1)
-    config = config or _dwvh_config(volumes0, volumes1)
+    config = _dwvh_config(volumes0, volumes1)
     sig0 = transcript_signature(
-        record(_dwvh_workload(volumes0, value_len), config=config))
+        record(_dwvh_workload(volumes0), config=config))
     sig1 = transcript_signature(
-        record(_dwvh_workload(volumes1, value_len), config=config))
+        record(_dwvh_workload(volumes1), config=config))
     if sig0 == sig1:
         detail = (f"signatures identical over {len(volumes0)} keywords, "
                   f"{len(sig0[0])} updates")

@@ -87,10 +87,6 @@ class BloomFilter:
         self.bits = bits
         self.inserted = inserted  # insertions that set a bit
 
-    @classmethod
-    def gen(cls, b: int, h: int, seed: bytes) -> "BloomFilter":
-        return cls(b, h, seed)
-
     def positions(self, x: bytes) -> list[int]:
         b, h = self.b, self.h
         words = h

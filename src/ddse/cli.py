@@ -170,8 +170,8 @@ def cmd_ingest(args) -> int:
     done = skipped = 0
     with (_registry(args) as registry,
           open(args.csv, newline="", encoding="utf-8") as fh):
-        registry.instance_for(args.table, args.keyword_column,
-                              args.value_column)
+        instance = registry.instance_for(args.table, args.keyword_column,
+                                         args.value_column)
         reader = csv.DictReader(fh)
         missing = [c for c in (args.keyword_column, args.value_column)
                    if c not in (reader.fieldnames or ())]
@@ -186,13 +186,9 @@ def cmd_ingest(args) -> int:
                                 args.keyword_column, args.value_column)
                     skipped += 1
                     continue
-                plan = q.QueryPlan(q.SYN_INS, (
-                    args.table,
-                    (args.keyword_column, w.encode(),
-                     args.value_column, v.encode())))
                 try:
-                    q.execute(registry, plan, edb)
-                except q.QueryError as exc:  # a re-add of a deleted pair
+                    q.insert(instance, w.encode(), v.encode(), edb)
+                except q.QueryError as exc:  # a deleted pair, or a bad number
                     log.warning("line %d: %s, skipped", lineno, exc)
                     skipped += 1
                     continue

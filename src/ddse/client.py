@@ -14,6 +14,7 @@ revoked this epoch.  The moving parts fit together like this:
   a one-time dummy tag ``F(K_t, w||v||cnt)`` and immediately revokes
   that tag, so the server stores an indistinguishable entry that can
   never decrypt.  Deletes upload nothing and revoke the real tag.
+  ``is_duplicate`` is that classification, as ``update`` makes it.
   The server-visible update stream is therefore independent of how
   often a value repeats -- the volume-hiding property.
 
@@ -25,8 +26,8 @@ revoked this epoch.  The moving parts fit together like this:
   decrypts the epoch's list, throws away (and purges) everything
   revoked, folds in the cached results of earlier epochs, and returns
   one retrieval per distinct live value.  The client then rotates the
-  epoch: fresh revocable key with an empty filter, next label, no
-  entries placed.  The rotation is what keeps later adds unlinkable
+  epoch: a fresh key sized by ``ClientConfig``, with an empty filter,
+  next label, no entries placed.  The rotation keeps later adds unlinkable
   once a key has been revealed, so an *empty* epoch (nothing placed
   and nothing revoked since the keyword's last search) is not
   rotated: its search sends the cache token alone, the server answers
@@ -101,7 +102,9 @@ class ClientConfig:
 
 @dataclass
 class KeywordState:
-    """One keyword's state; ``msk.D`` is the epoch's revocation filter."""
+    """One keyword's state; ``msk.D`` is the epoch's revocation filter.
+    A rotation resets ``placed`` and ``revoked``, and sizes its new key
+    from ``ClientConfig``, not from the old one."""
 
     msk: sre.SreMasterKey
     epoch: int = 0
@@ -156,7 +159,7 @@ def setup(config: Optional[ClientConfig] = None
         k_search=fresh_key(KEY_LEN),
         k_tag=fresh_key(KEY_LEN),
         k_value=fresh_key(KEY_LEN),
-        distinct_filter=bloom.BloomFilter.gen(b, h, fresh_key(KEY_LEN)),
+        distinct_filter=bloom.BloomFilter(b, h, fresh_key(KEY_LEN)),
         sigma=SigmaState(fresh_key(KEY_LEN), config.sigma_depth),
         config=config,
     )
@@ -172,6 +175,23 @@ def _revoke(state: ClientState, keyword: bytes, record: KeywordState,
             "keyword %r exceeded its revocation budget (%d) this epoch; "
             "false-revocation rate degrades beyond the configured bound",
             keyword, state.config.d_max)
+
+
+def _epoch_key(config: ClientConfig) -> sre.SreMasterKey:
+    """A new epoch's key, a keyword's first or a rotation's alike."""
+    return sre.kgen(*config.sre_params())
+
+
+def _classified(state: ClientState, keyword: bytes, value: bytes
+                ) -> tuple[bytes, bool]:
+    """The pair's real tag, and whether an add of it is a duplicate."""
+    real = state.real_tag(keyword, value)
+    return real, state.distinct_filter.check(real)
+
+
+def is_duplicate(state: ClientState, keyword: bytes, value: bytes) -> bool:
+    """Whether an add of the pair now is a duplicate, revoked on arrival."""
+    return _classified(state, keyword, value)[1]
 
 
 def encrypt_retrieval(state: ClientState, value: bytes, cnt: int) -> bytes:
@@ -193,30 +213,29 @@ def update(state: ClientState, op: str, keyword: bytes, value: bytes,
     if op not in (ADD, DELETE):
         raise ValueError(f"op must be {ADD!r} or {DELETE!r}, got {op!r}")
     record = state.keywords.get(keyword) or KeywordState(
-        sre.kgen(*state.config.sre_params()))
+        _epoch_key(state.config))
     cnt = record.updates
-    real = state.real_tag(keyword, value)
+    real, held = _classified(state, keyword, value)
 
     if op == ADD:
-        first_occurrence = not state.distinct_filter.check(real)
-        tag = real if first_occurrence else state.dummy_tag(keyword, value, cnt)
+        tag = state.dummy_tag(keyword, value, cnt) if held else real
         retrieval = encrypt_retrieval(state, value, cnt)
         ciphertext = sre.enc(record.msk, retrieval, tag)
         address = state.sigma.update(state.label_for(keyword, record.epoch),
                                      record.placed)
         edb.apply_update(address, encode_entry(ciphertext, tag))
         record.placed += 1
-        if first_occurrence:
+        if held:
+            _revoke(state, keyword, record, tag)   # dummy dies on arrival
+        else:
             state.distinct_filter.insert(real)
             if state.distinct_filter.inserted == state.config.bf_n + 1:
                 logger.warning(
                     "distinct-state filter past design capacity (%d pairs); "
                     "duplicate misclassification rate degrades",
                     state.config.bf_n)
-        else:
-            _revoke(state, keyword, record, tag)   # dummy dies on arrival
     else:
-        if not state.distinct_filter.check(real):
+        if not held:
             logger.warning("delete of never-added pair under keyword %r",
                            keyword)
         _revoke(state, keyword, record, real)
@@ -244,7 +263,7 @@ def search_client_token(state: ClientState, keyword: bytes) -> SearchRequest:
         sigma_token=state.sigma.search_token(
             state.label_for(keyword, record.epoch), record.placed),
     )
-    record.msk = sre.kgen(msk.b, msk.h)
+    record.msk = _epoch_key(state.config)
     record.epoch += 1
     record.placed = 0
     record.revoked = 0

@@ -16,18 +16,14 @@ must stay importable by server code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol
+from typing import Iterable
 
-from . import sre
+from . import fpdse, sre
 from .crypto import TAG_LEN, TOKEN_LEN
 
 
 class AddressCollision(RuntimeError):
     """Two updates mapped to one address (a 2^-128 event, or a bug)."""
-
-
-class PlacementToken(Protocol):
-    def addresses(self) -> Iterable[bytes]: ...
 
 
 class Unsent:
@@ -67,7 +63,7 @@ class SearchRequest:
 
     tkn: bytes                   # cache slot, PRF(K_s, w)
     revoked_key: sre.RevokedKey | Unsent = UNSENT
-    sigma_token: "PlacementToken | Unsent" = UNSENT
+    sigma_token: fpdse.SearchTokenSigma | Unsent = UNSENT
 
     def __post_init__(self):
         if len(self.tkn) != TOKEN_LEN:

@@ -78,7 +78,7 @@ class SigmaState:
 
     def _root(self, label: bytes) -> ggm.GgmRoot:
         seed = prf(self.key, encode_parts(_ROOT_CTX, label), KEY_LEN)
-        return ggm.gen_root(seed, self.depth)
+        return ggm.GgmRoot(seed, self.depth)
 
     def update(self, label: bytes, counter: int) -> bytes:
         """The address of entry ``counter`` of ``label``: the update

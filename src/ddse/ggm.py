@@ -244,10 +244,6 @@ class GgmRoot:
                             b"".join(seeds[:count.bit_count()]))
 
 
-def gen_root(seed: bytes, depth: int) -> GgmRoot:
-    return GgmRoot(seed, depth)
-
-
 @dataclass(frozen=True)
 class DelegatedKey:
     """Canonical cover of leaf runs as its seeds; evaluates covered

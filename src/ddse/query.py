@@ -11,6 +11,10 @@ syntax error naming the offending token's position:
     INSERT INTO T (T.x, T.y) VALUE (w, v)               add
     DELETE FROM T WHERE T.x = w AND T.y = v             delete all copies
 
+A literal is ASCII digits or a quoted string, taken as its UTF-8 bytes;
+a string with a lone surrogate (Python's form of a non-UTF-8 byte in
+``argv``) is a syntax error at its opening quote.
+
 Each registered (table, keyword column, value column) triple owns one
 encrypted index plus a client-side quantity vector: per keyword, the
 live copy-count of every value.  Every search goes through
@@ -26,13 +30,15 @@ Deleting a pair removes every copy, matching the delete protocol;
 deleting a pair that is not live is a no-op that sends and revokes
 nothing.  A deleted pair cannot be inserted again: the client's
 distinct state still holds it, so the add would be revoked on arrival.
-Such an INSERT raises ``QueryError`` before anything is sent.
+Such an INSERT raises ``QueryError`` before anything is sent, as does
+one of a value a numeric-ordered column cannot parse (see ``insert``).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from . import client as cl
 from .client import ClientConfig, ClientState
@@ -69,8 +75,7 @@ class IntegrityError(QueryError):
 _TOKEN_RE = re.compile(r"""
     \s*(?:
       (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
-    | (?P<int>\d+)
-    | (?P<string>'[^']*')
+    | (?P<lit>[0-9]+|'[^']*')
     | (?P<sym>[(),=])
     )""", re.VERBOSE)
 
@@ -99,19 +104,17 @@ def _tokenize(text: str) -> list[_Token]:
             if rest.startswith("'"):
                 raise StatementError("unterminated string literal", at)
             raise StatementError(f"unexpected character {rest[0]!r}", at)
-        if m.group("ident"):
-            word = m.group("ident")
-            kind = "kw" if word.lower() in _KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, None, m.start("ident")))
-        elif m.group("int"):
-            tokens.append(_Token("lit", m.group("int"),
-                                 m.group("int").encode(), m.start("int")))
-        elif m.group("string"):
-            raw = m.group("string")
-            tokens.append(_Token("lit", raw, raw[1:-1].encode(),
-                                 m.start("string")))
-        else:
-            tokens.append(_Token("sym", m.group("sym"), None, m.start("sym")))
+        kind = m.lastgroup
+        word, at, value = m.group(kind), m.start(kind), None
+        if kind == "ident" and word.lower() in _KEYWORDS:
+            kind = "kw"
+        elif kind == "lit":
+            try:  # digits as they are, a string without its quotes
+                value = word.strip("'").encode()
+            except UnicodeEncodeError:  # a lone surrogate
+                raise StatementError("string literal is not valid UTF-8",
+                                     at) from None
+        tokens.append(_Token(kind, word, value, at))
         pos = m.end()
     tokens.append(_Token("end", "", None, len(text)))
     return tokens
@@ -226,15 +229,15 @@ class TableInstance:
     # per keyword: value -> live copy count (the quantity vector)
     qvec: dict[bytes, dict[bytes, int]] = field(default_factory=dict)
 
-    def ordered(self, counts: dict[bytes, int]) -> list[bytes]:
+    def ordered(self, values: Iterable[bytes]) -> list[bytes]:
         if self.config.value_order == ORDER_NUMERIC:
             try:
-                return sorted(counts, key=lambda v: int(v.decode("ascii")))
+                return sorted(values, key=lambda v: int(v.decode("ascii")))
             except (UnicodeDecodeError, ValueError) as exc:
                 raise QueryError(
                     f"non-numeric value in numeric-ordered column "
                     f"{self.config.value_column}: {exc}") from exc
-        return sorted(counts)
+        return sorted(values)
 
 
 class Registry:
@@ -284,6 +287,20 @@ def _checked(instance: TableInstance, keywords: list[bytes],
     return out
 
 
+def insert(instance: TableInstance, keyword: bytes, value: bytes, edb) -> None:
+    """The INSERT step of ``execute`` and of ``ddse ingest``: add one
+    copy of the pair, or raise ``QueryError`` before anything is sent."""
+    instance.ordered([value])  # a value the column cannot order raises
+    if (value not in instance.qvec.get(keyword, ())
+            and cl.is_duplicate(instance.state, keyword, value)):
+        raise QueryError(
+            f"cannot re-add deleted pair {keyword!r}/{value!r}: the distinct "
+            f"state still holds it; nothing was sent")
+    cl.update(instance.state, cl.ADD, keyword, value, edb)
+    counts = instance.qvec.setdefault(keyword, {})
+    counts[value] = counts.get(value, 0) + 1
+
+
 def _rows(instance: TableInstance, counts: dict[bytes, int]) -> list[bytes]:
     """The values in the column's order, each as often as it is live."""
     return [v for v in instance.ordered(counts) for _ in range(counts[v])]
@@ -291,27 +308,14 @@ def _rows(instance: TableInstance, counts: dict[bytes, int]) -> list[bytes]:
 
 def execute(registry: Registry, query: QueryPlan, edb):
     """Run one plan; returns set (Dsrch), list (srch/join) or None."""
-    if query.syn == SYN_INS:
+    if query.syn in (SYN_INS, SYN_DEL):
         table, (kw_col, w, val_col, v) = query.m
         instance = registry.instance_for(table, kw_col, val_col)
-        state = instance.state
-        if (v not in instance.qvec.get(w, ())
-                and state.distinct_filter.check(state.real_tag(w, v))):
-            # the add would count as a duplicate and be revoked on arrival
-            raise QueryError(
-                f"cannot re-add deleted pair {w!r}/{v!r}: the distinct "
-                f"state still holds it; nothing was sent")
-        cl.update(state, cl.ADD, w, v, edb)
-        counts = instance.qvec.setdefault(w, {})
-        counts[v] = counts.get(v, 0) + 1
-        return None
-    if query.syn == SYN_DEL:
-        table, (kw_col, w, val_col, v) = query.m
-        instance = registry.instance_for(table, kw_col, val_col)
-        counts = instance.qvec.get(w, {})
-        if v in counts:  # a pair that is not live has nothing to revoke
+        if query.syn == SYN_INS:
+            insert(instance, w, v, edb)
+        elif v in instance.qvec.get(w, ()):  # not live: nothing to revoke
             cl.update(instance.state, cl.DELETE, w, v, edb)
-            del counts[v]
+            del instance.qvec[w][v]
         return None
     if query.syn in (SYN_DSRCH, SYN_SRCH):
         table, (kw_col, w, val_col) = query.m

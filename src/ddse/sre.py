@@ -40,14 +40,6 @@ class SreMasterKey:
     sk: ggm.GgmRoot
     D: bloom.BloomFilter  # the current revocation filter
 
-    @property
-    def b(self) -> int:
-        return self.D.b
-
-    @property
-    def h(self) -> int:
-        return self.D.h
-
 
 @dataclass(frozen=True)
 class SreCiphertext:
@@ -113,8 +105,8 @@ def kgen(b: int, h: int) -> SreMasterKey:
     if not 1 <= h <= b:
         raise ValueError("h must be in 1..b")
     depth = b.bit_length() - 1
-    sk = ggm.gen_root(fresh_key(KEY_LEN), depth)
-    D = bloom.BloomFilter.gen(b, h, fresh_key(KEY_LEN))
+    sk = ggm.GgmRoot(fresh_key(KEY_LEN), depth)
+    D = bloom.BloomFilter(b, h, fresh_key(KEY_LEN))
     return SreMasterKey(sk, D)
 
 

@@ -11,9 +11,10 @@ CRC-32 of type byte + body].  The bodies reuse the wire codecs of
   retrievals, folded into the slot by ``EncryptedDatabase.fold_fresh``:
   ``fresh + [r for r in old if r not in fresh]``
 
-A search appends its DEL records and, if it surfaced anything, one
-FRESH record, under one fsync; a search that surfaced and purged
-nothing appends nothing and does not sync.
+An operation applies in memory, then logs what it changed.  A search
+appends its DEL records and, if it surfaced anything, one FRESH
+record, under one fsync; a search that surfaced and purged nothing
+appends nothing and does not sync.
 
 Recovery replays the log through the live operations: a PUT is an
 ``apply_update``, so its address must be new; a DEL must name a present
@@ -29,7 +30,8 @@ that a later append would land behind, and recovery truncates the log at
 the first torn record, acknowledged ones after it included.  So once an
 append has raised, every later ``apply_update``, ``execute_search`` and
 ``compact`` raises ``StoreFailed`` until the store is reopened, and
-reopening replays the log up to the torn record.
+reopening replays the log up to the torn record, without the change
+memory applied first.
 
 ``compact()`` rewrites the log as the live state alone: one PUT per
 entry, then one FRESH per cache slot, which folded into an absent slot
@@ -225,10 +227,8 @@ class PersistentStore:
 
     def apply_update(self, address: bytes, payload: bytes) -> None:
         self._serving()
-        if address in self.edb.main:
-            raise AddressCollision(f"address reused: {address.hex()}")
+        self.edb.apply_update(address, payload)  # refuses a reused address
         self._append(_put_record(address, payload))
-        self.edb.apply_update(address, payload)
 
     def execute_search(self, request: SearchRequest) -> SearchOutcome:
         self._serving()  # a failed search may have changed memory unlogged

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 DIST_UNIFORM = "uniform"
 DIST_ZIPF = "zipf"
 
+VALUE_LEN = 8  # bytes per generated value: keyword index, then counter
+
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -26,7 +28,6 @@ class WorkloadSpec:
     distribution: str = DIST_UNIFORM
     zipf_s: float = 1.2
     seed: int = 0
-    value_len: int = 8
 
     def __post_init__(self):
         if self.keywords < 1 or self.updates < 0:
@@ -37,8 +38,6 @@ class WorkloadSpec:
             raise ValueError("delete_fraction out of range")
         if self.distribution not in (DIST_UNIFORM, DIST_ZIPF):
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.value_len < 8:
-            raise ValueError("value_len must be at least 8")
 
 
 def keyword_name(i: int) -> bytes:
@@ -79,7 +78,7 @@ def generate(spec: WorkloadSpec) -> list[tuple]:
             v = rng.choice(live[i])
         else:
             # monotone counter: fresh values never collide with deleted ones
-            v = value_bytes(i, counters[i], spec.value_len)
+            v = value_bytes(i, counters[i], VALUE_LEN)
             counters[i] += 1
             live[i].append(v)
         ops.append(("add", keyword_name(i), v))

@@ -143,17 +143,12 @@ def test_dwvh_rejects_inadmissible_challenges(v0, v1, fragment):
         dwvh_game(v0, v1)
 
 
-def test_dwvh_rejects_tiny_values():
-    with pytest.raises(ValueError, match="value_len"):
-        dwvh_game([(1, 1)], [(1, 1)], value_len=4)
-
-
 def test_signature_separates_different_distinct_volumes():
     # sanity that the verdict is not vacuous: distinct counts differing
     # between two workloads do produce different signatures
     cfg = audit._dwvh_config([(3, 4)], [(3, 4)])
-    t0 = record(audit._dwvh_workload([(2, 4)], 16), config=cfg)
-    t1 = record(audit._dwvh_workload([(3, 4)], 16), config=cfg)
+    t0 = record(audit._dwvh_workload([(2, 4)]), config=cfg)
+    t1 = record(audit._dwvh_workload([(3, 4)]), config=cfg)
     assert transcript_signature(t0) != transcript_signature(t1)
 
 

@@ -14,7 +14,7 @@ SEED = bytes(range(16, 32))
 
 
 def test_gen_starts_all_zero():
-    bf = BloomFilter.gen(1000, 5, SEED)
+    bf = BloomFilter(1000, 5, SEED)
     assert bf.set_bits() == []
     assert not bf.check(b"anything")
 
@@ -57,7 +57,7 @@ def test_completeness_always_found_after_upd():
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.binary(min_size=0, max_size=40), max_size=30))
 def test_completeness_property(items):
-    bf = BloomFilter.gen(64, 4, SEED)
+    bf = BloomFilter(64, 4, SEED)
     # insert sets the element's positions and reports, in one probe,
     # whether check() was false; it counts only those first insertions
     bits, first = set(), 0
@@ -74,7 +74,7 @@ def test_completeness_property(items):
 
 
 def test_upd_idempotent_and_monotone():
-    bf = BloomFilter.gen(512, 6, SEED)
+    bf = BloomFilter(512, 6, SEED)
     last = 0
     for i in range(50):
         bf.insert(str(i).encode())
@@ -88,12 +88,12 @@ def test_upd_idempotent_and_monotone():
 
 
 def test_positions_deterministic_and_in_range():
-    bf = BloomFilter.gen(777, 9, SEED)
+    bf = BloomFilter(777, 9, SEED)
     pos = bf.positions(b"x")
     assert pos == bf.positions(b"x")
     assert len(pos) == 9
     assert all(0 <= p < 777 for p in pos)
-    other = BloomFilter.gen(777, 9, bytes(16))
+    other = BloomFilter(777, 9, bytes(16))
     assert other.positions(b"x") != pos  # family keyed by seed
 
 
@@ -105,7 +105,7 @@ def test_positions_distinct_for_composite_b():
     import hmac as hmac_mod
 
     b = 2 * 9817
-    bf = BloomFilter.gen(b, 14, SEED)
+    bf = BloomFilter(b, 14, SEED)
     degenerate = None
     for i in range(200_000):
         x = b"elem-%d" % i
@@ -123,7 +123,7 @@ def test_position_sets_do_not_collide():
     # double hashing gave two tags one position set with probability
     # 4/b^2, which loses a live tag to one revoked tag; independent
     # draws make it about 1/C(b, h)
-    bf = BloomFilter.gen(256, 7, bytes(16))
+    bf = BloomFilter(256, 7, bytes(16))
     rng = random.Random(3000)
     sets = {frozenset(bf.positions(rng.randbytes(16))) for _ in range(3000)}
     assert len(sets) == 3000
@@ -131,7 +131,7 @@ def test_position_sets_do_not_collide():
 
 def test_positions_fill_a_tiny_domain():
     # h == b: the draw keeps reading until every position has appeared
-    bf = BloomFilter.gen(8, 8, SEED)
+    bf = BloomFilter(8, 8, SEED)
     assert sorted(bf.positions(b"x")) == list(range(8))
 
 
@@ -147,7 +147,7 @@ def test_false_positive_rate_at_design_load():
 
 
 def test_copy_is_independent():
-    a = BloomFilter.gen(128, 3, SEED)
+    a = BloomFilter(128, 3, SEED)
     a.insert(b"one")
     b = a.copy()
     b.insert(b"two")
@@ -157,7 +157,7 @@ def test_copy_is_independent():
 
 
 def test_encode_decode_roundtrip():
-    bf = BloomFilter.gen(1000, 5, SEED)
+    bf = BloomFilter(1000, 5, SEED)
     for i in range(40):
         bf.insert(str(i).encode())
     blob = bf.encode()
@@ -182,7 +182,7 @@ def test_encode_decode_roundtrip():
         "multi-byte-between-runs", "all-multi-byte"])
 def test_encode_decode_roundtrip_at_varint_edges(gaps):
     ones = [pos - 1 for pos in accumulate(gap + 1 for gap in gaps)]
-    bf = BloomFilter.gen(1 << 16, 3, SEED)
+    bf = BloomFilter(1 << 16, 3, SEED)
     for pos in ones:
         bf.bits[pos >> 3] |= 0x80 >> (pos & 7)
     blob = bf.encode()
@@ -197,7 +197,7 @@ def test_encode_decode_roundtrip_at_varint_edges(gaps):
 
 
 def test_decode_rejects_truncation():
-    blob = BloomFilter.gen(64, 2, SEED).encode()
+    blob = BloomFilter(64, 2, SEED).encode()
     with pytest.raises(ValueError):
         decode_filter(blob[:-1])
     with pytest.raises(ValueError):
@@ -205,7 +205,7 @@ def test_decode_rejects_truncation():
 
 
 def test_decode_rejects_bits_outside_the_filter():
-    header = BloomFilter.gen(64, 2, SEED).encode()[:-1]
+    header = BloomFilter(64, 2, SEED).encode()[:-1]
     back, ones, _ = decode_filter(header + b"\x01\x3f")
     assert back.set_bits() == list(ones) == [63]
     for tail in (b"\x01\x40", b"\x02\x3f\x00", b"\x01\xc0\x00",
@@ -224,8 +224,8 @@ def test_decode_rejects_bits_outside_the_filter():
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        BloomFilter.gen(4, 5, SEED)  # b < h
+        BloomFilter(4, 5, SEED)  # b < h
     with pytest.raises(ValueError):
-        BloomFilter.gen(8, 0, SEED)
+        BloomFilter(8, 0, SEED)
     with pytest.raises(ValueError):
-        BloomFilter.gen(8, 2, b"tiny")
+        BloomFilter(8, 2, b"tiny")

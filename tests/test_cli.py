@@ -226,6 +226,22 @@ def test_statement_syntax_error_is_reported(db, capsys):
     assert files_under(db) == before  # not even the store was opened
 
 
+def test_a_literal_that_is_not_utf8_is_reported_and_sends_nothing(db,
+                                                                  capsys):
+    # Python decodes a non-UTF-8 byte of argv, here 0xff, to "\udcff"
+    assert register(db) == 0
+    assert run_cli(db, "exec", "INSERT INTO T (T.x, T.y) VALUE ('w', 'v')") \
+        == 0
+    before = files_under(db)
+    capsys.readouterr()
+    assert run_cli(db, "exec",
+                   "SELECT T.y FROM T WHERE T.x = '\udcff'") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: string literal is not valid UTF-8 (at "
+                          "position 30)")
+    assert files_under(db) == before
+
+
 def test_commands_wait_for_the_state_lock(db, capsys):
     assert register(db) == 0
     capsys.readouterr()
@@ -307,6 +323,22 @@ def test_ingest_skips_the_readd_of_a_deleted_pair(db, tmp_path, capsys,
     assert run_cli(db, "exec", "SELECT People.mail FROM People "
                                "WHERE People.name = 'alice'") == 0
     assert capsys.readouterr().out.split() == ["b@x.org", "c@x.org"]
+
+
+def test_ingest_skips_a_value_a_numeric_column_cannot_order(db, tmp_path,
+                                                            capsys, caplog):
+    assert run_cli(db, "register-table", "T", "T.x", "T.y",
+                   "--order", "numeric", "--bf-n", "2000", "--bf-p", "1e-4",
+                   "--d-max", "16") == 0
+    csv_path = tmp_path / "rows.csv"
+    csv_path.write_text("T.x,T.y\nw,7\nw,seven\nw,3\n")
+    capsys.readouterr()
+    assert run_cli(db, "ingest", str(csv_path), "--table", "T",
+                   "--keyword-column", "T.x", "--value-column", "T.y") == 0
+    assert "ingested 2 rows (1 skipped)" in capsys.readouterr().out
+    assert "line 3: non-numeric value" in caplog.text
+    assert run_cli(db, "exec", "SELECT T.y FROM T WHERE T.x = 'w'") == 0
+    assert capsys.readouterr().out.split() == ["3", "7"]
 
 
 @pytest.mark.parametrize("header, keyword_column, fragment", [

@@ -177,6 +177,40 @@ def test_epoch_rotation_replaces_key_material():
     assert (record.epoch, record.placed) == (1, 0)
 
 
+def test_a_rotation_takes_its_sizes_from_the_config():
+    # a state whose current key was made under other sizes (say, saved
+    # before its config changed) moves to the config's at its rotation
+    state, edb = fresh()
+    cl.update(state, ADD, b"w", b"v", edb)
+    assert cl.search(state, b"w", edb) == {b"v"}
+    record = state.keywords[b"w"]
+    wanted = state.config.sre_params()
+    assert wanted != (64, 2)
+    record.msk = sre.kgen(64, 2)  # the epoch is empty: nothing uses the old
+    cl.update(state, ADD, b"w", b"u", edb)
+    assert (record.msk.D.b, record.msk.D.h) == (64, 2)
+    assert cl.search(state, b"w", edb) == {b"v", b"u"}
+    assert (record.msk.D.b, record.msk.D.h) == wanted
+    assert record.msk.sk.leaves == wanted[0]
+    cl.update(state, ADD, b"w", b"t", edb)
+    assert cl.search(state, b"w", edb) == {b"v", b"u", b"t"}
+
+
+def test_is_duplicate_is_the_classification_of_the_next_add():
+    state, edb = fresh()
+    assert not cl.is_duplicate(state, b"w", b"v")
+    cl.update(state, ADD, b"w", b"v", edb)
+    assert cl.is_duplicate(state, b"w", b"v")
+    assert not cl.is_duplicate(state, b"w", b"u")
+    assert not cl.is_duplicate(state, b"x", b"v")
+    placed = state.keywords[b"w"].placed
+    revoked = state.keywords[b"w"].revoked
+    cl.update(state, ADD, b"w", b"v", edb)  # sent as a duplicate
+    assert state.keywords[b"w"].placed == placed + 1
+    assert state.keywords[b"w"].revoked == revoked + 1
+    assert cl.search(state, b"w", edb) == {b"v"}
+
+
 def test_client_state_does_not_grow_with_search_history():
     state, edb = fresh()
     sizes = []

@@ -157,7 +157,7 @@ def scenario(monkeypatch):
     monkeypatch.setattr(sre, "fresh_nonce", lambda: next(nonces))
     monkeypatch.setattr(sre, "fresh_key", lambda n: next(data_keys))
     msk = sre.SreMasterKey(ggm.GgmRoot(bytes(range(16)), 4),
-                           bloom.BloomFilter.gen(16, 2, bytes(range(16, 32))))
+                           bloom.BloomFilter(16, 2, bytes(range(16, 32))))
     sigma = fpdse.SigmaState(bytes(range(32, 48)), 4)
     entries = [edb.encode_entry(sre.enc(msk, b"kept", TAG_KEPT), TAG_KEPT),
                edb.encode_entry(sre.enc(msk, b"gone", TAG_GONE), TAG_GONE)]

@@ -154,7 +154,7 @@ def test_empty_token_roundtrip():
 def test_sigma_token_roundtrip_is_byte_identical(depth, data):
     count = data.draw(st.integers(0, 1 << depth))
     token = fpdse.SearchTokenSigma(
-        bytes(range(32)), ggm.gen_root(KEY[:16], depth).constrain_range(count))
+        bytes(range(32)), ggm.GgmRoot(KEY[:16], depth).constrain_range(count))
     blob = token.encode()
     back, consumed = decode_sigma_token(blob)
     assert consumed == len(blob) == token.key.encoded_size + 32

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from ddse import ggm
 from ddse.crypto import INDEX_TYPE
-from ddse.ggm import (DelegatedKey, KeyNode, PathCache, cover,
-                      decode_punctured_seeds, decode_range_key, gaps, gen_root)
+from ddse.ggm import (DelegatedKey, GgmRoot, KeyNode, PathCache, cover,
+                      decode_punctured_seeds, decode_range_key, gaps)
 
 SEED = bytes(range(16))
 
@@ -31,21 +31,21 @@ def oracle_leaves(seed: bytes, depth: int) -> list[bytes]:
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 5, 8, 10])
 def test_eval_matches_bfs_oracle(depth):
-    root = gen_root(SEED, depth)
+    root = GgmRoot(SEED, depth)
     expect = oracle_leaves(SEED, depth)
     got = [root.eval(i) for i in range(1 << depth)]
     assert got == expect
 
 
 def test_eval_is_deterministic_and_leaves_distinct():
-    root = gen_root(SEED, 10)
+    root = GgmRoot(SEED, 10)
     vals = [root.eval(i) for i in range(1 << 10)]
     assert vals == [root.eval(i) for i in range(1 << 10)]
     assert len(set(vals)) == len(vals)
 
 
 def test_eval_rejects_out_of_range():
-    root = gen_root(SEED, 4)
+    root = GgmRoot(SEED, 4)
     with pytest.raises(ValueError):
         root.eval(16)
     with pytest.raises(ValueError):
@@ -54,11 +54,11 @@ def test_eval_rejects_out_of_range():
 
 def test_root_parameter_validation():
     with pytest.raises(ValueError):
-        gen_root(SEED, 0)
+        GgmRoot(SEED, 0)
     with pytest.raises(ValueError):
-        gen_root(SEED, 33)
+        GgmRoot(SEED, 33)
     with pytest.raises(ValueError):
-        gen_root(b"short", 4)
+        GgmRoot(b"short", 4)
 
 
 @pytest.mark.parametrize("depth,holes", [
@@ -68,7 +68,7 @@ def test_root_parameter_validation():
     (8, list(range(0, 256, 7))),
 ])
 def test_puncture_covers_exactly_complement(depth, holes):
-    root = gen_root(SEED, depth)
+    root = GgmRoot(SEED, depth)
     key = root.puncture(holes)
     expect = oracle_leaves(SEED, depth)
     for i in range(1 << depth):
@@ -81,26 +81,26 @@ def test_puncture_covers_exactly_complement(depth, holes):
 def test_puncture_single_leaf_gives_copath():
     # one hole -> one sibling seed per level
     for depth in (1, 4, 9):
-        key = gen_root(SEED, depth).puncture([3 % (1 << depth)])
+        key = GgmRoot(SEED, depth).puncture([3 % (1 << depth)])
         assert len(key.nodes) == depth
 
 
 def test_puncture_empty_set_is_full_coverage():
-    root = gen_root(SEED, 6)
+    root = GgmRoot(SEED, 6)
     key = root.puncture([])
     assert len(key.nodes) == 1 and key.nodes[0].plen == 0
     assert all(key.eval(i) == root.eval(i) for i in range(64))
 
 
 def test_puncture_everything_leaves_nothing():
-    root = gen_root(SEED, 4)
+    root = GgmRoot(SEED, 4)
     key = root.puncture(range(16))
     assert key.nodes == ()
     assert all(key.eval(i) is None for i in range(16))
 
 
 def test_puncture_monotone_under_superset():
-    root = gen_root(SEED, 8)
+    root = GgmRoot(SEED, 8)
     holes = {3, 77, 200}
     small = root.puncture(holes)
     big = root.puncture(holes | {5, 130})
@@ -113,7 +113,7 @@ def test_puncture_monotone_under_superset():
 
 
 def test_puncture_is_canonical():
-    root = gen_root(SEED, 10)
+    root = GgmRoot(SEED, 10)
     a = root.puncture([9, 500, 501])
     b = root.puncture([501, 9, 500, 9])
     assert a == b
@@ -122,7 +122,7 @@ def test_puncture_is_canonical():
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 6])
 def test_constrain_range_every_count(depth):
-    root = gen_root(SEED, depth)
+    root = GgmRoot(SEED, depth)
     expect = oracle_leaves(SEED, depth)
     for count in range(1, (1 << depth) + 1):
         key = root.constrain_range(count)
@@ -137,14 +137,14 @@ def test_constrain_range_every_count(depth):
 
 
 def test_constrain_range_full_domain_is_root_node():
-    root = gen_root(SEED, 7)
+    root = GgmRoot(SEED, 7)
     key = root.constrain_range(128)
     assert len(key.nodes) == 1
     assert key.nodes[0] == KeyNode(0, 0, SEED)
 
 
 def test_constrain_range_bounds():
-    root = gen_root(SEED, 4)
+    root = GgmRoot(SEED, 4)
     assert root.constrain_range(0).nodes == ()
     with pytest.raises(ValueError):
         root.constrain_range(-1)
@@ -153,7 +153,7 @@ def test_constrain_range_bounds():
 
 
 def test_iter_leaves_matches_eval():
-    root = gen_root(SEED, 9)
+    root = GgmRoot(SEED, 9)
     key = root.puncture([0, 100, 101, 511])
     walked = dict(key.iter_leaves())
     assert sorted(walked) == [i for i in range(512) if i not in (0, 100, 101, 511)]
@@ -163,7 +163,7 @@ def test_iter_leaves_matches_eval():
 
 def test_serialization_roundtrip_both_kinds():
     # a punctured key carries seeds only; the holes travel in the filter
-    root = gen_root(SEED, 12)
+    root = GgmRoot(SEED, 12)
     holes = [17, 3000]
     key = root.puncture(holes)
     blob = key.encode()
@@ -189,16 +189,16 @@ def test_decode_rejects_garbage():
     with pytest.raises(ValueError):
         decode_range_key(b"\x07\x04" + b"\x00" * 10)  # unknown kind
     with pytest.raises(ValueError):
-        decode_range_key(gen_root(SEED, 6).puncture([5]).encode())  # wrong kind
+        decode_range_key(GgmRoot(SEED, 6).puncture([5]).encode())  # wrong kind
     with pytest.raises(ValueError):
         decode_range_key(b"\x01\x00\x00")  # depth 0
     with pytest.raises(ValueError):
         decode_range_key(b"\x01\x04\x11")  # bound 17 > 2^4
-    key = gen_root(SEED, 6).puncture([5])
+    key = GgmRoot(SEED, 6).puncture([5])
     with pytest.raises(ValueError):
         decode_punctured_seeds(key.encode()[:-3])  # truncated seed list
     with pytest.raises(ValueError):
-        decode_range_key(gen_root(SEED, 6).constrain_range(5).encode()[:-1])
+        decode_range_key(GgmRoot(SEED, 6).constrain_range(5).encode()[:-1])
     depth, seeds, _ = decode_punctured_seeds(key.encode())
     with pytest.raises(ValueError, match="seeds for a cover"):
         DelegatedKey(ggm.PUNCTURED, depth, [4, 5], seeds)  # 5 nodes, not 6
@@ -237,7 +237,7 @@ def test_seed_blob_of_wrong_length_rejected(kind, shape, nodes):
 
 
 def test_nodes_stored_in_ascending_leaf_order():
-    key = gen_root(SEED, 8).puncture([128])
+    key = GgmRoot(SEED, 8).puncture([128])
     starts = [n.prefix << (8 - n.plen) for n in key.nodes]
     assert starts == sorted(starts)
 
@@ -250,7 +250,7 @@ def test_nodes_stored_in_ascending_leaf_order():
 def test_delegation_correctness_random(depth, data):
     leaves = 1 << depth
     holes = data.draw(st.sets(st.integers(0, leaves - 1), max_size=min(leaves, 24)))
-    root = gen_root(SEED, depth)
+    root = GgmRoot(SEED, depth)
     key = root.puncture(holes)
     probe = data.draw(st.lists(st.integers(0, leaves - 1), min_size=1, max_size=32))
     for i in probe:
@@ -264,7 +264,7 @@ def test_delegation_correctness_random(depth, data):
 @given(depth=st.integers(1, 12), data=st.data())
 def test_range_roundtrip_random(depth, data):
     count = data.draw(st.integers(0, 1 << depth))
-    key = gen_root(SEED, depth).constrain_range(count)
+    key = GgmRoot(SEED, depth).constrain_range(count)
     back, _ = decode_range_key(key.encode())
     assert back == key and back.shape == count
 
@@ -280,12 +280,12 @@ def test_cover_of_gaps_matches_puncture(depth, data):
     holes = data.draw(st.sets(st.integers(0, leaves - 1),
                               max_size=min(leaves, 64)))
     assert (cover(gaps(sorted(holes), 1 << depth), depth)
-            == shapes(gen_root(SEED, depth).puncture(holes)))
+            == shapes(GgmRoot(SEED, depth).puncture(holes)))
 
 
 @pytest.mark.parametrize("depth", [1, 2, 5, 12])
 def test_cover_edge_cases_match_puncture(depth):
-    root, last = gen_root(SEED, depth), (1 << depth) - 1
+    root, last = GgmRoot(SEED, depth), (1 << depth) - 1
     for holes in ([], [0, last], list(range(last + 1))):
         got = cover(gaps(sorted(set(holes)), last + 1), depth)
         assert got == shapes(root.puncture(holes))
@@ -298,11 +298,11 @@ def test_cover_edge_cases_match_puncture(depth):
 def test_cover_of_prefix_run_matches_constrain_range(depth, data):
     count = data.draw(st.integers(0, 1 << depth))
     assert (cover([(0, count)], depth)
-            == shapes(gen_root(SEED, depth).constrain_range(count)))
+            == shapes(GgmRoot(SEED, depth).constrain_range(count)))
 
 
 def test_path_cache_agrees_with_eval():
-    root = gen_root(SEED, 16)
+    root = GgmRoot(SEED, 16)
     cache = PathCache(root)
     seq = list(range(40)) + [1000, 1001, 7, 65535, 0, 0, 3]
     for i in seq:
@@ -338,7 +338,7 @@ def hole_sets(draw):
 @given(hole_sets())
 def test_punctured_key_matches_root_and_cover(case):
     depth, holes = case
-    root = gen_root(SEED, depth)
+    root = GgmRoot(SEED, depth)
     key = root.puncture(holes)
     assert isinstance(key.shape, array) and key.shape.typecode == INDEX_TYPE
     assert list(key.shape) == sorted(holes)
@@ -359,7 +359,7 @@ def test_punctured_key_matches_root_and_cover(case):
 def test_puncture_at_benchmark_depth_matches_walked_cover(holes):
     """The search_revoked workload's tree depth, byte for byte; and
     puncture leaves no reference cycle for the collector to find."""
-    root = gen_root(SEED, 14)
+    root = GgmRoot(SEED, 14)
     gc.collect()
     gc.disable()
     try:
@@ -374,7 +374,7 @@ def test_puncture_at_benchmark_depth_matches_walked_cover(holes):
 @given(hole_sets())
 def test_punctured_encode_decode_gives_equal_key(case):
     depth, holes = case
-    key = gen_root(SEED, depth).puncture(holes)
+    key = GgmRoot(SEED, depth).puncture(holes)
     got_depth, seeds, pos = decode_punctured_seeds(key.encode())
     assert pos == key.encoded_size
     # the server's holes come from bloom.decode_filter, an array
@@ -387,7 +387,7 @@ def test_punctured_encode_decode_gives_equal_key(case):
 
 @pytest.mark.parametrize("depth", range(1, 9))
 def test_range_keys_at_every_count(depth):
-    root = gen_root(SEED, depth)
+    root = GgmRoot(SEED, depth)
     expect = oracle_leaves(SEED, depth)
     for count in range((1 << depth) + 1):
         key = root.constrain_range(count)
@@ -407,5 +407,5 @@ def test_range_keys_at_every_count(depth):
 def test_range_keys_at_placement_depth_match_walked_cover(count):
     """ClientConfig's sigma_depth: a range key is the left half of the
     lone-hole walk to leaf ``count``, byte for byte."""
-    key = gen_root(SEED, 20).constrain_range(count)
+    key = GgmRoot(SEED, 20).constrain_range(count)
     assert list(key.nodes) == walked_nodes(20, [(0, count)])

@@ -54,6 +54,25 @@ def test_integer_literals_become_digit_bytes():
     assert p.m == ("T", ("T.x", b"42", "T.y", b"7"))
 
 
+@pytest.mark.parametrize("text", ["\ud800", "\udcff", "ok\udfffok"],
+                         ids=["surrogate", "argv-byte", "inside"])
+def test_a_string_literal_that_is_not_utf8_is_a_statement_error(text):
+    statement = f"SELECT T.y FROM T WHERE T.x = '{text}'"
+    with pytest.raises(StatementError, match="not valid UTF-8") as err:
+        plan(statement)
+    assert err.value.position == statement.index("'")
+
+
+@pytest.mark.parametrize("digits", ["\u0663", "4\u0662", "\uff17"],
+                         ids=["arabic-indic", "mixed", "fullwidth"])
+def test_an_integer_literal_is_ascii_digits(digits):
+    statement = f"INSERT INTO T (T.x, T.y) VALUE ('w', {digits})"
+    with pytest.raises(StatementError, match="unexpected character") as err:
+        plan(statement)
+    assert err.value.position == statement.index(digits) + (
+        digits[0].isascii())
+
+
 def test_keywords_are_case_insensitive():
     a = plan("select distinct T.y from T where T.x = 'w'")
     b = plan("SELECT DISTINCT T.y FROM T WHERE T.x = 'w'")
@@ -97,7 +116,8 @@ def test_error_position_points_at_offending_token():
 identifiers = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]{0,8}", fullmatch=True) \
     .filter(lambda word: word.lower() not in q._KEYWORDS)
 literals = st.one_of(
-    st.text(st.characters(blacklist_characters="'"), max_size=6)
+    st.text(st.characters(blacklist_characters="'",
+                          blacklist_categories=["Cs"]), max_size=6)
     .map(lambda text: (f"'{text}'", text.encode())),
     st.integers(0, 10 ** 12).map(lambda n: (str(n), str(n).encode())))
 
@@ -232,9 +252,26 @@ def test_numeric_value_order():
 
 def test_numeric_order_rejects_non_numeric_value():
     reg, edb = fresh(order=q.ORDER_NUMERIC)
-    run(reg, edb, "INSERT INTO T (T.x, T.y) VALUE ('w', 'abc')")
     with pytest.raises(QueryError, match="non-numeric"):
-        run(reg, edb, "SELECT T.y FROM T WHERE T.x = 'w'")
+        run(reg, edb, "INSERT INTO T (T.x, T.y) VALUE ('w', 'abc')")
+
+
+@pytest.mark.parametrize("bad", ["'abc'", "''", "'\u0663'", "'7.5'"])
+def test_a_numeric_column_refuses_a_value_before_sending(tmp_path, bad):
+    reg = Registry()
+    reg.register(small_table(order=q.ORDER_NUMERIC), sigma_depth=12,
+                 revoke_p=1e-2)
+    log = tmp_path / "db" / "log"
+    with PersistentStore(tmp_path / "db") as edb:
+        run(reg, edb, "INSERT INTO T (T.x, T.y) VALUE ('w', 7)")
+        size, before = log.stat().st_size, pickle.dumps(reg)
+        with pytest.raises(QueryError, match="non-numeric"):
+            run(reg, edb, f"INSERT INTO T (T.x, T.y) VALUE ('w', {bad})")
+        assert log.stat().st_size == size
+        assert pickle.dumps(reg) == before
+        assert run(reg, edb, "SELECT T.y FROM T WHERE T.x = 'w'") == [b"7"]
+        assert run(reg, edb, "SELECT DISTINCT T.y FROM T WHERE T.x = 'w'") \
+            == {b"7"}
 
 
 def test_delete_removes_every_copy():

@@ -91,7 +91,7 @@ def test_ck_rev_deterministic():
 
 def test_ck_rev_rejects_mismatched_domain():
     msk = make_key(64, 3)
-    wrong = bloom.BloomFilter.gen(128, 3, bytes(16))
+    wrong = bloom.BloomFilter(128, 3, bytes(16))
     with pytest.raises(ValueError):
         sre.ck_rev(msk.sk, wrong)
 
@@ -198,10 +198,10 @@ def test_revoked_key_roundtrip():
 def test_revoked_key_roundtrip_is_byte_identical(depth, data):
     b = 1 << depth
     holes = data.draw(st.sets(st.integers(0, b - 1), max_size=min(b, 64)))
-    D = bloom.BloomFilter.gen(b, 1, bytes(16))
+    D = bloom.BloomFilter(b, 1, bytes(16))
     for ix in holes:
         D.bits[ix >> 3] |= 0x80 >> (ix & 7)
-    rk = sre.ck_rev(ggm.gen_root(bytes(range(16)), depth), D)
+    rk = sre.ck_rev(ggm.GgmRoot(bytes(range(16)), depth), D)
     blob = rk.encode()
     back, consumed = sre.decode_revoked_key(blob)
     assert consumed == len(blob)
@@ -213,7 +213,7 @@ def test_decode_rejects_filter_of_other_domain():
     # a depth-7 key needs a 128-bit filter
     msk = make_key(128, 4)
     rk = sre.ck_rev(msk.sk, sre.comp(msk.D, b"t"))
-    wrong = bloom.BloomFilter.gen(64, 4, bytes(16))
+    wrong = bloom.BloomFilter(64, 4, bytes(16))
     with pytest.raises(ValueError, match="key domain"):
         sre.decode_revoked_key(rk.key.encode() + wrong.encode())
 

@@ -32,7 +32,6 @@ def test_generation_is_deterministic():
     dict(duplicate_ratio=1.5),
     dict(delete_fraction=1.0),
     dict(distribution="pareto"),
-    dict(value_len=4),
 ])
 def test_spec_validation(kwargs):
     with pytest.raises(ValueError):
