@@ -103,9 +103,13 @@ class BloomFilter:
     def insert(self, x: bytes) -> bool:
         """Set ``x``'s bits; report whether one was clear, i.e. whether
         ``check(x)`` was false.  Only such an insertion counts."""
+        return self.insert_at(self.positions(x))
+
+    def insert_at(self, positions: Sequence[int]) -> bool:
+        """``insert`` of the element whose ``positions`` these are."""
         bits = self.bits
         fresh = False
-        for pos in self.positions(x):
+        for pos in positions:
             mask = 0x80 >> (pos & 7)
             if not bits[pos >> 3] & mask:
                 bits[pos >> 3] |= mask
@@ -115,8 +119,12 @@ class BloomFilter:
         return fresh
 
     def check(self, x: bytes) -> bool:
+        return self.check_at(self.positions(x))
+
+    def check_at(self, positions: Sequence[int]) -> bool:
+        """``check`` of the element whose ``positions`` these are."""
         bits = self.bits
-        for pos in self.positions(x):
+        for pos in positions:
             if not bits[pos >> 3] & (0x80 >> (pos & 7)):
                 return False
         return True

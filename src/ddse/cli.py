@@ -28,6 +28,7 @@ import argparse
 import contextlib
 import csv
 import fcntl
+import io
 import logging
 import os
 import sys
@@ -38,6 +39,7 @@ from . import query as q
 from . import statefile
 from . import workload as wl
 from .client import ClientConfig, ProtocolError
+from .edb import AddressCollision
 from .netclient import RemoteEdb
 from .store import PersistentStore, StoreFailed, StoreInUse
 
@@ -166,13 +168,25 @@ def cmd_exec(args) -> int:
     return 0
 
 
+def _csv_text(path: str) -> str:
+    """The whole CSV, decoded before any row is sent: a byte that is not
+    UTF-8 anywhere in it is refused with nothing sent."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path} is not UTF-8 (byte {exc.start}); "
+                       f"nothing was sent") from None
+
+
 def cmd_ingest(args) -> int:
     done = skipped = 0
-    with (_registry(args) as registry,
-          open(args.csv, newline="", encoding="utf-8") as fh):
+    with _registry(args) as registry:
+        text = _csv_text(args.csv)
         instance = registry.instance_for(args.table, args.keyword_column,
                                          args.value_column)
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(io.StringIO(text, newline=""))
         missing = [c for c in (args.keyword_column, args.value_column)
                    if c not in (reader.fieldnames or ())]
         if missing:
@@ -307,7 +321,7 @@ def main(argv=None) -> int:
         return args.run(args)
     except (CliError, statefile.StateFileError, q.QueryError,
             q.StatementError, ProtocolError, StoreInUse, StoreFailed,
-            FileNotFoundError) as exc:
+            AddressCollision, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -84,6 +84,11 @@ class UnknownKeywordError(LookupError):
     """Search for a keyword that was never updated."""
 
 
+class DuplicateRefused(ValueError):
+    """An add refused by ``update(refuse_duplicate=True)``: the pair's
+    next add would be a duplicate; nothing was sent."""
+
+
 @dataclass
 class ClientConfig:
     bf_n: int = 2 ** 20         # distinct-state capacity (pairs)
@@ -167,8 +172,9 @@ def setup(config: Optional[ClientConfig] = None
 
 
 def _revoke(state: ClientState, keyword: bytes, record: KeywordState,
-            tag: bytes):
-    record.msk.D.insert(tag)
+            positions: list[int]):
+    """Revoke the tag whose positions in the epoch's filter these are."""
+    record.msk.D.insert_at(positions)
     record.revoked += 1
     if record.revoked == state.config.d_max + 1:  # warn once per epoch
         logger.warning(
@@ -183,15 +189,17 @@ def _epoch_key(config: ClientConfig) -> sre.SreMasterKey:
 
 
 def _classified(state: ClientState, keyword: bytes, value: bytes
-                ) -> tuple[bytes, bool]:
-    """The pair's real tag, and whether an add of it is a duplicate."""
+                ) -> tuple[bytes, list[int], bool]:
+    """The pair's real tag, its distinct-filter positions, and whether
+    an add of it is a duplicate."""
     real = state.real_tag(keyword, value)
-    return real, state.distinct_filter.check(real)
+    spots = state.distinct_filter.positions(real)
+    return real, spots, state.distinct_filter.check_at(spots)
 
 
 def is_duplicate(state: ClientState, keyword: bytes, value: bytes) -> bool:
     """Whether an add of the pair now is a duplicate, revoked on arrival."""
-    return _classified(state, keyword, value)[1]
+    return _classified(state, keyword, value)[2]
 
 
 def encrypt_retrieval(state: ClientState, value: bytes, cnt: int) -> bytes:
@@ -202,33 +210,38 @@ def encrypt_retrieval(state: ClientState, value: bytes, cnt: int) -> bytes:
 
 
 def update(state: ClientState, op: str, keyword: bytes, value: bytes,
-           edb) -> None:
+           edb, *, refuse_duplicate: bool = False) -> None:
     """One add/delete.  ``edb`` needs only ``apply_update``.
 
     Adds send exactly one fixed-shape entry, through one
     ``edb.apply_update`` call; deletes send nothing.  The state changes
     only once that call has returned: an add whose send raises leaves
     the state as it was, so a retry is classified as the first try was.
+    With ``refuse_duplicate`` an add that would be a duplicate raises
+    ``DuplicateRefused`` instead, before anything is sent or changed.
     """
     if op not in (ADD, DELETE):
         raise ValueError(f"op must be {ADD!r} or {DELETE!r}, got {op!r}")
+    real, spots, held = _classified(state, keyword, value)
+    if held and refuse_duplicate and op == ADD:
+        raise DuplicateRefused(keyword, value)
     record = state.keywords.get(keyword) or KeywordState(
         _epoch_key(state.config))
     cnt = record.updates
-    real, held = _classified(state, keyword, value)
 
     if op == ADD:
         tag = state.dummy_tag(keyword, value, cnt) if held else real
+        positions = record.msk.D.positions(tag)
         retrieval = encrypt_retrieval(state, value, cnt)
-        ciphertext = sre.enc(record.msk, retrieval, tag)
+        ciphertext = sre.enc(record.msk, retrieval, tag, positions)
         address = state.sigma.update(state.label_for(keyword, record.epoch),
                                      record.placed)
         edb.apply_update(address, encode_entry(ciphertext, tag))
         record.placed += 1
         if held:
-            _revoke(state, keyword, record, tag)   # dummy dies on arrival
+            _revoke(state, keyword, record, positions)  # dummy dies on arrival
         else:
-            state.distinct_filter.insert(real)
+            state.distinct_filter.insert_at(spots)
             if state.distinct_filter.inserted == state.config.bf_n + 1:
                 logger.warning(
                     "distinct-state filter past design capacity (%d pairs); "
@@ -238,7 +251,7 @@ def update(state: ClientState, op: str, keyword: bytes, value: bytes,
         if not held:
             logger.warning("delete of never-added pair under keyword %r",
                            keyword)
-        _revoke(state, keyword, record, real)
+        _revoke(state, keyword, record, record.msk.D.positions(real))
 
     record.updates = cnt + 1
     state.keywords[keyword] = record

@@ -93,9 +93,10 @@ def stream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
     if n == 0:
         return b""
     base = key + nonce
-    ks = b"".join(
-        hashlib.sha256(base + i.to_bytes(4, "big")).digest()
-        for i in range((n + 31) // 32)
-    )
+    if n <= 32:  # one block: every SRE wrap
+        ks = hashlib.sha256(base + bytes(4)).digest()
+    else:
+        ks = b"".join([hashlib.sha256(base + i.to_bytes(4, "big")).digest()
+                       for i in range((n + 31) // 32)])
     x = int.from_bytes(data, "big") ^ int.from_bytes(ks[:n], "big")
     return x.to_bytes(n, "big")

@@ -3,8 +3,12 @@
 Each label owns a chain of pseudorandom addresses: entry ``c`` lives at
 ``PRF(leaf_c, "addr")`` where ``leaf_c`` is leaf ``c`` of a
 per-label GGM tree, rooted at ``PRF(key, "label-root" || label)``.
-The layer stores nothing per label: the caller counts a label's entries,
-names each new entry by its counter, and searches with the count.  A
+The saved state keeps nothing per label: the caller counts a label's
+entries, names each new entry by its counter, and searches with the
+count.  In memory, ``SigmaState`` keeps each label's path to its last
+leaf (16 B per tree level, 336 B at depth 20) from the label's first
+update until its search token, so the next counter's walk resumes
+where the two paths part; it is never saved.  A
 search hands the server a range-constrained key covering exactly
 ``[0, c)``, from which it re-derives every address of the label -- and
 nothing else.  The update token is the entry's address, a PRF output of
@@ -20,6 +24,7 @@ label at every epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from . import ggm
@@ -71,10 +76,20 @@ def decode_sigma_token(data: bytes, offset: int = 0) -> tuple[SearchTokenSigma, 
 
 @dataclass(frozen=True)
 class SigmaState:
-    """Placement key; each call re-derives the label's tree root."""
+    """Placement key.  ``update`` resumes each label's walk from the
+    path to that label's previous counter (``ggm.PathCache``, 16 B per
+    level), kept in memory from the label's first update until
+    ``search_token`` retires it; the paths are never saved."""
 
     key: bytes
     depth: int
+
+    def __getstate__(self) -> dict:
+        return {"key": self.key, "depth": self.depth}
+
+    @cached_property
+    def _paths(self) -> dict[bytes, ggm.PathCache]:
+        return {}
 
     def _root(self, label: bytes) -> ggm.GgmRoot:
         seed = prf(self.key, encode_parts(_ROOT_CTX, label), KEY_LEN)
@@ -87,10 +102,15 @@ class SigmaState:
         if counter >= (1 << self.depth):
             raise CounterExhausted(
                 f"label chain full after {counter} updates")
-        return _address(self._root(label).eval(counter))
+        path = self._paths.get(label)
+        if path is None:
+            path = self._paths[label] = ggm.PathCache(self._root(label))
+        return _address(path.leaf(counter))
 
     def search_token(self, label: bytes, count: int) -> SearchTokenSigma:
-        """Token for the label's first ``count`` entries."""
+        """Token for the label's first ``count`` entries; it drops the
+        label's path."""
+        self._paths.pop(label, None)
         label_id = prf(self.key, encode_parts(_ID_CTX, label))
         return SearchTokenSigma(
             label_id, self._root(label).constrain_range(count))

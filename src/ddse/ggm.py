@@ -29,6 +29,13 @@ into the holes and finds its node within that run by arithmetic
 ``cover`` rebuilds the shapes, for ``DelegatedKey.nodes`` and
 ``iter_leaves``.
 
+Two memos let a client reuse the nodes it has already derived, in
+memory only: ``GgmRoot.eval`` keeps its tree's level
+k = min(depth // 2, 7), at most 2 KiB, so a walk through a filled slot
+costs depth - k PRG calls; ``PathCache`` keeps the path to its last
+leaf, so the next leaf's walk starts where the two paths part.
+Neither is pickled or compared, and both go away with their owner.
+
 Keys and roots are immutable; every operation is deterministic, so the
 same revocation set always serializes to the same bytes.
 """
@@ -184,8 +191,16 @@ class KeyNode(NamedTuple):
     seed: bytes
 
 
+# the deepest level GgmRoot.eval keeps: at most 2^7 x 16 B = 2 KiB per root
+_KEPT_LEVEL = 7
+
+
 @dataclass(frozen=True)
 class GgmRoot:
+    """Tree root.  ``eval`` remembers the seeds it walks through at its
+    kept level, so a walk through a filled slot starts there; that memo
+    is never pickled or compared and goes away with the root."""
+
     seed: bytes
     depth: int
 
@@ -195,6 +210,9 @@ class GgmRoot:
         if len(self.seed) != KEY_LEN:
             raise ValueError(f"seed must be {KEY_LEN} bytes")
 
+    def __getstate__(self) -> dict:
+        return {"seed": self.seed, "depth": self.depth}
+
     @property
     def leaves(self) -> int:
         return 1 << self.depth
@@ -203,9 +221,27 @@ class GgmRoot:
         if not 0 <= index < self.leaves:
             raise ValueError(f"leaf index {index} outside [0, 2^{self.depth})")
 
+    @cached_property
+    def _kept(self) -> tuple[int, bytearray, bytearray]:
+        """Tree levels below the kept level, its seeds (16 B per slot,
+        ascending) and their fill mask (one bit per slot)."""
+        level = min(self.depth // 2, _KEPT_LEVEL)
+        return (self.depth - level, bytearray(KEY_LEN << level),
+                bytearray(((1 << level) + 7) >> 3))
+
     def eval(self, index: int) -> bytes:
         self._check_index(index)
-        return _walk(self.seed, index, self.depth)
+        below, seeds, filled = self._kept
+        slot = index >> below
+        at = slot * KEY_LEN
+        bit = 0x80 >> (slot & 7)
+        if filled[slot >> 3] & bit:
+            return _walk(seeds[at:at + KEY_LEN], index & ((1 << below) - 1),
+                         below)
+        seed = _walk(self.seed, slot, self.depth - below)
+        seeds[at:at + KEY_LEN] = seed
+        filled[slot >> 3] |= bit
+        return _walk(seed, index & ((1 << below) - 1), below)
 
     def puncture(self, indices: Iterable[int]) -> "DelegatedKey":
         """Delegated key covering every leaf except ``indices``.
@@ -403,14 +439,37 @@ def decode_range_key(data: bytes, offset: int = 0) -> tuple[DelegatedKey, int]:
 
 
 class PathCache:
-    """``GgmRoot.eval`` under another name: the benchmark's tracer wraps
-    ``ggm.PathCache.leaf`` by name (``ddsebench/tracing.py``), so
-    deleting the class crashes a traced run.  It goes when the tracer
-    skips a name that is gone.  No production path uses it.
+    """The path to the last leaf evaluated, kept dense in memory (16 B
+    per level, root first), so the next leaf's walk starts below the
+    deepest node the two paths share: consecutive leaves cost about two
+    PRG calls instead of ``depth``.  ``fpdse.SigmaState`` keeps one per
+    label with entries since its last search token, and saves none.
+    The benchmark's tracer wraps ``leaf`` by name
+    (``ddsebench/tracing.py``).
     """
 
+    __slots__ = ("depth", "_path", "_last")
+
     def __init__(self, root: GgmRoot):
-        self._root = root
+        self.depth = root.depth
+        self._path = bytearray(root.seed) + bytes(KEY_LEN * root.depth)
+        self._last = None
 
     def leaf(self, index: int) -> bytes:
-        return self._root.eval(index)
+        depth, path = self.depth, self._path
+        if not 0 <= index < 1 << depth:
+            raise ValueError(f"leaf index {index} outside [0, 2^{depth})")
+        last = self._last
+        # the nodes down to ``level`` are on both paths
+        level = 0 if last is None else depth - (index ^ last).bit_length()
+        at = (level + 1) * KEY_LEN
+        seed = path[at - KEY_LEN:at]
+        if level < depth:
+            nodes = []
+            for i in range(depth - level - 1, -1, -1):
+                out = sha256(seed).digest()
+                seed = out[16:] if (index >> i) & 1 else out[:16]
+                nodes.append(seed)
+            path[at:] = b"".join(nodes)
+            self._last = index
+        return bytes(seed)

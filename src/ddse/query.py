@@ -291,12 +291,14 @@ def insert(instance: TableInstance, keyword: bytes, value: bytes, edb) -> None:
     """The INSERT step of ``execute`` and of ``ddse ingest``: add one
     copy of the pair, or raise ``QueryError`` before anything is sent."""
     instance.ordered([value])  # a value the column cannot order raises
-    if (value not in instance.qvec.get(keyword, ())
-            and cl.is_duplicate(instance.state, keyword, value)):
+    try:
+        # a pair the distinct state holds but the vector does not was deleted
+        cl.update(instance.state, cl.ADD, keyword, value, edb,
+                  refuse_duplicate=value not in instance.qvec.get(keyword, ()))
+    except cl.DuplicateRefused:
         raise QueryError(
             f"cannot re-add deleted pair {keyword!r}/{value!r}: the distinct "
-            f"state still holds it; nothing was sent")
-    cl.update(instance.state, cl.ADD, keyword, value, edb)
+            f"state still holds it; nothing was sent") from None
     counts = instance.qvec.setdefault(keyword, {})
     counts[value] = counts.get(value, 0) + 1
 

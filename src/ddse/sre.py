@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import bloom, ggm
 from .crypto import KEY_LEN, NONCE_LEN, fresh_key, fresh_nonce, stream_xor
@@ -110,13 +110,20 @@ def kgen(b: int, h: int) -> SreMasterKey:
     return SreMasterKey(sk, D)
 
 
-def enc(msk: SreMasterKey, payload: bytes, tag: bytes) -> SreCiphertext:
+def enc(msk: SreMasterKey, payload: bytes, tag: bytes,
+        positions: Optional[Sequence[int]] = None) -> SreCiphertext:
     """``payload`` once under a fresh data key, wrapped at every hash
-    position of ``tag``."""
+    position of ``tag``.
+
+    ``positions``, if given, must be ``msk.D.positions(tag)``: a caller
+    that also revokes the tag computes them once.
+    """
+    if positions is None:
+        positions = msk.D.positions(tag)
     dk = fresh_key(KEY_LEN)
     nonce = fresh_nonce()
-    wraps = tuple(stream_xor(msk.sk.eval(pos), nonce, dk)
-                  for pos in msk.D.positions(tag))
+    wraps = tuple([stream_xor(msk.sk.eval(pos), nonce, dk)
+                   for pos in positions])
     return SreCiphertext(nonce, wraps, stream_xor(dk, nonce, MAGIC + payload))
 
 

@@ -60,6 +60,8 @@ PROTOCOL_VERSION = 4
 
 ADDRESS_LEN = 32
 
+_U32 = struct.Struct(">I")
+
 
 class FrameError(RuntimeError):
     """Malformed, oversized, or truncated frame."""
@@ -149,20 +151,22 @@ def encode_result_body(retrievals: list[bytes]) -> bytes:
 
 
 def decode_result_body(body: bytes) -> list[bytes]:
-    if len(body) < 4:
+    """The retrievals of a RESULT body, read in one pass; each is one
+    slice of ``body``."""
+    end = len(body)
+    if end < 4:
         raise FrameError("result body too short")
-    count = int.from_bytes(body[:4], "big")
+    (count,) = _U32.unpack_from(body)
     pos = 4
     out = []
     for _ in range(count):
-        if len(body) - pos < 4:
+        if end - pos < 4:
             raise FrameError("truncated result list")
-        rlen = int.from_bytes(body[pos:pos + 4], "big")
-        pos += 4
-        if len(body) - pos < rlen:
+        (rlen,) = _U32.unpack_from(body, pos)
+        pos += 4 + rlen
+        if pos > end:
             raise FrameError("truncated retrieval")
-        out.append(bytes(body[pos:pos + rlen]))
-        pos += rlen
-    if pos != len(body):
+        out.append(body[pos - rlen:pos])
+    if pos != end:
         raise FrameError("trailing bytes after result list")
     return out

@@ -341,6 +341,53 @@ def test_ingest_skips_a_value_a_numeric_column_cannot_order(db, tmp_path,
     assert capsys.readouterr().out.split() == ["3", "7"]
 
 
+def test_ingest_refuses_a_csv_that_is_not_utf8_before_sending(
+        db, tmp_path, capsys):
+    assert register(db) == 0
+    assert run_cli(db, "exec", "INSERT INTO T (T.x, T.y) VALUE ('w', 'v')") == 0
+    csv_path = tmp_path / "rows.csv"
+    # the bad byte lies past the first 8 KiB a text-mode reader decodes
+    rows = b"".join(b"w,v%05d\n" % i for i in range(1500))
+    csv_path.write_bytes(b"T.x,T.y\n" + rows + b"w,\xffx\n")
+    assert len(rows) > 8192
+    before = files_under(db)
+    capsys.readouterr()
+    assert run_cli(db, "ingest", str(csv_path), "--table", "T",
+                   "--keyword-column", "T.x", "--value-column", "T.y") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "not UTF-8" in captured.err
+    assert captured.out == ""
+    assert files_under(db) == before
+    # nothing was wedged: the keyword takes its next add
+    assert run_cli(db, "exec", "INSERT INTO T (T.x, T.y) VALUE ('w', 'u')") == 0
+    capsys.readouterr()
+    assert run_cli(db, "exec", "SELECT DISTINCT T.y FROM T WHERE T.x = 'w'") == 0
+    assert capsys.readouterr().out.split() == ["u", "v"]
+
+
+@pytest.mark.parametrize("command", ["exec", "ingest"])
+def test_a_reused_address_is_an_error_line(db, tmp_path, capsys, command):
+    """A state file older than the store's last add (ROADMAP item 3(a)'s
+    wedge) makes the next add reuse an address: an error line, exit 1."""
+    assert register(db) == 0
+    state = Path(db) / "state.ddse"
+    stale = state.read_bytes()
+    assert run_cli(db, "exec", "INSERT INTO T (T.x, T.y) VALUE ('w', 'v')") == 0
+    state.write_bytes(stale)
+    csv_path = tmp_path / "rows.csv"
+    csv_path.write_text("T.x,T.y\nw,u\n")
+    args = {"exec": ["exec", "INSERT INTO T (T.x, T.y) VALUE ('w', 'u')"],
+            "ingest": ["ingest", str(csv_path), "--table", "T",
+                       "--keyword-column", "T.x", "--value-column", "T.y"]}
+    before = files_under(db)
+    capsys.readouterr()
+    assert run_cli(db, *args[command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: address reused"), err
+    assert "Traceback" not in err
+    assert files_under(db) == before
+
+
 @pytest.mark.parametrize("header, keyword_column, fragment", [
     ("People.nam,People.mail", "People.name", "has no column People.name"),
     ("People.name,People.mail", "People.nam", "no index registered"),

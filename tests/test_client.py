@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddse import client as cl
+from ddse import crypto, fpdse
 from ddse import ggm, sre
 from ddse.client import (ADD, DELETE, ClientConfig, ProtocolError,
                          UnknownKeywordError)
@@ -551,3 +552,67 @@ def test_search_is_token_only_exactly_when_the_epoch_is_empty(script):
                 old.close()
             return PersistentStore(root)
         run_script(script, reopen).close()
+
+
+def test_a_rotated_record_never_reads_the_old_keys_nodes():
+    state, edb = fresh()
+    for i in range(20):
+        cl.update(state, ADD, b"w", b"v%02d" % i, edb)
+    old = state.keywords[b"w"].msk.sk
+    old_memo = bytes(old._kept[1]), bytes(old._kept[2])
+    assert cl.search(state, b"w", edb) == {b"v%02d" % i for i in range(20)}
+    new = state.keywords[b"w"].msk.sk
+    assert new is not old and "_kept" not in new.__dict__
+    walked = []
+    real_eval = ggm.GgmRoot.eval
+
+    def spy(root, index):
+        walked.append(root)
+        return real_eval(root, index)
+
+    with mock.patch.object(ggm.GgmRoot, "eval", spy):
+        for i in range(20, 30):
+            cl.update(state, ADD, b"w", b"v%02d" % i, edb)
+            cl.update(state, ADD, b"w", b"v%02d" % i, edb)  # a duplicate
+    assert walked and all(root is new for root in walked)
+    assert (bytes(old._kept[1]), bytes(old._kept[2])) == old_memo
+    below, seeds, filled = new._kept
+    for slot in range(len(seeds) // 16):
+        if filled[slot >> 3] & (0x80 >> (slot & 7)):
+            assert seeds[16 * slot:16 * slot + 16] == \
+                ggm._walk(new.seed, slot, new.depth - below)
+    assert cl.search(state, b"w", edb) == {b"v%02d" % i for i in range(30)}
+
+
+def seeded_run(ops):
+    """Client state bytes, stored entries and answers of ``ops`` with
+    every key and nonce drawn from one seeded generator."""
+    with mock.patch.object(crypto.secrets, "token_bytes",
+                           random.Random(7).randbytes):
+        state, edb = fresh()
+        answers = [cl.search(state, w, edb) if op == "search"
+                   else cl.update(state, op, w, v, edb)
+                   for op, w, v in ops]
+        return pickle.dumps(state), edb.main, edb.cache, answers
+
+
+def test_reusing_tree_nodes_changes_no_saved_or_sent_byte():
+    ops = ([(ADD, b"w%d" % (i % 3), b"v%d" % (i % 7)) for i in range(40)]
+           + [(DELETE, b"w0", b"v0"), ("search", b"w1", None)]
+           + [(ADD, b"w1", b"v%d" % i) for i in range(10)]
+           + [("search", w, None) for w in (b"w0", b"w1", b"w2")])
+    reused = seeded_run(ops)
+
+    def plain_eval(root, index):
+        return ggm._walk(root.seed, index, root.depth)
+
+    def plain_update(sigma, label, counter):
+        return fpdse._address(plain_eval(sigma._root(label), counter))
+
+    with mock.patch.object(ggm.GgmRoot, "eval", plain_eval), \
+            mock.patch.object(fpdse.SigmaState, "update", plain_update):
+        plain = seeded_run(ops)
+    assert reused == plain
+    assert reused[3][-3:] == [{b"v%d" % i for i in range(1, 7)},
+                              {b"v%d" % i for i in range(10)},
+                              {b"v%d" % i for i in range(7)}]

@@ -1,5 +1,7 @@
 """Placement layer: ordered retrieval, token purity, counter cap."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -179,3 +181,37 @@ def test_chain_is_deterministic_per_key():
     e3 = EncryptedDatabase()
     put(other, b"L", 0, b"p0", e3)
     assert list(e3.main) != list(edb1.main)[:1]
+
+
+def plain_address(key: bytes, depth: int, label: bytes, counter: int) -> bytes:
+    """The address by one walk from the label's root, nothing reused."""
+    root = SigmaState(key, depth)._root(label)
+    return fpdse._address(ggm._walk(root.seed, counter, depth))
+
+
+@settings(max_examples=80, deadline=None)
+@given(depth=st.integers(1, 20), data=st.data())
+def test_resumed_placement_equals_a_plain_walk(depth, data):
+    """Any interleaving of labels and counter order, cold and warm."""
+    steps = data.draw(st.lists(
+        st.tuples(st.sampled_from([b"a", b"b", b"c"]),
+                  st.integers(0, (1 << depth) - 1)), max_size=40))
+    state = SigmaState(KEY, depth)
+    for label, counter in steps + steps:
+        assert state.update(label, counter) == \
+            plain_address(KEY, depth, label, counter)
+
+
+def test_a_search_token_drops_its_label_path_and_nothing_is_saved():
+    state = SigmaState(KEY, 12)
+    for i in range(5):
+        state.update(b"a", i)
+        state.update(b"b", i)
+    assert set(state._paths) == {b"a", b"b"}
+    assert pickle.dumps(state) == pickle.dumps(SigmaState(KEY, 12))
+    assert state == SigmaState(KEY, 12)
+    token = state.search_token(b"a", 5)
+    assert set(state._paths) == {b"b"}
+    assert list(token.addresses()) == [plain_address(KEY, 12, b"a", i)
+                                       for i in range(5)]
+    assert "_paths" not in pickle.loads(pickle.dumps(state)).__dict__

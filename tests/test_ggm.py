@@ -1,7 +1,9 @@
 """Tree-PRF delegation checked against a brute-force tree expansion."""
 
+import copy
 import gc
 import hashlib
+import pickle
 import random
 from array import array
 
@@ -409,3 +411,51 @@ def test_range_keys_at_placement_depth_match_walked_cover(count):
     lone-hole walk to leaf ``count``, byte for byte."""
     key = GgmRoot(SEED, 20).constrain_range(count)
     assert list(key.nodes) == walked_nodes(20, [(0, count)])
+
+
+def kept_slots(root: GgmRoot) -> int:
+    """Filled slots of the root's kept level; 0 before its first eval."""
+    kept = root.__dict__.get("_kept")
+    return 0 if kept is None else sum(map(int.bit_count, kept[2]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(depth=st.integers(1, 20), data=st.data())
+def test_reusing_evaluators_equal_a_plain_walk(depth, data):
+    leaves = 1 << depth
+    indices = data.draw(st.lists(st.integers(0, leaves - 1), max_size=40))
+    seed = data.draw(st.binary(min_size=16, max_size=16))
+    root, cache = GgmRoot(seed, depth), PathCache(GgmRoot(seed, depth))
+    for _ in range(2):  # cold, then every slot and path warm
+        for i in indices:
+            want = ggm._walk(seed, i, depth)
+            assert root.eval(i) == want
+            assert cache.leaf(i) == want
+            assert type(root.eval(i)) is type(cache.leaf(i)) is bytes
+    assert kept_slots(root) <= 1 << min(depth // 2, 7)
+
+
+def test_the_kept_level_is_dense_and_bounded():
+    root = GgmRoot(SEED, 14)
+    for i in range(0, 1 << 14, 7):
+        root.eval(i)
+    below, seeds, filled = root._kept
+    assert (below, len(seeds), len(filled)) == (7, 128 * 16, 16)
+    assert kept_slots(root) == 128
+    for slot in range(128):
+        assert seeds[16 * slot:16 * slot + 16] == ggm._walk(SEED, slot, 7)
+    for depth, level in [(1, 0), (2, 1), (5, 2), (15, 7), (32, 7)]:
+        below, seeds, filled = GgmRoot(SEED, depth)._kept
+        assert (below, len(seeds)) == (depth - level, 16 << level)
+        assert len(filled) == ((1 << level) + 7) // 8
+
+
+def test_a_used_root_pickles_and_compares_as_its_seed_and_depth():
+    used, unused = GgmRoot(SEED, 14), GgmRoot(SEED, 14)
+    for i in (0, 5, 16383):
+        used.eval(i)
+    assert pickle.dumps(used) == pickle.dumps(unused)
+    assert used == unused and hash(used) == hash(unused)
+    back = pickle.loads(pickle.dumps(used))
+    assert "_kept" not in back.__dict__ and back.eval(5) == used.eval(5)
+    assert "_kept" not in copy.deepcopy(used).__dict__

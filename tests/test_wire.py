@@ -72,6 +72,27 @@ def test_result_body_roundtrip():
         wire.decode_result_body(body[:-1])
 
 
+@pytest.mark.parametrize("body, refusal", [
+    (b"\x00\x00\x01", "result body too short"),
+    (b"\x00\x00\x00\x02" + b"\x00\x00\x00\x01x" + b"\x00\x00",
+     "truncated result list"),
+    (b"\x00\x00\x00\x01" + b"\x00\x00\x00\x05abcd", "truncated retrieval"),
+    (b"\x00\x00\x00\x01" + b"\x00\x00\x00\x01x" + b"y",
+     "trailing bytes after result list"),
+    (b"\xff\xff\xff\xff", "truncated result list"),
+], ids=["too-short", "truncated-list", "truncated-retrieval", "trailing",
+        "huge-count"])
+def test_result_body_refusals(body, refusal):
+    with pytest.raises(FrameError, match=refusal):
+        wire.decode_result_body(body)
+
+
+def test_result_body_retrievals_are_bytes_slices():
+    items = [b"x" * 40, b"", b"yz"]
+    got = wire.decode_result_body(wire.encode_result_body(items))
+    assert got == items and all(type(r) is bytes for r in got)
+
+
 def test_search_body_roundtrip():
     config = ClientConfig(bf_n=100, bf_p=1e-3, d_max=8, revoke_p=1e-2,
                           sigma_depth=10)
