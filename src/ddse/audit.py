@@ -42,9 +42,7 @@ from . import workload as wl
 from .client import ClientConfig
 from .edb import EncryptedDatabase
 
-OP_ADD = "add"
-OP_DEL = "del"
-OP_SEARCH = "search"
+OP_SEARCH = "search"  # beside the update ops client.ADD and client.DELETE
 
 DWVH_VALUE_LEN = 16  # bytes per challenge value
 
@@ -61,8 +59,8 @@ class TranscriptEvent:
 class Transcript:
     events: list[TranscriptEvent] = field(default_factory=list)
     # oracle log of every client operation in order, including the ones
-    # that put nothing on the wire (deletes): ("add"|"del", time, w, v)
-    # with a 1-based update timestamp, or ("search", None, w).
+    # that put nothing on the wire (deletes): (op, time, w, v) for an
+    # update op with a 1-based timestamp, or (OP_SEARCH, None, w).
     ops: list[tuple] = field(default_factory=list)
 
     def updates(self) -> list[TranscriptEvent]:
@@ -107,7 +105,7 @@ class _CapturingEdb:
     def execute_search(self, request):
         frame = wire.pack_frame(wire.SEARCH, wire.encode_search_body(request))
         outcome = self.inner.execute_search(request)
-        response = wire.pack_frame(wire.RESULT,
+        response = wire.pack_frame(wire.REPLY[wire.SEARCH],
                                    wire.encode_result_body(outcome.results))
         note = dict(self.context, results=len(outcome.results))
         self.transcript.events.append(
@@ -136,8 +134,8 @@ def record(ops: Iterable[tuple], mutant: bool = False,
            config: Optional[ClientConfig] = None) -> Transcript:
     """Run a workload against a fresh client and capture its traffic.
 
-    ``ops`` is a sequence of ("add", w, v), ("del", w, v) and
-    ("search", w) tuples.  Searches for never-updated keywords are
+    ``ops`` is a sequence of (client.ADD, w, v), (client.DELETE, w, v)
+    and (OP_SEARCH, w) tuples.  Searches for never-updated keywords are
     client-local failures and put nothing on the wire.
     """
     state, _ = cl.setup(config or ClientConfig(
@@ -148,18 +146,16 @@ def record(ops: Iterable[tuple], mutant: bool = False,
     time = 0
     for op in ops:
         kind = op[0]
-        if kind in (OP_ADD, OP_DEL):
+        if kind in (cl.ADD, cl.DELETE):
             _, w, v = op
             time += 1
             transcript.ops.append((kind, time, w, v))
-            edb.context = {"op": kind, "keyword": w, "value": v,
-                           "time": time}
-            cl.update(state, cl.ADD if kind == OP_ADD else cl.DELETE,
-                      w, v, edb)
+            edb.context = {"keyword": w, "value": v}
+            cl.update(state, kind, w, v, edb)
         elif kind == OP_SEARCH:
             _, w = op
             transcript.ops.append((OP_SEARCH, None, w))
-            edb.context = {"op": OP_SEARCH, "keyword": w}
+            edb.context = {"keyword": w}
             (found,) = cl.search_many(state, [w], edb)
             if found is not None:
                 transcript.events[-1].note["distinct"] = len(found)
@@ -189,11 +185,11 @@ def compute_patterns(transcript: Transcript) -> list[SearchLeakage]:
     out: list[SearchLeakage] = []
     for entry in transcript.ops:
         kind = entry[0]
-        if kind == OP_ADD:
+        if kind == cl.ADD:
             _, t, w, v = entry
             times.setdefault(w, []).append(t)
             live.setdefault(w, {}).setdefault(v, t)
-        elif kind == OP_DEL:
+        elif kind == cl.DELETE:
             _, t, w, v = entry
             times.setdefault(w, []).append(t)
             live.setdefault(w, {}).pop(v, None)
@@ -240,7 +236,7 @@ def _dwvh_workload(volumes: Sequence[tuple[int, int]]) -> list[tuple]:
     for i, (distinct, total) in enumerate(volumes):
         w = f"kw-{i:06d}".encode()
         # each distinct value once, then the duplicates round-robin
-        ops += [(OP_ADD, w, wl.value_bytes(i, k % distinct, DWVH_VALUE_LEN))
+        ops += [(cl.ADD, w, wl.value_bytes(i, k % distinct, DWVH_VALUE_LEN))
                 for k in range(total)]
     for i in range(len(volumes)):
         ops.append((OP_SEARCH, f"kw-{i:06d}".encode()))

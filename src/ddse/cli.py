@@ -6,11 +6,13 @@ server-side encrypted store.  A command that changes the client bundle
 runs inside ``_registry``, which holds an exclusive lock on
 ``state.lock`` from the bundle's load to its save, so two concurrent
 commands run one after the other instead of the later save undoing the
-earlier one; a command that fails saves nothing.  The passphrase
-sealing the client bundle comes from DDSE_PASSPHRASE; the default
-directory from DDSE_STORE.  With ``--server HOST:PORT`` the server half
-is remote and only the client bundle is touched locally; without it, a
-store that ``ddse serve`` has open is locked, and the command exits 1.
+earlier one; a command that fails saves nothing, unless it failed with
+an ``IntegrityError``, after its searches rotated their epochs.  The
+passphrase sealing the client bundle comes from DDSE_PASSPHRASE; the
+default directory from DDSE_STORE.  With ``--server HOST:PORT`` the
+server half is remote and only the client bundle is touched locally;
+without it, a store that ``ddse serve`` has open is locked, and the
+command exits 1.
 An IPv6 host is written in brackets, as in ``--listen [::1]:7070``.
 
     ddse setup --db ./demo
@@ -81,7 +83,11 @@ def _registry(args) -> Iterator[q.Registry]:
     lock is made, so a command on one never set up creates nothing.
     The registry is saved under the key it was loaded with when the
     block ends without an error, reads included: a search rotates
-    epochs and an update advances counters."""
+    epochs and an update advances counters.  It is saved, too, when the
+    block ends in ``IntegrityError``: that is raised only once every
+    search's reply was read, so the server has seen the keys of the
+    epochs those searches rotated, and a later add under one of them
+    would not be forward private."""
     db = _db_dir(args)
     path = _state_path(db)
     if not os.path.exists(path):
@@ -89,7 +95,11 @@ def _registry(args) -> Iterator[q.Registry]:
     with open(os.path.join(db, "state.lock"), "ab") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)
         bundle, key = statefile.load_with_key(path, _passphrase())
-        yield bundle["registry"]
+        try:
+            yield bundle["registry"]
+        except q.IntegrityError:
+            statefile.save(path, _passphrase(), bundle, key)
+            raise
         statefile.save(path, _passphrase(), bundle, key)
 
 
@@ -147,7 +157,12 @@ def cmd_register_table(args) -> int:
         config = q.TableConfig(args.table, args.keyword_column,
                                args.value_column, args.order, bf_n=args.bf_n,
                                bf_p=args.bf_p, d_max=args.d_max)
-        registry.register(config)
+        try:
+            registry.register(config)
+        except ValueError as exc:  # sizes no index of this scheme can use
+            raise CliError(f"cannot use --bf-n {args.bf_n} --bf-p "
+                           f"{args.bf_p:g} --d-max {args.d_max}: {exc}"
+                           ) from None
     print(f"registered {config.manifest_line()}")
     return 0
 
@@ -170,11 +185,13 @@ def cmd_exec(args) -> int:
 
 def _csv_text(path: str) -> str:
     """The whole CSV, decoded before any row is sent: a byte that is not
-    UTF-8 anywhere in it is refused with nothing sent."""
+    UTF-8 anywhere in it is refused with nothing sent.  A leading byte
+    order mark (a spreadsheet's export) is dropped, so it does not stick
+    to the first column's name; a refused byte's offset counts it."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise CliError(f"{path} is not UTF-8 (byte {exc.start}); "
                        f"nothing was sent") from None
@@ -215,7 +232,8 @@ def cmd_audit(args) -> int:
     spec = wl.WorkloadSpec(keywords=args.keywords, updates=args.updates,
                            seed=args.seed)
     ops = wl.generate(spec)
-    searches = [("search", wl.keyword_name(i)) for i in range(spec.keywords)]
+    searches = [(audit_mod.OP_SEARCH, wl.keyword_name(i))
+                for i in range(spec.keywords)]
     transcript = audit_mod.record(ops + searches, mutant=args.mutant)
     if args.dump:
         print(transcript.dump(limit=32))

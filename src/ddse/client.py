@@ -14,7 +14,7 @@ revoked this epoch.  The moving parts fit together like this:
   a one-time dummy tag ``F(K_t, w||v||cnt)`` and immediately revokes
   that tag, so the server stores an indistinguishable entry that can
   never decrypt.  Deletes upload nothing and revoke the real tag.
-  ``is_duplicate`` is that classification, as ``update`` makes it.
+  ``update`` is the one place a pair is classified, once per call.
   The server-visible update stream is therefore independent of how
   often a value repeats -- the volume-hiding property.
 
@@ -62,7 +62,7 @@ from typing import Iterable, Optional
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from . import bloom, sre
+from . import bloom, ggm, sre
 from .crypto import (GCM_TAG_LEN, KEY_LEN, NONCE_LEN, TAG_LEN, TOKEN_LEN,
                      encode_parts, fresh_key, fresh_nonce, prf)
 from .edb import EncryptedDatabase, SearchRequest, encode_entry
@@ -99,9 +99,15 @@ class ClientConfig:
 
     def sre_params(self) -> tuple[int, int]:
         """Power-of-two revocation domain for ``d_max`` revocations at
-        ``revoke_p``; every keyword's tree has this size."""
+        ``revoke_p``; every keyword's tree has this size.  A domain
+        whose filter could not cross the wire raises ``ValueError``."""
         b_raw, h = bloom.size_for(self.d_max, self.revoke_p)
         b = 1 << (max(b_raw, 2) - 1).bit_length()
+        if b > bloom.MAX_DECODED_BITS:
+            raise ValueError(
+                f"d_max {self.d_max} at revoke_p {self.revoke_p:g} needs a "
+                f"{b}-bit revocation filter; at most "
+                f"{bloom.MAX_DECODED_BITS} bits cross the wire")
         return b, h
 
 
@@ -158,8 +164,14 @@ class ClientState:
 
 def setup(config: Optional[ClientConfig] = None
           ) -> tuple[ClientState, EncryptedDatabase]:
+    """A fresh client for ``config``; a config no keyword could use
+    raises ``ValueError`` before any key is drawn."""
     config = config or ClientConfig()
     b, h = bloom.size_for(config.bf_n, config.bf_p)
+    config.sre_params()
+    if not 1 <= config.sigma_depth <= ggm.MAX_DEPTH:
+        raise ValueError(f"sigma_depth must be in 1..{ggm.MAX_DEPTH}, "
+                         f"got {config.sigma_depth}")
     state = ClientState(
         k_search=fresh_key(KEY_LEN),
         k_tag=fresh_key(KEY_LEN),
@@ -188,20 +200,6 @@ def _epoch_key(config: ClientConfig) -> sre.SreMasterKey:
     return sre.kgen(*config.sre_params())
 
 
-def _classified(state: ClientState, keyword: bytes, value: bytes
-                ) -> tuple[bytes, list[int], bool]:
-    """The pair's real tag, its distinct-filter positions, and whether
-    an add of it is a duplicate."""
-    real = state.real_tag(keyword, value)
-    spots = state.distinct_filter.positions(real)
-    return real, spots, state.distinct_filter.check_at(spots)
-
-
-def is_duplicate(state: ClientState, keyword: bytes, value: bytes) -> bool:
-    """Whether an add of the pair now is a duplicate, revoked on arrival."""
-    return _classified(state, keyword, value)[2]
-
-
 def encrypt_retrieval(state: ClientState, value: bytes, cnt: int) -> bytes:
     nonce = fresh_nonce()
     body = AESGCM(state.k_value).encrypt(
@@ -222,7 +220,9 @@ def update(state: ClientState, op: str, keyword: bytes, value: bytes,
     """
     if op not in (ADD, DELETE):
         raise ValueError(f"op must be {ADD!r} or {DELETE!r}, got {op!r}")
-    real, spots, held = _classified(state, keyword, value)
+    real = state.real_tag(keyword, value)
+    spots = state.distinct_filter.positions(real)
+    held = state.distinct_filter.check_at(spots)  # an add would be a duplicate
     if held and refuse_duplicate and op == ADD:
         raise DuplicateRefused(keyword, value)
     record = state.keywords.get(keyword) or KeywordState(

@@ -25,7 +25,7 @@ GCM_TAG_LEN = 16  # AES-GCM authentication tag
 INDEX_TYPE = "I" if array("I").itemsize >= 4 else "L"
 
 
-def fresh_key(n: int = KEY_LEN) -> bytes:
+def fresh_key(n: int) -> bytes:
     return secrets.token_bytes(n)
 
 

@@ -23,7 +23,8 @@ of that hole's path, so one loop down the path emits it.  The cover of
 
 Each tree operation has one implementation: a single leaf is ``_walk``,
 a subtree expansion ``DelegatedKey.iter_leaves``, a cover the two
-puncture walkers.  No node shape is stored: evaluating a leaf bisects
+puncture walkers.  The one exception is ``PathCache.leaf``, which walks
+with a loop of its own because it also keeps every node it passes.  No node shape is stored: evaluating a leaf bisects
 into the holes and finds its node within that run by arithmetic
 (``_block``), so a receiver pays only for the leaves it evaluates.
 ``cover`` rebuilds the shapes, for ``DelegatedKey.nodes`` and

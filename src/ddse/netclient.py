@@ -9,9 +9,10 @@ for its reply, and ``_read_oldest`` reads the replies in the order the
 frames went out, which is the order the server answers them.  A search
 returns its ``Pending`` unread, so several may be sent before any reply
 is read; HELLO, UPDATE and BYE read theirs at once.  An ERROR reply, a
-reply of the wrong type, a malformed frame or a failed socket becomes a
-``ProtocolError``.  Both ends set TCP_NODELAY, so back-to-back frames
-and replies are not held for the peer's delayed ACK.
+reply of another type than ``wire.REPLY`` names, a malformed frame or
+a failed socket becomes a ``ProtocolError``.  Both ends set
+TCP_NODELAY, so back-to-back frames and replies are not held for the
+peer's delayed ACK.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ class RemoteEdb:
         self._stream = self._sock.makefile("rwb")
         self._pending: deque[Pending] = deque()
         self._unanswered = 0  # bytes of the frames whose reply is owed
-        hello = bytes([wire.PROTOCOL_VERSION])
         try:
-            if self._send(wire.HELLO, hello).results != hello:
+            hello = self._send(wire.HELLO, wire.HELLO_BODY).results
+            if hello != wire.HELLO_BODY:
                 raise ProtocolError("server did not echo the protocol version")
         except BaseException:
             self._stream.close()
@@ -91,9 +92,7 @@ class RemoteEdb:
             pending = self._pending.popleft()
             self._unanswered -= pending._size
             reply_type, body = wire.read_frame(self._stream)
-            expected = (pending._ftype  # HELLO and BYE are echoed
-                        if pending._ftype in (wire.HELLO, wire.BYE)
-                        else wire.RESULT)
+            expected = wire.REPLY[pending._ftype]
             if reply_type != expected:
                 pending._reply = ProtocolError(
                     f"server error: {body.decode(errors='replace')}"

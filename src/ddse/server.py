@@ -112,28 +112,25 @@ class Server(socketserver.ThreadingTCPServer):
 
     def _dispatch(self, stream, ftype: int, body: bytes) -> bool:
         """Handle one frame; False ends the connection."""
+        if ftype not in wire.REPLY:
+            raise wire.FrameError(
+                f"unexpected {wire.type_name(ftype)} frame from client")
+        reply = b""  # an update's ack, and BYE's echo
         if ftype == wire.HELLO:
-            if body != bytes([wire.PROTOCOL_VERSION]):
+            if body != wire.HELLO_BODY:
                 raise wire.FrameError(
                     f"unsupported protocol version {body.hex()}; "
                     f"this server speaks {wire.PROTOCOL_VERSION}")
-            self._send(stream, wire.HELLO, body)
+            reply = wire.HELLO_BODY
         elif ftype == wire.UPDATE:
             address, payload = wire.decode_update_body(body)
             self._locked(self.store.apply_update, address, payload)
-            self._send(stream, wire.RESULT, b"")
         elif ftype == wire.SEARCH:
             request = wire.decode_search_body(body)
             outcome = self._locked(self.store.execute_search, request)
-            self._send(stream, wire.RESULT,
-                       wire.encode_result_body(outcome.results))
-        elif ftype == wire.BYE:
-            self._send(stream, wire.BYE)
-            return False
-        else:
-            raise wire.FrameError(
-                f"unexpected {wire.type_name(ftype)} frame from client")
-        return True
+            reply = wire.encode_result_body(outcome.results)
+        self._send(stream, wire.REPLY[ftype], reply)
+        return ftype != wire.BYE
 
     def _locked(self, operation, *args):
         """Run a store operation under the mutation lock, unless stopped."""

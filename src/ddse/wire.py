@@ -21,14 +21,17 @@ sides.  Body layouts:
   set bits, the placement key's that of [0, c) (``ggm.cover``).
 * RESULT:  [4-byte count][{4-byte len, retrieval}...]  (search reply)
            or empty (update ack)
-* HELLO:   [1-byte protocol version]; the server echoes it and refuses
-           any other version
+* HELLO:   ``HELLO_BODY``, the 1-byte protocol version; the server
+           echoes it and refuses any other body
 * ERROR:   utf-8 message
 * BYE:     empty
 
-The server answers each frame in the order it arrived.  A client may
-send several SEARCH frames before reading any reply; their RESULTs come
-back in the order the searches were sent.
+``REPLY`` maps each frame type a client may send to the type of its
+reply (HELLO and BYE are echoed, UPDATE and SEARCH get a RESULT); an
+ERROR may stand in for any of them, and the server refuses every other
+type.  The server answers each frame in the order it arrived.  A
+client may send several SEARCH frames before reading any reply; their
+RESULTs come back in the order the searches were sent.
 
 ``read_frame`` raises ``ConnectionClosed``, a ``FrameError``, when the
 stream ends before a whole frame arrived, and a plain ``FrameError`` for
@@ -55,8 +58,11 @@ BYE = 6
 _TYPE_NAMES = {HELLO: "HELLO", UPDATE: "UPDATE", SEARCH: "SEARCH",
                RESULT: "RESULT", ERROR: "ERROR", BYE: "BYE"}
 
+REPLY = {HELLO: HELLO, UPDATE: RESULT, SEARCH: RESULT, BYE: BYE}
+
 MAX_FRAME = 64 * 1024 * 1024
 PROTOCOL_VERSION = 4
+HELLO_BODY = bytes([PROTOCOL_VERSION])
 
 ADDRESS_LEN = 32
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .client import ADD, DELETE
+
 DIST_UNIFORM = "uniform"
 DIST_ZIPF = "zipf"
 
@@ -54,7 +56,7 @@ _value = value_bytes  # the name tests/test_acceptance.py uses
 
 
 def generate(spec: WorkloadSpec) -> list[tuple]:
-    """Expand a spec into ("add", w, v) / ("del", w, v) ops."""
+    """Expand a spec into (ADD, w, v) / (DELETE, w, v) ops."""
     rng = random.Random(spec.seed)
     if spec.distribution == DIST_ZIPF:
         weights = [1.0 / (r + 1) ** spec.zipf_s for r in range(spec.keywords)]
@@ -68,7 +70,7 @@ def generate(spec: WorkloadSpec) -> list[tuple]:
         if deletable and rng.random() < spec.delete_fraction:
             i = rng.choice(deletable)
             v = live[i].pop(rng.randrange(len(live[i])))
-            ops.append(("del", keyword_name(i), v))
+            ops.append((DELETE, keyword_name(i), v))
             continue
         if weights is None:
             i = rng.randrange(spec.keywords)
@@ -81,7 +83,7 @@ def generate(spec: WorkloadSpec) -> list[tuple]:
             v = value_bytes(i, counters[i], VALUE_LEN)
             counters[i] += 1
             live[i].append(v)
-        ops.append(("add", keyword_name(i), v))
+        ops.append((ADD, keyword_name(i), v))
     return ops
 
 
@@ -89,9 +91,9 @@ def distinct_sets(ops) -> dict[bytes, set[bytes]]:
     """Plaintext reference: live distinct values per keyword."""
     live: dict[bytes, set[bytes]] = {}
     for kind, w, v in ops:
-        if kind == "add":
+        if kind == ADD:
             live.setdefault(w, set()).add(v)
-        elif kind == "del":
+        elif kind == DELETE:
             live.setdefault(w, set()).discard(v)
         else:
             raise ValueError(f"unknown op {kind!r}")

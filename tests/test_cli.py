@@ -3,6 +3,7 @@
 import fcntl
 import hashlib
 import os
+import pickle
 import socket
 import stat
 import subprocess
@@ -217,6 +218,20 @@ def test_duplicate_registration_fails(db, capsys):
     assert "already registered" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--d-max", "100000000"), ("--d-max", "0"), ("--bf-n", "0"),
+    ("--bf-p", "2"), ("--bf-p", "0")])
+def test_register_table_refuses_sizes_it_cannot_use(db, capsys, flag, value):
+    state = Path(db, "state.ddse").read_bytes()
+    capsys.readouterr()
+    assert run_cli(db, "register-table", "T", "T.x", "T.y", flag, value) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot use --bf-n "), err
+    assert "Traceback" not in err
+    assert Path(db, "state.ddse").read_bytes() == state
+    assert register(db) == 0  # the table was not registered
+
+
 def test_statement_syntax_error_is_reported(db, capsys):
     assert register(db) == 0
     before = files_under(db)
@@ -355,7 +370,9 @@ def test_ingest_refuses_a_csv_that_is_not_utf8_before_sending(
     assert run_cli(db, "ingest", str(csv_path), "--table", "T",
                    "--keyword-column", "T.x", "--value-column", "T.y") == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "not UTF-8" in captured.err
+    assert captured.err == (f"error: {csv_path} is not UTF-8 (byte "
+                            f"{csv_path.read_bytes().index(0xff)}); "
+                            f"nothing was sent\n")
     assert captured.out == ""
     assert files_under(db) == before
     # nothing was wedged: the keyword takes its next add
@@ -363,6 +380,28 @@ def test_ingest_refuses_a_csv_that_is_not_utf8_before_sending(
     capsys.readouterr()
     assert run_cli(db, "exec", "SELECT DISTINCT T.y FROM T WHERE T.x = 'w'") == 0
     assert capsys.readouterr().out.split() == ["u", "v"]
+
+
+def test_ingest_drops_a_leading_byte_order_mark(db, tmp_path, capsys):
+    assert register(db) == 0
+    csv_path = tmp_path / "rows.csv"
+    bom = b"\xef\xbb\xbf"  # as a spreadsheet's export starts
+    csv_path.write_bytes(bom + b"T.x,T.y\nw,v\n")
+    capsys.readouterr()
+    ingest = ("ingest", str(csv_path), "--table", "T",
+              "--keyword-column", "T.x", "--value-column", "T.y")
+    assert run_cli(db, *ingest) == 0
+    assert capsys.readouterr().out == "ingested 1 rows (0 skipped)\n"
+    assert run_cli(db, "exec", "SELECT DISTINCT T.y FROM T WHERE T.x = 'w'") == 0
+    assert capsys.readouterr().out.split() == ["v"]
+    # a byte that is not UTF-8 is still refused at its offset in the file
+    data = bom + b"T.x,T.y\nw,u\nw,\xffx\n"
+    csv_path.write_bytes(data)
+    before = files_under(db)
+    assert run_cli(db, *ingest) == 1
+    assert f"(byte {data.index(0xff)}); nothing was sent" in \
+        capsys.readouterr().err
+    assert files_under(db) == before
 
 
 @pytest.mark.parametrize("command", ["exec", "ingest"])
@@ -480,7 +519,7 @@ def test_a_server_hanging_up_after_hello_is_an_error(
     args = {"exec": ["exec", "INSERT INTO T (T.x, T.y) VALUE ('w', 'v')"],
             "ingest": ["ingest", str(csv_path), "--table", "T",
                        "--keyword-column", "T.x", "--value-column", "T.y"]}
-    host, port = fake_server((wire.HELLO, bytes([wire.PROTOCOL_VERSION])))
+    host, port = fake_server((wire.HELLO, wire.HELLO_BODY))
     before = files_under(db)
     capsys.readouterr()
     assert run_cli(db, *args[command], "--server", f"{host}:{port}") == 1
@@ -488,6 +527,35 @@ def test_a_server_hanging_up_after_hello_is_an_error(
     assert err.startswith("error: "), err
     assert "Traceback" not in err
     assert files_under(db) == before
+
+
+def keyword_record(db, keyword=b"w"):
+    bundle = statefile.load(str(Path(db, "state.ddse")), "test-passphrase")
+    instance = bundle["registry"].instance_for("T", "T.x", "T.y")
+    return instance.state.keywords[keyword]
+
+
+def test_an_integrity_error_keeps_the_epochs_its_searches_rotated(
+        db, capsys, fake_server):
+    assert register(db) == 0
+    hello, bye = (wire.HELLO, wire.HELLO_BODY), (wire.BYE, b"")
+    host, port = fake_server(hello, (wire.RESULT, b""), bye)
+    assert run_cli(db, "exec", "INSERT INTO T (T.x, T.y) VALUE ('w', 'a')",
+                   "--server", f"{host}:{port}") == 0
+    before = keyword_record(db)
+    assert before.epoch == 0
+    # a store that drops the retrieval: the search's reply is read, so
+    # the server has seen the punctured key of the epoch it rotated
+    host, port = fake_server(
+        hello, (wire.RESULT, wire.encode_result_body([])), bye)
+    capsys.readouterr()
+    assert run_cli(db, "exec", "SELECT DISTINCT T.y FROM T WHERE T.x = 'w'",
+                   "--server", f"{host}:{port}") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: quantity vector disagrees"), err
+    after = keyword_record(db)
+    assert after.epoch == 1
+    assert pickle.dumps(after.msk) != pickle.dumps(before.msk)
 
 
 def test_audit_command_passes_on_real_transport(db, capsys):

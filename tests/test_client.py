@@ -197,19 +197,25 @@ def test_a_rotation_takes_its_sizes_from_the_config():
     assert cl.search(state, b"w", edb) == {b"v", b"u", b"t"}
 
 
-def test_is_duplicate_is_the_classification_of_the_next_add():
+def test_refuse_duplicate_refuses_exactly_a_duplicate_add():
     state, edb = fresh()
-    assert not cl.is_duplicate(state, b"w", b"v")
-    cl.update(state, ADD, b"w", b"v", edb)
-    assert cl.is_duplicate(state, b"w", b"v")
-    assert not cl.is_duplicate(state, b"w", b"u")
-    assert not cl.is_duplicate(state, b"x", b"v")
-    placed = state.keywords[b"w"].placed
-    revoked = state.keywords[b"w"].revoked
+    cl.update(state, ADD, b"w", b"v", edb, refuse_duplicate=True)
+    record = state.keywords[b"w"]
+    placed, revoked = record.placed, record.revoked
+    stored, pickled = dict(edb.main), pickle.dumps(state)
+    with pytest.raises(cl.DuplicateRefused):
+        cl.update(state, ADD, b"w", b"v", edb, refuse_duplicate=True)
+    assert (record.placed, record.revoked) == (placed, revoked)
+    assert edb.main == stored
+    assert pickle.dumps(state) == pickled
+    # neither the keyword nor the value alone makes a pair a duplicate
+    cl.update(state, ADD, b"w", b"u", edb, refuse_duplicate=True)
+    cl.update(state, ADD, b"x", b"v", edb, refuse_duplicate=True)
+    assert (record.placed, record.revoked) == (placed + 1, revoked)
     cl.update(state, ADD, b"w", b"v", edb)  # sent as a duplicate
-    assert state.keywords[b"w"].placed == placed + 1
-    assert state.keywords[b"w"].revoked == revoked + 1
-    assert cl.search(state, b"w", edb) == {b"v"}
+    assert (record.placed, record.revoked) == (placed + 2, revoked + 1)
+    assert cl.search(state, b"w", edb) == {b"v", b"u"}
+    assert cl.search(state, b"x", edb) == {b"v"}
 
 
 def test_client_state_does_not_grow_with_search_history():

@@ -126,12 +126,33 @@ def test_malformed_frame_gets_error_and_close(running_server):
 def test_a_client_hanging_up_mid_frame_gets_no_error(running_server, sent):
     with socket.create_connection(running_server.address) as sock:
         stream = sock.makefile("rwb")
-        stream.write(wire.pack_frame(wire.HELLO, bytes([wire.PROTOCOL_VERSION]))
-                     + sent)
+        stream.write(wire.pack_frame(wire.HELLO, wire.HELLO_BODY) + sent)
         stream.flush()
         sock.shutdown(socket.SHUT_WR)
         assert wire.read_frame(stream)[0] == wire.HELLO
         assert stream.read() == b""  # closed, with no ERROR frame
+
+
+def test_each_request_gets_the_reply_type_wire_names(running_server):
+    state, _ = small_state()
+    sent = [(wire.HELLO, wire.HELLO_BODY)]
+
+    class Tap:  # the UPDATE frame the add would send
+        def apply_update(self, address, payload):
+            sent.append((wire.UPDATE,
+                         wire.encode_update_body(address, payload)))
+
+    cl.update(state, cl.ADD, b"w", b"v", Tap())
+    request = cl.search_client_token(state, b"w")
+    sent += [(wire.SEARCH, wire.encode_search_body(request)), (wire.BYE, b"")]
+    assert {ftype for ftype, _ in sent} == set(wire.REPLY)
+    with socket.create_connection(running_server.address) as sock, \
+            sock.makefile("rwb") as stream:
+        stream.write(b"".join(wire.pack_frame(*frame) for frame in sent))
+        stream.flush()
+        replies = [wire.read_frame(stream)[0] for _ in sent]
+        assert stream.read() == b""  # BYE ends the connection
+    assert replies == [wire.REPLY[ftype] for ftype, _ in sent]
 
 
 def test_oversize_frame_gets_error(running_server):
@@ -202,7 +223,7 @@ def test_stop_returns_with_an_idle_client_connected(tmp_path):
     server = serve(store)
     with socket.create_connection(server.address) as sock:
         sock.sendall(wire.pack_frame(wire.HELLO,
-                                     bytes([wire.PROTOCOL_VERSION])))
+                                     wire.HELLO_BODY))
         sock.settimeout(10)
         assert sock.recv(64)  # the connection is being served
         t0 = time.monotonic()
@@ -227,7 +248,7 @@ def test_stop_ends_established_connections(tmp_path):
     server = serve(store)
     with socket.create_connection(server.address) as sock:
         sock.sendall(wire.pack_frame(wire.HELLO,
-                                     bytes([wire.PROTOCOL_VERSION])))
+                                     wire.HELLO_BODY))
         sock.settimeout(10)
         assert sock.recv(64)  # the connection is being served
         server.stop()
@@ -409,7 +430,7 @@ def test_both_ends_disable_nagle(running_server):
 
 # -- one reply queue: every failure is a ProtocolError ------------------------
 
-ECHO = (wire.HELLO, bytes([wire.PROTOCOL_VERSION]))
+ECHO = (wire.HELLO, wire.HELLO_BODY)
 
 
 def test_a_stopped_server_fails_the_search_and_the_next_update(tmp_path):
