@@ -6,13 +6,14 @@ server-side encrypted store.  A command that changes the client bundle
 runs inside ``_registry``, which holds an exclusive lock on
 ``state.lock`` from the bundle's load to its save, so two concurrent
 commands run one after the other instead of the later save undoing the
-earlier one; a command that fails saves nothing, unless it failed with
-an ``IntegrityError``, after its searches rotated their epochs.  The
+earlier one (``setup`` writes under the same lock); a command that
+fails saves nothing, unless it failed with an ``IntegrityError``, after
+its searches rotated their epochs.  The
 passphrase sealing the client bundle comes from DDSE_PASSPHRASE; the
 default directory from DDSE_STORE.  With ``--server HOST:PORT`` the
 server half is remote and only the client bundle is touched locally;
-without it, a store that ``ddse serve`` has open is locked, and the
-command exits 1.
+without it, a ``store/`` that is missing, that ``ddse serve`` has open,
+or whose log recovery refuses makes the command exit 1.
 An IPv6 host is written in brackets, as in ``--listen [::1]:7070``.
 
     ddse setup --db ./demo
@@ -76,11 +77,19 @@ def _store_path(db: str) -> str:
 
 
 @contextlib.contextmanager
+def _state_lock(db: str) -> Iterator[None]:
+    """Hold the exclusive lock on ``state.lock``, a file of its own
+    because ``statefile.save`` replaces ``state.ddse`` by rename."""
+    with open(os.path.join(db, "state.lock"), "ab") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        yield
+
+
+@contextlib.contextmanager
 def _registry(args) -> Iterator[q.Registry]:
-    """The client registry, loaded under the lock on ``state.lock``, a
-    file of its own because ``statefile.save`` replaces ``state.ddse``
-    by rename.  A directory without ``state.ddse`` is refused before the
-    lock is made, so a command on one never set up creates nothing.
+    """The client registry, loaded under ``_state_lock``.  A directory
+    without ``state.ddse`` is refused before the lock is made, so a
+    command on one never set up creates nothing.
     The registry is saved under the key it was loaded with when the
     block ends without an error, reads included: a search rotates
     epochs and an update advances counters.  It is saved, too, when the
@@ -92,8 +101,7 @@ def _registry(args) -> Iterator[q.Registry]:
     path = _state_path(db)
     if not os.path.exists(path):
         raise CliError(f"no client state at {path}; run ddse setup")
-    with open(os.path.join(db, "state.lock"), "ab") as fh:
-        fcntl.flock(fh, fcntl.LOCK_EX)
+    with _state_lock(db):
         bundle, key = statefile.load_with_key(path, _passphrase())
         try:
             yield bundle["registry"]
@@ -115,16 +123,30 @@ def _host_port(value: str, flag: str, lowest: int = 1) -> tuple[str, int]:
     return host, int(port)
 
 
+def _local_store(path: str) -> PersistentStore:
+    """The store at ``path``, made if it is missing; a log that recovery
+    refuses, or a path that is no directory, is a ``CliError``."""
+    try:
+        return PersistentStore(path)
+    except (ValueError, OSError) as exc:
+        raise CliError(f"cannot open store {path}: {exc}") from exc
+
+
 def _open_edb(args) -> RemoteEdb | PersistentStore:
-    """The remote store of ``--server``, else the local one."""
+    """The remote store of ``--server``, else the local one, which must
+    exist: one made here would hold none of the entries the client
+    state counts."""
     if getattr(args, "server", None):
         host, port = _host_port(args.server, "--server")
         try:
             return RemoteEdb(host, port)
         except OSError as exc:
             raise CliError(f"cannot reach {args.server}: {exc}") from exc
+    path = _store_path(_db_dir(args))
+    if not os.path.exists(path):
+        raise CliError(f"no store at {path}")
     try:
-        return PersistentStore(_store_path(_db_dir(args)))
+        return _local_store(path)
     except StoreInUse as exc:  # e.g. by `ddse serve`
         raise CliError(f"{exc}; pass --server") from exc
 
@@ -144,9 +166,10 @@ def cmd_setup(args) -> int:
     pw = _passphrase()
     os.makedirs(db, exist_ok=True)
     path = _state_path(db)
-    if os.path.exists(path) and not args.force:
-        raise CliError(f"{path} already exists (use --force to replace)")
-    statefile.save(path, pw, {"registry": q.Registry()})
+    with _state_lock(db):  # a running command would save over the new state
+        if os.path.exists(path) and not args.force:
+            raise CliError(f"{path} already exists (use --force to replace)")
+        statefile.save(path, pw, {"registry": q.Registry()})
     os.makedirs(_store_path(db), exist_ok=True)
     print(f"initialized {db}")
     return 0
@@ -255,7 +278,7 @@ def cmd_serve(args) -> int:
     db = _db_dir(args)
     # port 0 listens on any free port, which the banner reports
     host, port = _host_port(args.listen, "--listen", lowest=0)
-    store = PersistentStore(_store_path(db))
+    store = _local_store(_store_path(db))
     try:
         server = Server(store, host, port)
     except OSError as exc:  # a busy port, or a host that does not resolve

@@ -13,7 +13,8 @@ revoked this epoch.  The moving parts fit together like this:
   same pair is a *duplicate*: it uploads a same-shaped ciphertext under
   a one-time dummy tag ``F(K_t, w||v||cnt)`` and immediately revokes
   that tag, so the server stores an indistinguishable entry that can
-  never decrypt.  Deletes upload nothing and revoke the real tag.
+  never decrypt.  Deletes upload nothing and revoke the real tag; a
+  delete of a pair the distinct state does not hold does nothing.
   ``update`` is the one place a pair is classified, once per call.
   The server-visible update stream is therefore independent of how
   often a value repeats -- the volume-hiding property.
@@ -29,12 +30,11 @@ revoked this epoch.  The moving parts fit together like this:
   epoch: a fresh key sized by ``ClientConfig``, with an empty filter,
   next label, no entries placed.  The rotation keeps later adds unlinkable
   once a key has been revealed, so an *empty* epoch (nothing placed
-  and nothing revoked since the keyword's last search) is not
-  rotated: its search sends the cache token alone, the server answers
-  from the cache, and the epoch's keys never leave the client.  An
-  epoch with a revocation is never kept, even with nothing placed: a
-  later add of the revoked pair (say, after a delete of a pair never
-  added) would be encrypted under a filter that already revokes it.
+  since the keyword's last search) is not rotated: its search sends
+  the cache token alone, the server answers from the cache, and the
+  epoch's keys never leave the client.  Its revocations, all of pairs
+  already added (whose later adds take dummy tags), go out with its
+  next full search.
 
 * ``search_many`` builds, sends and reads every search, the one place
   a SEARCH leaves the client.  Over a
@@ -113,9 +113,9 @@ class ClientConfig:
 
 @dataclass
 class KeywordState:
-    """One keyword's state; ``msk.D`` is the epoch's revocation filter.
-    A rotation resets ``placed`` and ``revoked``, and sizes its new key
-    from ``ClientConfig``, not from the old one."""
+    """One keyword's state, made by its first add; ``msk.D`` is the
+    epoch's revocation filter.  A rotation resets ``placed`` and
+    ``revoked``, and sizes its new key from ``ClientConfig``."""
 
     msk: sre.SreMasterKey
     epoch: int = 0
@@ -128,9 +128,9 @@ class KeywordState:
 
     @property
     def empty_epoch(self) -> bool:
-        """Nothing placed or revoked since the keyword's last search: its
-        search sends the cache token alone and rotates nothing."""
-        return not self.placed and not self.msk.D.inserted
+        """Nothing placed since the keyword's last search: its search
+        sends the cache token alone and rotates nothing."""
+        return not self.placed
 
 
 @dataclass
@@ -223,6 +223,8 @@ def update(state: ClientState, op: str, keyword: bytes, value: bytes,
     real = state.real_tag(keyword, value)
     spots = state.distinct_filter.positions(real)
     held = state.distinct_filter.check_at(spots)  # an add would be a duplicate
+    if not held and op == DELETE:
+        return  # a pair never added has nothing to revoke
     if held and refuse_duplicate and op == ADD:
         raise DuplicateRefused(keyword, value)
     record = state.keywords.get(keyword) or KeywordState(
@@ -248,9 +250,6 @@ def update(state: ClientState, op: str, keyword: bytes, value: bytes,
                     "duplicate misclassification rate degrades",
                     state.config.bf_n)
     else:
-        if not held:
-            logger.warning("delete of never-added pair under keyword %r",
-                           keyword)
         _revoke(state, keyword, record, record.msk.D.positions(real))
 
     record.updates = cnt + 1

@@ -9,8 +9,8 @@ sides.  Body layouts:
               wrap is the entry's data key under one Bloom position's
               leaf key and body = [magic:8][retrieval] under the data key
 * SEARCH:  [tkn:32] alone, for a keyword whose epoch is empty (nothing
-           placed or revoked since its last search; the server answers
-           from the cache slot), or
+           placed since its last search; the server answers from the
+           cache slot), or
            [tkn:32][revoked key][revocation filter][placement token]
     revoked key       = [0][depth:1][count:4] count x [seed:16]
     revocation filter = [b:8][h:1][seed:16][n] n x [gap], where gap

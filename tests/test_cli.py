@@ -6,9 +6,11 @@ import os
 import pickle
 import socket
 import stat
+import struct
 import subprocess
 import sys
 import threading
+import zlib
 from pathlib import Path
 
 import pytest
@@ -272,6 +274,76 @@ def test_commands_wait_for_the_state_lock(db, capsys):
     assert not command.is_alive() and codes == [0]
     assert run_cli(db, "exec", "SELECT DISTINCT T.y FROM T WHERE T.x = 'w'") == 0
     assert capsys.readouterr().out.splitlines()[-1] == "late"
+
+
+def test_setup_force_waits_for_the_state_lock(db):
+    codes = []
+    command = threading.Thread(
+        target=lambda: codes.append(run_cli(db, "setup", "--force")))
+    with open(os.path.join(db, "state.lock"), "ab") as held:
+        fcntl.flock(held, fcntl.LOCK_EX)
+        command.start()
+        command.join(0.5)
+        assert command.is_alive()  # waiting for the lock
+    command.join(30)
+    assert not command.is_alive() and codes == [0]
+
+
+def unknown_record(store):
+    """Append a record whose checksum holds but whose type is unknown."""
+    data = bytes([9]) + b"\0" * 8
+    with open(store / "log", "ab") as fh:
+        fh.write(struct.pack(">I", len(data)) + data
+                 + struct.pack(">I", zlib.crc32(data)))
+
+
+def retired_snapshot(store):
+    (store / "snapshot").write_bytes(b"")
+
+
+def store_is_a_file(store):
+    (store / "log").unlink()
+    store.rmdir()
+    store.write_bytes(b"")
+
+
+@pytest.mark.parametrize("command", ["exec", "serve"])
+@pytest.mark.parametrize("damage", [unknown_record, retired_snapshot,
+                                    store_is_a_file])
+def test_a_store_that_cannot_be_opened_is_an_error_line(db, capsys, command,
+                                                        damage):
+    assert register(db) == 0
+    assert run_cli(db, "exec", "INSERT INTO T (T.x, T.y) VALUE ('w', 'v')") == 0
+    store = Path(db) / "store"
+    damage(store)
+    before = files_under(db)
+    args = {"exec": ["exec", "SELECT DISTINCT T.y FROM T WHERE T.x = 'w'"],
+            "serve": ["serve", "--listen", "127.0.0.1:0"]}
+    capsys.readouterr()
+    assert run_cli(db, *args[command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot open store {store}: "), err
+    assert "Traceback" not in err
+    assert files_under(db) == before
+
+
+@pytest.mark.parametrize("command", ["exec", "ingest"])
+def test_a_missing_store_is_an_error_line_and_is_not_made(
+        db, tmp_path, capsys, command):
+    assert register(db) == 0
+    assert run_cli(db, "exec", "INSERT INTO T (T.x, T.y) VALUE ('w', 'v')") == 0
+    store = Path(db) / "store"
+    store.rename(tmp_path / "moved")
+    csv_path = tmp_path / "rows.csv"
+    csv_path.write_text("T.x,T.y\nw,u\n")
+    args = {"exec": ["exec", "SELECT DISTINCT T.y FROM T WHERE T.x = 'w'"],
+            "ingest": ["ingest", str(csv_path), "--table", "T",
+                       "--keyword-column", "T.x", "--value-column", "T.y"]}
+    before = files_under(db)
+    capsys.readouterr()
+    assert run_cli(db, *args[command]) == 1
+    assert capsys.readouterr().err == f"error: no store at {store}\n"
+    assert not store.exists() and files_under(db) == before
 
 
 @pytest.mark.parametrize("argv", [

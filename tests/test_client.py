@@ -105,36 +105,80 @@ def test_search_unknown_keyword_raises():
         cl.search_client_token(state, b"never")
 
 
-def test_delete_only_keyword_searches_empty():
+def test_a_delete_only_keyword_has_no_record():
     state, edb = fresh()
     cl.update(state, DELETE, b"w", b"v", edb)
-    assert cl.search(state, b"w", edb) == set()
+    assert b"w" not in state.keywords
+    with pytest.raises(UnknownKeywordError):
+        cl.search(state, b"w", edb)
+    assert cl.search_many(state, [b"w"], edb) == [None]
+    assert edb.cache == {}  # no search was sent
 
 
-def test_delete_of_never_added_pair_logs(caplog):
-    state, edb = fresh()
+def test_a_delete_of_a_never_added_pair_changes_nothing(caplog, tmp_path):
+    state, _ = fresh()
+    with PersistentStore(tmp_path) as edb:
+        cl.update(state, ADD, b"w", b"a", edb)
+        pickled, logged = pickle.dumps(state), edb.log_path.read_bytes()
+        with caplog.at_level(logging.WARNING, logger="ddse.client"), \
+                mock.patch.object(crypto.secrets, "token_bytes") as draw:
+            cl.update(state, DELETE, b"w", b"ghost", edb)  # a keyword's record
+            cl.update(state, DELETE, b"x", b"ghost", edb)  # and none
+        assert not draw.called and not caplog.records
+        assert pickle.dumps(state) == pickled
+        assert edb.log_path.read_bytes() == logged
+
+
+@pytest.mark.parametrize("store", ["memory", "persistent"])
+def test_delete_then_add_of_a_never_added_pair_surfaces(store, tmp_path):
+    state, memory = fresh()
+    with (PersistentStore(tmp_path) if store == "persistent"
+          else contextlib.nullcontext(memory)) as edb:
+        cl.update(state, ADD, b"w", b"a", edb)
+        assert cl.search(state, b"w", edb) == {b"a"}
+        for w in (b"w", b"x"):  # a searched keyword, and one without history
+            cl.update(state, DELETE, w, b"ghost", edb)
+            cl.update(state, ADD, w, b"ghost", edb)
+        assert cl.search(state, b"w", edb) == {b"a", b"ghost"}
+        assert cl.search(state, b"x", edb) == {b"ghost"}
+
+
+def test_a_search_after_deletes_alone_is_token_only(tmp_path):
+    state, _ = fresh()
+    with PersistentStore(tmp_path) as edb:
+        cl.update(state, ADD, b"w", b"v", edb)
+        assert cl.search(state, b"w", edb) == {b"v"}
+        cl.update(state, DELETE, b"w", b"v", edb)
+        record = state.keywords[b"w"]
+        kept = (record.msk, record.epoch)
+        size = edb.log_path.stat().st_size
+        with token_only_search():
+            # the cache keeps what a search surfaced, as a full search would
+            assert cl.search(state, b"w", edb) == {b"v"}
+        assert (record.msk, record.epoch) == kept
+        assert edb.log_path.stat().st_size == size
+        # the kept delete goes out with the epoch's next full search
+        cl.update(state, ADD, b"w", b"u", edb)
+        request = cl.search_client_token(state, b"w")
+        assert request.revoked_key.filter.check(state.real_tag(b"w", b"v"))
+        got = cl.search_finalize(state, edb.execute_search(request).results)
+        assert got == {b"v", b"u"}
+
+
+def test_a_search_after_deletes_alone_keeps_the_revocation_budget(caplog):
+    state, edb = fresh(d_max=2)
+    values = [b"a", b"b", b"c"]
+    for v in values:
+        cl.update(state, ADD, b"w", v, edb)
+    assert cl.search(state, b"w", edb) == set(values)
     with caplog.at_level(logging.WARNING, logger="ddse.client"):
-        cl.update(state, DELETE, b"w", b"ghost", edb)
-    assert any("never-added" in r.message for r in caplog.records)
-    assert state.keywords[b"w"].updates == 2
-
-
-def test_add_after_a_searched_delete_of_a_never_added_pair_surfaces():
-    # the search after the delete must not keep the epoch whose filter
-    # revokes the pair, or the add below would be revoked on arrival
-    state, edb = fresh()
-    cl.update(state, ADD, b"w", b"a", edb)
-    assert cl.search(state, b"w", edb) == {b"a"}
-    cl.update(state, DELETE, b"w", b"ghost", edb)
-    assert not cl.search_client_token(state, b"w").token_only
-    cl.update(state, ADD, b"w", b"ghost", edb)
-    assert cl.search(state, b"w", edb) == {b"a", b"ghost"}
-    # a first search of a keyword whose only update is such a delete
-    state, edb = fresh()
-    cl.update(state, DELETE, b"w", b"ghost", edb)
-    assert cl.search(state, b"w", edb) == set()
-    cl.update(state, ADD, b"w", b"ghost", edb)
-    assert cl.search(state, b"w", edb) == {b"ghost"}
+        for v in values:
+            cl.update(state, DELETE, b"w", v, edb)
+            with token_only_search():
+                assert cl.search(state, b"w", edb) == set(values)
+    assert state.keywords[b"w"].revoked == 3
+    assert len([r for r in caplog.records
+                if "revocation budget" in r.message]) == 1
 
 
 def test_readd_after_delete_is_unrecoverable_by_default():
@@ -266,6 +310,7 @@ def test_budget_warning_fires_once_per_epoch(caplog):
 
 def test_a_revocation_counts_even_when_its_bits_are_all_set(caplog):
     state, edb = fresh(d_max=2)
+    cl.update(state, ADD, b"w", b"v", edb)
     with caplog.at_level(logging.WARNING, logger="ddse.client"):
         for _ in range(3):  # one tag, revoked three times
             cl.update(state, DELETE, b"w", b"v", edb)
@@ -279,11 +324,12 @@ def test_a_revocation_counts_even_when_its_bits_are_all_set(caplog):
 
 def test_a_state_saved_without_the_revocation_count_loads():
     state, edb = fresh()
+    cl.update(state, ADD, b"w", b"v", edb)
     cl.update(state, DELETE, b"w", b"v", edb)
     del state.keywords[b"w"].__dict__["revoked"]  # as saved before the field
-    record = pickle.loads(pickle.dumps(state)).keywords[b"w"]
-    assert record.revoked == 0
-    assert not record.empty_epoch  # its revocation still forces a full search
+    back = pickle.loads(pickle.dumps(state))
+    assert back.keywords[b"w"].revoked == 0
+    assert cl.search(back, b"w", edb) == set()
 
 
 def test_each_add_sends_one_update_at_its_placement_address():
@@ -474,9 +520,7 @@ def run_script(script, reopen):
     oracle = Oracle()
     surfaced: dict[bytes, set[bytes]] = {}
     lost: dict[bytes, set[bytes]] = {}
-    # per keyword with a non-empty epoch: the never-added values deleted
-    # since its last search (an entry placed leaves an empty set)
-    pending: dict[bytes, set[bytes]] = {}
+    placed: set[bytes] = set()  # keywords with an entry since their search
     for kind, k, j in script:
         w = b"w%d" % k
         live = sorted(oracle.live.get(w, ()))
@@ -487,7 +531,7 @@ def run_script(script, reopen):
         if kind == "search":
             if w not in state.keywords:
                 continue
-            token_only = w not in pending
+            token_only = w not in placed
             record = state.keywords[w]
             kept = (record.msk, record.epoch, record.placed)
             gone = lost.setdefault(w, set())
@@ -507,23 +551,21 @@ def run_script(script, reopen):
             got = cl.search_finalize(state, outcome.results)
             assert got == oracle.type_db(w) - gone
             surfaced.setdefault(w, set()).update(got)
-            pending.pop(w, None)
+            placed.discard(w)
             continue
         ghost = b"g%d" % j
         if kind == "ghost":
             if ghost in live or ghost in oracle.dead.get(w, ()):
                 continue  # only a never-added pair is a ghost
-            # a delete of a never-added pair changes no answer, but it
-            # revokes: the search after it must be a full one
+            # a delete of a never-added pair changes nothing at all
+            before = pickle.dumps(state)
             cl.update(state, DELETE, w, ghost, edb)
-            pending.setdefault(w, set()).add(ghost)
+            assert pickle.dumps(state) == before
             continue
         if kind in ("add", "ghost_add"):
             v = b"v%d" % j if kind == "add" else ghost
             if v in oracle.dead.get(w, ()):
                 continue  # a deleted pair is never re-added
-            if v in pending.get(w, ()):
-                continue  # revoked in this epoch: it would never surface
             op = ADD
         elif kind == "duplicate" and live:
             op, v = ADD, live[j % len(live)]
@@ -533,7 +575,8 @@ def run_script(script, reopen):
             continue
         oracle.apply(op, w, v)
         cl.update(state, op, w, v, edb)
-        pending.setdefault(w, set())
+        if op == ADD:
+            placed.add(w)
     return edb
 
 
