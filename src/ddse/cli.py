@@ -1,19 +1,21 @@
 """Command-line front end.
 
 A database directory holds ``state.ddse``, the encrypted client bundle
-(key material, distinct-state, quantity vectors), and ``store/``, the
-server-side encrypted store.  A command that changes the client bundle
-runs inside ``_registry``, which holds an exclusive lock on
-``state.lock`` from the bundle's load to its save, so two concurrent
-commands run one after the other instead of the later save undoing the
-earlier one (``setup`` writes under the same lock); a command that
-fails saves nothing, unless it failed with an ``IntegrityError``, after
-its searches rotated their epochs.  The
-passphrase sealing the client bundle comes from DDSE_PASSPHRASE; the
-default directory from DDSE_STORE.  With ``--server HOST:PORT`` the
-server half is remote and only the client bundle is touched locally;
-without it, a ``store/`` that is missing, that ``ddse serve`` has open,
-or whose log recovery refuses makes the command exit 1.
+(each table's keys and quantity vectors, which are its distinct state),
+and ``store/``, the server-side encrypted store.  A command that changes
+the client bundle runs inside ``_registry``, which holds an exclusive
+lock on ``state.lock`` from the bundle's load to its save, so two
+concurrent commands run one after the other instead of the later save
+undoing the earlier one (``setup`` writes under the same lock); a
+command that fails saves nothing, unless it failed with an
+``IntegrityError``, after its searches rotated their epochs.  ``setup``
+refuses a directory whose store holds entries, ``--force`` or not: no
+new client could revoke or purge them.  The passphrase sealing the
+client bundle comes from DDSE_PASSPHRASE; the default directory from
+DDSE_STORE.  With ``--server HOST:PORT`` the server half is remote and
+only the client bundle is touched locally; without it, a ``store/``
+that is missing, that ``ddse serve`` has open, or whose log recovery
+refuses makes the command exit 1.
 An IPv6 host is written in brackets, as in ``--listen [::1]:7070``.
 
     ddse setup --db ./demo
@@ -166,7 +168,12 @@ def cmd_setup(args) -> int:
     pw = _passphrase()
     os.makedirs(db, exist_ok=True)
     path = _state_path(db)
+    log_path = os.path.join(_store_path(db), "log")
     with _state_lock(db):  # a running command would save over the new state
+        if os.path.exists(log_path) and os.path.getsize(log_path):
+            raise CliError(f"{_store_path(db)} holds entries that a new "
+                           f"client could never revoke or purge; remove it "
+                           f"first")
         if os.path.exists(path) and not args.force:
             raise CliError(f"{path} already exists (use --force to replace)")
         statefile.save(path, pw, {"registry": q.Registry()})
@@ -178,14 +185,11 @@ def cmd_setup(args) -> int:
 def cmd_register_table(args) -> int:
     with _registry(args) as registry:
         config = q.TableConfig(args.table, args.keyword_column,
-                               args.value_column, args.order, bf_n=args.bf_n,
-                               bf_p=args.bf_p, d_max=args.d_max)
+                               args.value_column, args.order, d_max=args.d_max)
         try:
             registry.register(config)
         except ValueError as exc:  # sizes no index of this scheme can use
-            raise CliError(f"cannot use --bf-n {args.bf_n} --bf-p "
-                           f"{args.bf_p:g} --d-max {args.d_max}: {exc}"
-                           ) from None
+            raise CliError(f"cannot use --d-max {args.d_max}: {exc}") from None
     print(f"registered {config.manifest_line()}")
     return 0
 
@@ -316,10 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("value_column")
     p.add_argument("--order", default=q.ORDER_LEX,
                    choices=[q.ORDER_LEX, q.ORDER_NUMERIC])
-    p.add_argument("--bf-n", type=int, default=ClientConfig.bf_n,
-                   help="distinct-pair capacity")
-    p.add_argument("--bf-p", type=float, default=ClientConfig.bf_p,
-                   help="false-positive budget for the distinct state")
     p.add_argument("--d-max", type=int, default=ClientConfig.d_max,
                    help="per-keyword duplicate/delete budget")
     p.set_defaults(run=cmd_register_table)

@@ -1,11 +1,12 @@
 """Distinct-search client: update and search protocols.
 
 The client keeps three master keys (cache tokens, tags, value
-encryption), a placement key, a large distinct-state Bloom filter, and
-one ``KeywordState`` record per keyword: the epoch's revocable master
-key, whose filter is the epoch's revocation filter, the epoch number,
-the dummy-tag counter and the counts of entries placed and of tags
-revoked this epoch.  The moving parts fit together like this:
+encryption), a placement key, a large distinct-state Bloom filter (or
+none), and one ``KeywordState`` record per keyword: the epoch's
+revocable master key, whose filter is the epoch's revocation filter,
+the epoch number, the dummy-tag counter and the counts of entries
+placed and of tags revoked this epoch.  The moving parts fit together
+like this:
 
 * Every (keyword, value) pair owns a *real* tag ``F(K_t, w||v||0)``.
   The first add of a pair uploads a ciphertext under the real tag and
@@ -14,8 +15,9 @@ revoked this epoch.  The moving parts fit together like this:
   a one-time dummy tag ``F(K_t, w||v||cnt)`` and immediately revokes
   that tag, so the server stores an indistinguishable entry that can
   never decrypt.  Deletes upload nothing and revoke the real tag; a
-  delete of a pair the distinct state does not hold does nothing.
-  ``update`` is the one place a pair is classified, once per call.
+  delete of a pair never added does nothing.  ``update`` classifies a
+  pair once per call, from the filter or from the caller's ``held``
+  (a SQL table's quantity vector: such a state has no filter).
   The server-visible update stream is therefore independent of how
   often a value repeats -- the volume-hiding property.
 
@@ -48,9 +50,9 @@ the current epoch's ciphertext.  Once a value's retrieval has entered
 the server cache (i.e. the pair was searched after its add), a later
 delete cannot claw it back out; deletes are only reliable for pairs
 whose first add has not yet been consumed by a search.  Re-adding a
-deleted pair is likewise unsupported: the distinct-state filter still
-remembers the pair, so the re-add is classified as a duplicate and
-revoked on arrival; ``ddse.query`` refuses such an INSERT.
+deleted pair is likewise unsupported: the pair is still classified as
+added, so the re-add is a duplicate, revoked on arrival; ``ddse.query``
+refuses such an INSERT.
 """
 
 from __future__ import annotations
@@ -84,14 +86,9 @@ class UnknownKeywordError(LookupError):
     """Search for a keyword that was never updated."""
 
 
-class DuplicateRefused(ValueError):
-    """An add refused by ``update(refuse_duplicate=True)``: the pair's
-    next add would be a duplicate; nothing was sent."""
-
-
 @dataclass
 class ClientConfig:
-    bf_n: int = 2 ** 20         # distinct-state capacity (pairs)
+    bf_n: Optional[int] = 2 ** 20  # distinct-state pairs; None: no filter
     bf_p: float = 1e-5          # distinct-state false-positive budget
     d_max: int = 1000           # per-keyword revocations per epoch
     revoke_p: float = 1e-3      # revocation-filter false-positive budget
@@ -138,7 +135,7 @@ class ClientState:
     k_search: bytes             # cache tokens tkn = F(., w)
     k_tag: bytes                # real/dummy tags
     k_value: bytes              # retrieval value encryption
-    distinct_filter: bloom.BloomFilter
+    distinct_filter: Optional[bloom.BloomFilter]
     sigma: SigmaState
     config: ClientConfig
     keywords: dict[bytes, KeywordState] = field(default_factory=dict)
@@ -167,7 +164,8 @@ def setup(config: Optional[ClientConfig] = None
     """A fresh client for ``config``; a config no keyword could use
     raises ``ValueError`` before any key is drawn."""
     config = config or ClientConfig()
-    b, h = bloom.size_for(config.bf_n, config.bf_p)
+    sizes = None if config.bf_n is None else bloom.size_for(config.bf_n,
+                                                             config.bf_p)
     config.sre_params()
     if not 1 <= config.sigma_depth <= ggm.MAX_DEPTH:
         raise ValueError(f"sigma_depth must be in 1..{ggm.MAX_DEPTH}, "
@@ -176,7 +174,8 @@ def setup(config: Optional[ClientConfig] = None
         k_search=fresh_key(KEY_LEN),
         k_tag=fresh_key(KEY_LEN),
         k_value=fresh_key(KEY_LEN),
-        distinct_filter=bloom.BloomFilter(b, h, fresh_key(KEY_LEN)),
+        distinct_filter=sizes and bloom.BloomFilter(*sizes,
+                                                    fresh_key(KEY_LEN)),
         sigma=SigmaState(fresh_key(KEY_LEN), config.sigma_depth),
         config=config,
     )
@@ -208,25 +207,28 @@ def encrypt_retrieval(state: ClientState, value: bytes, cnt: int) -> bytes:
 
 
 def update(state: ClientState, op: str, keyword: bytes, value: bytes,
-           edb, *, refuse_duplicate: bool = False) -> None:
+           edb, *, held: Optional[bool] = None) -> None:
     """One add/delete.  ``edb`` needs only ``apply_update``.
 
-    Adds send exactly one fixed-shape entry, through one
+    ``held`` (was the pair added before?) comes from a caller with an
+    exact record of its own, and the distinct-state filter is then left
+    alone; else the filter answers, or a state without one raises
+    ``ValueError``.  Adds send exactly one fixed-shape entry, through one
     ``edb.apply_update`` call; deletes send nothing.  The state changes
     only once that call has returned: an add whose send raises leaves
     the state as it was, so a retry is classified as the first try was.
-    With ``refuse_duplicate`` an add that would be a duplicate raises
-    ``DuplicateRefused`` instead, before anything is sent or changed.
     """
     if op not in (ADD, DELETE):
         raise ValueError(f"op must be {ADD!r} or {DELETE!r}, got {op!r}")
     real = state.real_tag(keyword, value)
-    spots = state.distinct_filter.positions(real)
-    held = state.distinct_filter.check_at(spots)  # an add would be a duplicate
+    spots = None
+    if held is None:
+        if state.distinct_filter is None:
+            raise ValueError("a state without a distinct filter needs held=")
+        spots = state.distinct_filter.positions(real)
+        held = state.distinct_filter.check_at(spots)
     if not held and op == DELETE:
         return  # a pair never added has nothing to revoke
-    if held and refuse_duplicate and op == ADD:
-        raise DuplicateRefused(keyword, value)
     record = state.keywords.get(keyword) or KeywordState(
         _epoch_key(state.config))
     cnt = record.updates
@@ -242,7 +244,7 @@ def update(state: ClientState, op: str, keyword: bytes, value: bytes,
         record.placed += 1
         if held:
             _revoke(state, keyword, record, positions)  # dummy dies on arrival
-        else:
+        elif spots is not None:
             state.distinct_filter.insert_at(spots)
             if state.distinct_filter.inserted == state.config.bf_n + 1:
                 logger.warning(

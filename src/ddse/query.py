@@ -17,9 +17,11 @@ a string with a lone surrogate (Python's form of a non-UTF-8 byte in
 
 Each registered (table, keyword column, value column) triple owns one
 encrypted index plus a client-side quantity vector: per keyword, the
-live copy-count of every value.  Every search goes through
+live copy-count of every value added, 0 once deleted; it classifies
+each add for ``client.update`` (``held=``), so a table keeps no
+distinct-state filter.  Every search goes through
 ``client.search_many``, and each distinct set it returns must equal the
-keys of the keyword's quantity vector, or the statement raises
+keyword's values of nonzero count, or the statement raises
 ``IntegrityError``: a short, foreign or stale answer is never returned.
 Distinct queries return that set; plain keyword queries expand it
 through the quantity vector (order and multiplicity never leave the
@@ -28,10 +30,12 @@ client); joins run the keyword query twice, stage two as one
 pipelined.
 Deleting a pair removes every copy, matching the delete protocol;
 deleting a pair that is not live is a no-op that sends and revokes
-nothing.  A deleted pair cannot be inserted again: the client's
-distinct state still holds it, so the add would be revoked on arrival.
-Such an INSERT raises ``QueryError`` before anything is sent, as does
-one of a value a numeric-ordered column cannot parse (see ``insert``).
+nothing.  A deleted pair cannot be inserted again: its adds would be
+classified as duplicates and revoked on arrival.  Such an INSERT raises
+``QueryError`` before anything is sent, as does one of a value a
+numeric-ordered column cannot parse (see ``insert``).  A table saved
+with a distinct-state filter, by an older version, keeps it; ``insert``
+reads it for a pair the vector lacks, as pairs deleted then left it.
 """
 
 from __future__ import annotations
@@ -204,8 +208,8 @@ class TableConfig:
     keyword_column: str
     value_column: str
     value_order: str = ORDER_LEX
-    bf_n: int = ClientConfig.bf_n
-    bf_p: float = ClientConfig.bf_p
+    bf_n: int = ClientConfig.bf_n   # accepted, unused: a table classifies
+    bf_p: float = ClientConfig.bf_p  # adds from its quantity vector
     d_max: int = ClientConfig.d_max
 
     def __post_init__(self):
@@ -219,14 +223,14 @@ class TableConfig:
 
     def manifest_line(self) -> str:
         return (f"{self.table} {self.keyword_column} {self.value_column} "
-                f"{self.value_order} {self.bf_n} {self.bf_p:g} {self.d_max}")
+                f"{self.value_order} {self.d_max}")
 
 
 @dataclass
 class TableInstance:
     config: TableConfig
     state: ClientState
-    # per keyword: value -> live copy count (the quantity vector)
+    # the quantity vector: per keyword, value -> live copies, 0 if deleted
     qvec: dict[bytes, dict[bytes, int]] = field(default_factory=dict)
 
     def ordered(self, values: Iterable[bytes]) -> list[bytes]:
@@ -252,8 +256,8 @@ class Registry:
         if config.key in self.instances:
             raise QueryError(f"instance already registered: {config.key}")
         state, _ = cl.setup(ClientConfig(
-            bf_n=config.bf_n, bf_p=config.bf_p, d_max=config.d_max,
-            revoke_p=revoke_p, sigma_depth=sigma_depth))
+            bf_n=None, d_max=config.d_max, revoke_p=revoke_p,
+            sigma_depth=sigma_depth))
         instance = TableInstance(config, state)
         self.instances[config.key] = instance
         return instance
@@ -272,12 +276,13 @@ class Registry:
 def _checked(instance: TableInstance, keywords: list[bytes],
              edb) -> list[dict[bytes, int]]:
     """Each keyword's live counts, once ``client.search_many`` has found
-    the index's distinct set equal to the quantity vector's keys; a
-    keyword with no history answers the empty set."""
+    the index's distinct set equal to the quantity vector's values of
+    nonzero count; a keyword with no history answers the empty set."""
     out = []
     for keyword, found in zip(
             keywords, cl.search_many(instance.state, keywords, edb)):
-        counts = instance.qvec.get(keyword, {})
+        counts = {v: n for v, n in instance.qvec.get(keyword, {}).items()
+                  if n}
         found = found or set()
         if set(counts) != found:
             raise IntegrityError(
@@ -291,16 +296,15 @@ def insert(instance: TableInstance, keyword: bytes, value: bytes, edb) -> None:
     """The INSERT step of ``execute`` and of ``ddse ingest``: add one
     copy of the pair, or raise ``QueryError`` before anything is sent."""
     instance.ordered([value])  # a value the column cannot order raises
-    try:
-        # a pair the distinct state holds but the vector does not was deleted
-        cl.update(instance.state, cl.ADD, keyword, value, edb,
-                  refuse_duplicate=value not in instance.qvec.get(keyword, ()))
-    except cl.DuplicateRefused:
+    count = instance.qvec.get(keyword, {}).get(value)
+    old = instance.state.distinct_filter  # only in a table saved with one
+    if count == 0 or count is None and old is not None and old.check(
+            instance.state.real_tag(keyword, value)):
         raise QueryError(
-            f"cannot re-add deleted pair {keyword!r}/{value!r}: the distinct "
-            f"state still holds it; nothing was sent") from None
-    counts = instance.qvec.setdefault(keyword, {})
-    counts[value] = counts.get(value, 0) + 1
+            f"cannot re-add deleted pair {keyword!r}/{value!r}: its adds "
+            f"would be revoked on arrival; nothing was sent")
+    cl.update(instance.state, cl.ADD, keyword, value, edb, held=bool(count))
+    instance.qvec.setdefault(keyword, {})[value] = (count or 0) + 1
 
 
 def _rows(instance: TableInstance, counts: dict[bytes, int]) -> list[bytes]:
@@ -315,9 +319,9 @@ def execute(registry: Registry, query: QueryPlan, edb):
         instance = registry.instance_for(table, kw_col, val_col)
         if query.syn == SYN_INS:
             insert(instance, w, v, edb)
-        elif v in instance.qvec.get(w, ()):  # not live: nothing to revoke
-            cl.update(instance.state, cl.DELETE, w, v, edb)
-            del instance.qvec[w][v]
+        elif instance.qvec.get(w, {}).get(v):  # not live: nothing to revoke
+            cl.update(instance.state, cl.DELETE, w, v, edb, held=True)
+            instance.qvec[w][v] = 0
         return None
     if query.syn in (SYN_DSRCH, SYN_SRCH):
         table, (kw_col, w, val_col) = query.m

@@ -4,6 +4,7 @@ import fcntl
 import hashlib
 import os
 import pickle
+import shutil
 import socket
 import stat
 import struct
@@ -151,8 +152,7 @@ def run_cli(db, *argv):
 
 
 def register(db, table="T", kw="T.x", val="T.y"):
-    return run_cli(db, "register-table", table, kw, val,
-                   "--bf-n", "2000", "--bf-p", "1e-4", "--d-max", "16")
+    return run_cli(db, "register-table", table, kw, val, "--d-max", "16")
 
 
 def files_under(db) -> dict:
@@ -166,6 +166,23 @@ def test_setup_refuses_overwrite_without_force(db, capsys):
     assert run_cli(db, "setup") == 1
     assert "already exists" in capsys.readouterr().err
     assert run_cli(db, "setup", "--force") == 0
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
+def test_setup_refuses_a_store_that_holds_entries(db, capsys, force):
+    assert register(db) == 0
+    assert run_cli(db, "exec", "INSERT INTO T (T.x, T.y) VALUE ('w', 'v')") == 0
+    before = files_under(db)
+    capsys.readouterr()
+    assert run_cli(db, "setup", *force) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    assert files_under(db) == before
+    shutil.rmtree(Path(db, "store"))
+    assert run_cli(db, "setup", "--force") == 0
+    assert run_cli(db, "exec",
+                   "SELECT DISTINCT T.y FROM T WHERE T.x = 'w'") == 1
+    assert "no index registered" in capsys.readouterr().err
 
 
 def test_missing_passphrase_fails(db, monkeypatch, capsys):
@@ -221,14 +238,13 @@ def test_duplicate_registration_fails(db, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--d-max", "100000000"), ("--d-max", "0"), ("--bf-n", "0"),
-    ("--bf-p", "2"), ("--bf-p", "0")])
+    ("--d-max", "100000000"), ("--d-max", "0")])
 def test_register_table_refuses_sizes_it_cannot_use(db, capsys, flag, value):
     state = Path(db, "state.ddse").read_bytes()
     capsys.readouterr()
     assert run_cli(db, "register-table", "T", "T.x", "T.y", flag, value) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: cannot use --bf-n "), err
+    assert err.startswith(f"error: cannot use --d-max {value}: "), err
     assert "Traceback" not in err
     assert Path(db, "state.ddse").read_bytes() == state
     assert register(db) == 0  # the table was not registered
@@ -415,8 +431,7 @@ def test_ingest_skips_the_readd_of_a_deleted_pair(db, tmp_path, capsys,
 def test_ingest_skips_a_value_a_numeric_column_cannot_order(db, tmp_path,
                                                             capsys, caplog):
     assert run_cli(db, "register-table", "T", "T.x", "T.y",
-                   "--order", "numeric", "--bf-n", "2000", "--bf-p", "1e-4",
-                   "--d-max", "16") == 0
+                   "--order", "numeric", "--d-max", "16") == 0
     csv_path = tmp_path / "rows.csv"
     csv_path.write_text("T.x,T.y\nw,7\nw,seven\nw,3\n")
     capsys.readouterr()

@@ -241,25 +241,34 @@ def test_a_rotation_takes_its_sizes_from_the_config():
     assert cl.search(state, b"w", edb) == {b"v", b"u", b"t"}
 
 
-def test_refuse_duplicate_refuses_exactly_a_duplicate_add():
+def test_update_classifies_exactly_a_second_add_as_a_duplicate():
     state, edb = fresh()
-    cl.update(state, ADD, b"w", b"v", edb, refuse_duplicate=True)
+    cl.update(state, ADD, b"w", b"v", edb)
     record = state.keywords[b"w"]
     placed, revoked = record.placed, record.revoked
-    stored, pickled = dict(edb.main), pickle.dumps(state)
-    with pytest.raises(cl.DuplicateRefused):
-        cl.update(state, ADD, b"w", b"v", edb, refuse_duplicate=True)
-    assert (record.placed, record.revoked) == (placed, revoked)
-    assert edb.main == stored
-    assert pickle.dumps(state) == pickled
-    # neither the keyword nor the value alone makes a pair a duplicate
-    cl.update(state, ADD, b"w", b"u", edb, refuse_duplicate=True)
-    cl.update(state, ADD, b"x", b"v", edb, refuse_duplicate=True)
-    assert (record.placed, record.revoked) == (placed + 1, revoked)
     cl.update(state, ADD, b"w", b"v", edb)  # sent as a duplicate
+    assert (record.placed, record.revoked) == (placed + 1, revoked + 1)
+    # neither the keyword nor the value alone makes a pair a duplicate
+    cl.update(state, ADD, b"w", b"u", edb)
+    cl.update(state, ADD, b"x", b"v", edb)
     assert (record.placed, record.revoked) == (placed + 2, revoked + 1)
+    assert state.keywords[b"x"].revoked == 0
     assert cl.search(state, b"w", edb) == {b"v", b"u"}
     assert cl.search(state, b"x", edb) == {b"v"}
+
+
+@pytest.mark.parametrize("op", [ADD, DELETE])
+def test_a_state_without_a_distinct_filter_needs_held(op):
+    state, edb = fresh(bf_n=None)
+    assert state.distinct_filter is None
+    cl.update(state, ADD, b"w", b"v", edb, held=False)
+    stored, pickled = dict(edb.main), pickle.dumps(state)
+    with pytest.raises(ValueError, match="held="):
+        cl.update(state, op, b"w", b"v", edb)
+    assert edb.main == stored
+    assert pickle.dumps(state) == pickled
+    cl.update(state, op, b"w", b"v", edb, held=True)
+    assert cl.search(state, b"w", edb) == ({b"v"} if op == ADD else set())
 
 
 def test_client_state_does_not_grow_with_search_history():

@@ -8,9 +8,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ddse import statefile, wire
 from ddse import client as cl
 from ddse import query as q
-from ddse import wire
 from ddse.client import ClientConfig, ProtocolError
 from ddse.edb import EncryptedDatabase, SearchOutcome
 from ddse.netclient import RemoteEdb
@@ -191,7 +191,7 @@ def test_statement_plans_to_syn(statement):
 # -- registry ---------------------------------------------------------------
 
 def small_table(table="T", kw="T.x", val="T.y", order=q.ORDER_LEX):
-    return TableConfig(table, kw, val, order, bf_n=2000, bf_p=1e-4, d_max=16)
+    return TableConfig(table, kw, val, order, d_max=16)
 
 
 def test_registry_register_and_lookup():
@@ -334,10 +334,10 @@ def test_randomized_single_table_oracle():
 
 def join_tables():
     reg = Registry()
-    reg.register(TableConfig("T1", "T1.x", "T1.z", bf_n=2000, bf_p=1e-4,
-                             d_max=16), sigma_depth=12, revoke_p=1e-2)
-    reg.register(TableConfig("T2", "T2.z", "T2.y", bf_n=2000, bf_p=1e-4,
-                             d_max=16), sigma_depth=12, revoke_p=1e-2)
+    reg.register(TableConfig("T1", "T1.x", "T1.z", d_max=16),
+                 sigma_depth=12, revoke_p=1e-2)
+    reg.register(TableConfig("T2", "T2.z", "T2.y", d_max=16),
+                 sigma_depth=12, revoke_p=1e-2)
     return reg, EncryptedDatabase()
 
 
@@ -543,6 +543,59 @@ def test_join_after_a_refused_readd_matches_nested_loop(transport):
                               "WHERE T1.x = 'w'")
     assert sorted(got) == sorted(nested_loop_join(rows1, rows2, b"w")) \
         == [b"r", b"r"]
+
+
+# -- the quantity vector is a table's distinct state ---------------------------
+
+def test_a_registered_table_keeps_no_distinct_filter():
+    reg, _ = fresh()
+    assert reg.instance_for("T", "T.x", "T.y").state.distinct_filter is None
+    two = Registry()
+    two.register(TableConfig("A", "A.x", "A.y"))
+    two.register(TableConfig("B", "B.x", "B.y"))
+    assert len(pickle.dumps(two)) < 64 * 1024
+
+
+def test_no_fresh_pair_is_refused_whatever_the_filter_sizes_say():
+    # bf_n=1, bf_p=0.5 would be a 2-bit filter probing both bits, so a
+    # filter would hold every pair after the first; a table has none
+    reg = Registry()
+    reg.register(TableConfig("T", "T.x", "T.y", bf_n=1, bf_p=0.5, d_max=64),
+                 sigma_depth=12, revoke_p=1e-2)
+    edb = EncryptedDatabase()
+    values = {b"v%02d" % i for i in range(40)}
+    for v in sorted(values):
+        run(reg, edb, f"INSERT INTO T (T.x, T.y) VALUE ('w', '{v.decode()}')")
+    assert run(reg, edb, "SELECT DISTINCT T.y FROM T WHERE T.x = 'w'") \
+        == values
+
+
+def test_a_table_saved_with_a_distinct_filter_still_refuses_its_deleted_pair(
+        tmp_path):
+    # as tables were saved before they dropped their filter: the filter
+    # classified every update and holds each pair added, and a deleted
+    # pair left the vector
+    reg, edb = fresh()
+    inst = reg.instance_for("T", "T.x", "T.y")
+    inst.state, _ = cl.setup(ClientConfig(bf_n=2000, bf_p=1e-4, d_max=16,
+                                          revoke_p=1e-2, sigma_depth=12))
+    for op, v in ((cl.ADD, b"a"), (cl.ADD, b"b"), (cl.ADD, b"b"),
+                  (cl.DELETE, b"a")):
+        cl.update(inst.state, op, b"w", v, edb)
+    inst.qvec[b"w"] = {b"b": 2}
+    assert inst.state.distinct_filter.check(inst.state.real_tag(b"w", b"a"))
+    path = str(tmp_path / "state.ddse")
+    statefile.save(path, "pw", {"registry": reg})
+    reg = statefile.load(path, "pw")["registry"]
+    old = reg.instance_for("T", "T.x", "T.y").state.distinct_filter
+    bits = bytes(old.bits)
+    refused_readd(reg, edb, "INSERT INTO T (T.x, T.y) VALUE ('w', 'a')")
+    run(reg, edb, "INSERT INTO T (T.x, T.y) VALUE ('w', 'c')")
+    assert bytes(old.bits) == bits  # read, never written
+    assert run(reg, edb, "SELECT DISTINCT T.y FROM T WHERE T.x = 'w'") \
+        == {b"b", b"c"}
+    assert run(reg, edb, "SELECT T.y FROM T WHERE T.x = 'w'") \
+        == [b"b", b"b", b"c"]
 
 
 # -- deleting a pair that is not live -----------------------------------------
